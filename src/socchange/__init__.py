@@ -8,7 +8,6 @@ the index non-negative.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
 from .climate import (ClimateSeries, ReferenceState, SiteMoisture,
                       accumulated_deficit, annual_averages, annual_rho_field,
                       max_deficit, rate_modifier_cover_smooth,

@@ -1,18 +1,26 @@
-"""Hot inner loops: monthly stepping, sub-monthly solves, RK4 reference, feedback control.
+"""Kernels: monthly stepping, sub-monthly solves, RK4 reference, feedback control.
 
-Every kernel is written as a plain loop over preallocated float64 arrays so the
-same source compiles under numba. By default the kernels are jitted with
-``numba.njit(cache=True)``; setting the environment variable
-``SOCCHANGE_NO_NUMBA=1`` (or numba being unavailable) selects the pure-numpy
-fallback. ``benchmarks/bench_kernels.py`` compares both paths.
+The month-varying recurrences (``affine_recurrence``, ``controlled_recurrence``)
+are plain loops over preallocated float64 arrays. The constant-coefficient
+ones are closed-form: an affine step c <- F c + g is the linear step of the
+augmented matrix [[F, g], [0, 1]] on [c; 1] (Van Loan, IEEE TAC 1978), so k
+steps are one matrix power of it.
 """
-
-import os
 
 import numpy as np
 
 
-def _affine_recurrence(fmats, gvecs, c0):
+def _augmented(fmats, gvecs):
+    """Stack [[F, g], [0, 1]] for each (F, g); fmats (..., n, n), gvecs (..., n)."""
+    n = fmats.shape[-1]
+    aug = np.zeros(fmats.shape[:-2] + (n + 1, n + 1))
+    aug[..., :n, :n] = fmats
+    aug[..., :n, n] = gvecs
+    aug[..., n, n] = 1.0
+    return aug
+
+
+def affine_recurrence(fmats, gvecs, c0):
     """Iterate c_{j+1} = F_j c_j + g_j, returning all states incl. c0.
 
     fmats: (n, 4, 4), gvecs: (n, 4), c0: (4,). Returns (n+1, 4).
@@ -27,75 +35,72 @@ def _affine_recurrence(fmats, gvecs, c0):
     return out
 
 
-def _affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
-    """Constant-coefficient recurrence, sampling every ``record_every`` steps.
+def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
+    """Constant-coefficient recurrence c <- F c + g, sampled every ``record_every`` steps.
 
-    Returns (nsamples, 4) where the first row is the state after
-    ``record_every`` steps (c0 itself is not recorded).
+    Returns (nsteps // record_every, n) where the first row is the state after
+    ``record_every`` steps (c0 itself is not recorded). Steps past the last
+    full stride are not taken. The stride matrix P is one matrix power; the
+    samples are filled by doubling, rows [m, 2m) being P^m applied to rows
+    [0, m).
     """
+    n = c0.shape[0]
     nsamples = nsteps // record_every
-    out = np.empty((nsamples, 4))
-    c = c0.copy()
-    idx = 0
-    for j in range(nsteps):
-        c = fmat @ c + gvec
-        if (j + 1) % record_every == 0:
-            out[idx] = c
-            idx += 1
-    return out
+    out = np.empty((nsamples, n + 1))
+    if nsamples == 0:
+        return out[:, :n]
+    power = np.linalg.matrix_power(_augmented(fmat, gvec), record_every)
+    out[0] = power @ np.append(c0, 1.0)
+    done = 1
+    while done < nsamples:
+        take = min(done, nsamples - done)
+        out[done:done + take] = out[:take] @ power.T
+        power = power @ power
+        done += take
+    return out[:, :n]
 
 
-def _sensitivity_recurrence(fmat, phimat, coup, w, bc, c0, s0, nsteps, record_every):
+def sensitivity_recurrence(fmat, phimat, coup, w, bc, c0, s0, nsteps, record_every):
     """Co-integrate state and sensitivity with frozen left-endpoint coupling.
 
     Per step (state c, sensitivity s):
         s <- F s + Phi (coup @ c + w)
         c <- F c + Phi bc
+    which is one constant affine step of [s; c] with the block matrix
+    [[F, Phi coup], [0, F]] and forcing [Phi w; Phi bc].
     Samples every ``record_every`` steps. Returns (c_samples, s_samples).
     """
-    nsamples = nsteps // record_every
-    cs = np.empty((nsamples, 4))
-    ss = np.empty((nsamples, 4))
-    c = c0.copy()
-    s = s0.copy()
-    idx = 0
-    for j in range(nsteps):
-        s = fmat @ s + phimat @ (coup @ c + w)
-        c = fmat @ c + phimat @ bc
-        if (j + 1) % record_every == 0:
-            cs[idx] = c
-            ss[idx] = s
-            idx += 1
-    return cs, ss
+    block = np.block([[fmat, phimat @ coup], [np.zeros((4, 4)), fmat]])
+    forcing = np.concatenate((phimat @ w, phimat @ bc))
+    samples = affine_recurrence_const(block, forcing, np.concatenate((s0, c0)),
+                                      nsteps, record_every)
+    return samples[:, 4:], samples[:, :4]
 
 
-def _rk4_piecewise(amats, bvecs, dts, nsub, c0):
+def rk4_piecewise(amats, bvecs, dts, nsub, c0):
     """Classical RK4 over piecewise-constant linear months y' = M_j y + b_j.
 
     amats: (n, 4, 4) per-month M = rho*A, bvecs: (n, 4), dts: (n,) month
     lengths, nsub substeps per month. Returns end-of-month states (n+1, 4)
     including the initial state.
+
+    One RK4 step of y' = M y + b is the matrix polynomial
+    R(z) = I + z(I + z/2(I + z/3(I + z/4))) of z = h [[M, b], [0, 0]] acting
+    on [y; 1], so a month is R^nsub.
     """
-    n = amats.shape[0]
-    out = np.empty((n + 1, 4))
-    out[0] = c0
-    c = c0.copy()
-    for j in range(n):
-        m = amats[j]
-        b = bvecs[j]
-        h = dts[j] / nsub
-        for _ in range(nsub):
-            k1 = m @ c + b
-            k2 = m @ (c + 0.5 * h * k1) + b
-            k3 = m @ (c + 0.5 * h * k2) + b
-            k4 = m @ (c + h * k3) + b
-            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j + 1] = c
-    return out
+    h = dts / nsub
+    z = h[:, None, None] * _augmented(amats, bvecs)
+    z[:, 4, 4] = 0.0
+    eye = np.eye(5)
+    poly = eye + z / 4.0
+    for k in (3.0, 2.0, 1.0):
+        poly = eye + (z / k) @ poly
+    month = np.linalg.matrix_power(poly, nsub)
+    return affine_recurrence(month[:, :4, :4], month[:, :4, 4], c0)
 
 
-def _controlled_recurrence(fmats, phimats, eks, phivs, dts, epsg, qs, ag, af,
-                           alpha, beta, delta, eps):
+def controlled_recurrence(fmats, phimats, eks, phivs, dts, epsg, qs, ag, af,
+                          alpha, beta, delta, eps):
     """Monthly feedback loop enforcing a non-negative SOC change index.
 
     The manure modifying factor is the value that zeroes the discrete Δsoc
@@ -125,36 +130,3 @@ def _controlled_recurrence(fmats, phimats, eks, phivs, dts, epsg, qs, ag, af,
         c = fmats[j] @ c + phimats[j] @ b
         out[j + 1] = c
     return out, f0s
-
-
-_PURE = {
-    "affine_recurrence": _affine_recurrence,
-    "affine_recurrence_const": _affine_recurrence_const,
-    "sensitivity_recurrence": _sensitivity_recurrence,
-    "rk4_piecewise": _rk4_piecewise,
-    "controlled_recurrence": _controlled_recurrence,
-}
-
-NUMBA_ENABLED = False
-
-if os.environ.get("SOCCHANGE_NO_NUMBA", "").strip() not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        _JIT = {name: njit(cache=True)(fn) for name, fn in _PURE.items()}
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _JIT = _PURE
-else:
-    _JIT = _PURE
-
-affine_recurrence = _JIT["affine_recurrence"]
-affine_recurrence_const = _JIT["affine_recurrence_const"]
-sensitivity_recurrence = _JIT["sensitivity_recurrence"]
-rk4_piecewise = _JIT["rk4_piecewise"]
-controlled_recurrence = _JIT["controlled_recurrence"]
-
-
-def implementations(name):
-    """Return (pure, jitted) variants of a kernel, for benchmarks and tests."""
-    return _PURE[name], _JIT[name]

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import Scenario
 from .errors import ConfigError
-from .stepping import Trajectory, build_time_grid, phi1_scalar
+from .stepping import Trajectory, _step_operators, build_time_grid
 
 Array = np.ndarray
 
@@ -97,23 +97,13 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
         qs[j] = rho / (T * rho0)
         epsg[j] = epsilon * (scenario.np_ratio(n) * ghat - qs[j])
 
-    taus = grid.dt * rhos
-    eks = np.exp(-taus[:, None] * mats.k[None, :])
-    phivs = phi1_scalar(-taus[:, None] * mats.k[None, :])
-    fmats = mats.Lambda[None, :, :] + mats.i_minus_lambda[None, :, :] * eks[:, None, :]
-    phimats = grid.dt[:, None, None] * (
-        (mats.i_minus_lambda[None, :, :] * phivs[:, None, :]) @ mats.i_minus_lambda_inv)
+    eks, phivs, fmats, phimats = _step_operators(grid, rhos, mats, "nonstandard")
 
     states, f0 = _kernels.controlled_recurrence(
-        np.ascontiguousarray(fmats), np.ascontiguousarray(phimats),
-        np.ascontiguousarray(eks), np.ascontiguousarray(phivs),
-        np.ascontiguousarray(grid.dt), epsg, qs, mats.a_g, mats.a_f,
+        fmats, phimats, eks, phivs, grid.dt, epsg, qs, mats.a_g, mats.a_f,
         mats.alpha, mats.beta, mats.delta, epsilon)
 
-    t = np.concatenate(([grid.t_start], grid.t_end))
-    year = np.concatenate(([scenario.baseline_year + grid.year_index[0]],
-                           scenario.baseline_year + grid.year_index))
-    month = np.concatenate(([0], grid.month))
+    t, year, month = grid.sample_axis(scenario.baseline_year)
     meta = {
         "scheme": "nonstandard",
         "mode": "delta",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -39,10 +40,14 @@ def _fmt(x: float) -> str:
 
 def _parse_float(text: str, path, line_no: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(
             f"{path}: line {line_no}: non-numeric {column!r} value {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(
+            f"{path}: line {line_no}: non-finite {column!r} value {text!r}")
+    return value
 
 
 def _parse_int(text: str, path, line_no: int, column: str) -> int:

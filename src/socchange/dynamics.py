@@ -140,7 +140,7 @@ class Scenario:
             year = self.baseline_year + n
             if year not in self.np_ratios:
                 raise DataError(f"NPP ratio missing for year {year}")
-            if self.np_ratios[year] <= 0:
+            if not self.np_ratios[year] > 0:
                 raise DataError(f"NPP ratio for {year} must be positive")
         self.climate.index(self.baseline_year)
         self.climate.index(self.baseline_year + self.horizon)

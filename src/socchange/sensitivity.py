@@ -20,7 +20,7 @@ from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
 from .dynamics import Scenario
 from .errors import ConfigError
 from .pools import DPM_RPM_SHIFT, CompartmentMatrices, SoilParams, build_matrices
-from .stepping import phi1_dense, phi1_scalar
+from .stepping import phi1_dense, phi_matrix, transition_matrix
 
 Array = np.ndarray
 
@@ -114,8 +114,8 @@ def averaged_delta_solve(averaged: AveragedModel, r: float,
     c = np.zeros(4)
     for n in range(1, n_years + 1):
         rho = averaged.rho_n(n, r)
-        fmat = _const_transition(dt_eff, rho, mats)
-        phimat = dt_eff * _const_phi(dt_eff, rho, mats)
+        fmat = transition_matrix(dt_eff, rho, mats)
+        phimat = dt_eff * phi_matrix(dt_eff, rho, mats)
         gvec = phimat @ (theta(n, averaged) * mats.a_g)
         samples = _kernels.affine_recurrence_const(fmat, gvec, c, nsub, record_every)
         c = samples[-1].copy()
@@ -190,15 +190,6 @@ class SensitivitySeries:
     meta: dict
 
 
-def _const_transition(dt, rho, mats):
-    return mats.Lambda + mats.i_minus_lambda @ np.diag(np.exp(-dt * rho * mats.k))
-
-
-def _const_phi(dt, rho, mats):
-    vals = phi1_scalar(-dt * rho * mats.k)
-    return mats.i_minus_lambda @ np.diag(vals) @ mats.i_minus_lambda_inv
-
-
 def sensitivity(parameter: str, scenario: Scenario,
                 dt: float = DEFAULT_SENSITIVITY_DT,
                 record_all: bool = False,
@@ -227,8 +218,8 @@ def sensitivity(parameter: str, scenario: Scenario,
     s = np.zeros(4)
     for n in range(1, n_years + 1):
         rho = avg.rho_n(n, r)
-        fmat = _const_transition(dt_eff, rho, mats)
-        phimat = dt_eff * _const_phi(dt_eff, rho, mats)
+        fmat = transition_matrix(dt_eff, rho, mats)
+        phimat = dt_eff * phi_matrix(dt_eff, rho, mats)
         bc = theta(n, avg) * mats.a_g
         if parameter == "temp1":
             dr = drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0], ref.site,
@@ -244,8 +235,7 @@ def sensitivity(parameter: str, scenario: Scenario,
             coup = dr * mats.A
             w = theta(n, avg) * DPM_RPM_SHIFT / (r + 1.0) ** 2
         cs, ss = _kernels.sensitivity_recurrence(
-            fmat, phimat, np.ascontiguousarray(coup), w, bc, c, s,
-            nsub, record_every)
+            fmat, phimat, coup, w, bc, c, s, nsub, record_every)
         c = cs[-1].copy()
         s = ss[-1].copy()
         t0_year = avg.T * n

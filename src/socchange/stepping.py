@@ -114,6 +114,17 @@ class TimeGrid:
     def t_start(self) -> float:
         return float(self.t_end[0] - self.dt[0])
 
+    def sample_axis(self, baseline_year: int) -> tuple[Array, Array, Array]:
+        """(t, calendar year, month) per trajectory sample, initial sample first.
+
+        The initial sample sits at the grid start, in the first delta year's
+        calendar year, with month 0.
+        """
+        year = baseline_year + self.year_index
+        return (np.concatenate(([self.t_start], self.t_end)),
+                np.concatenate(([year[0]], year)),
+                np.concatenate(([0], self.month)))
+
 
 def build_time_grid(scenario: Scenario) -> TimeGrid:
     T = scenario.params.T
@@ -207,19 +218,24 @@ def _monthly_coefficients(scenario: Scenario, mode: str):
 
 def _step_operators(grid: TimeGrid, rhos: Array, mats: CompartmentMatrices,
                     scheme: str):
-    """Per-month transition matrices F and forcing weights (vectorized)."""
+    """Per-month e^{-τk}, φ(-τk), transition matrices F and forcing weights.
+
+    The weights are Δt φ(Δt ρ Ã) for the non-standard scheme and Δt I for the
+    original discrete step. Returns (eks, phivs, fmats, weights), vectorized
+    over the months of ``grid``.
+    """
     taus = grid.dt * rhos
-    decays = np.exp(-taus[:, None] * mats.k[None, :])
-    fmats = mats.Lambda[None, :, :] + mats.i_minus_lambda[None, :, :] * decays[:, None, :]
+    eks = np.exp(-taus[:, None] * mats.k[None, :])
+    phivs = phi1_scalar(-taus[:, None] * mats.k[None, :])
+    fmats = mats.Lambda[None, :, :] + mats.i_minus_lambda[None, :, :] * eks[:, None, :]
     if scheme == "nonstandard":
-        phis = phi1_scalar(-taus[:, None] * mats.k[None, :])
-        phimats = (mats.i_minus_lambda[None, :, :] * phis[:, None, :]) @ mats.i_minus_lambda_inv
+        phimats = (mats.i_minus_lambda[None, :, :] * phivs[:, None, :]) @ mats.i_minus_lambda_inv
         weights = grid.dt[:, None, None] * phimats
     elif scheme == "rothc_discrete":
         weights = grid.dt[:, None, None] * np.eye(4)[None, :, :]
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    return fmats, weights
+    return eks, phivs, fmats, weights
 
 
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
@@ -230,15 +246,11 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     from the baseline equilibrium pools (validation path).
     """
     grid, rhos, bvecs = _monthly_coefficients(scenario, mode)
-    fmats, weights = _step_operators(grid, rhos, scenario.mats, scheme)
+    _, _, fmats, weights = _step_operators(grid, rhos, scenario.mats, scheme)
     gvecs = np.einsum("jab,jb->ja", weights, bvecs)
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
-    states = _kernels.affine_recurrence(np.ascontiguousarray(fmats),
-                                        np.ascontiguousarray(gvecs), c0)
-    t = np.concatenate(([grid.t_start], grid.t_end))
-    year = np.concatenate(([scenario.baseline_year + grid.year_index[0]],
-                           scenario.baseline_year + grid.year_index))
-    month = np.concatenate(([0], grid.month))
+    states = _kernels.affine_recurrence(fmats, gvecs, c0)
+    t, year, month = grid.sample_axis(scenario.baseline_year)
     meta = {
         "scheme": scheme,
         "mode": mode,
@@ -264,13 +276,8 @@ def rk4_reference(scenario: Scenario, mode: str = "delta",
     grid, rhos, bvecs = _monthly_coefficients(scenario, mode)
     amats = rhos[:, None, None] * scenario.mats.A[None, :, :]
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
-    states = _kernels.rk4_piecewise(np.ascontiguousarray(amats),
-                                    np.ascontiguousarray(bvecs),
-                                    np.ascontiguousarray(grid.dt), refine, c0)
-    t = np.concatenate(([grid.t_start], grid.t_end))
-    year = np.concatenate(([scenario.baseline_year + grid.year_index[0]],
-                           scenario.baseline_year + grid.year_index))
-    month = np.concatenate(([0], grid.month))
+    states = _kernels.rk4_piecewise(amats, bvecs, grid.dt, refine, c0)
+    t, year, month = grid.sample_axis(scenario.baseline_year)
     return Trajectory(t=t, year=year, month=month, states=states,
                       totals=states.sum(axis=1), scheme=f"rk4x{refine}",
                       mode=mode, meta={"scheme": f"rk4x{refine}", "mode": mode})

@@ -107,22 +107,6 @@ def zero_forcing_scenario(site50):
                        np_ratios=scen.np_ratios, cover_mode="smooth")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure work, not JIT."""
-    eye = np.eye(4)
-    z = np.zeros(4)
-    sc._kernels.affine_recurrence(eye[None, :, :], z[None, :], z)
-    sc._kernels.affine_recurrence_const(eye, z, z, 2, 1)
-    sc._kernels.sensitivity_recurrence(eye, eye, eye, z, z, z, z, 2, 1)
-    sc._kernels.rk4_piecewise(eye[None, :, :], z[None, :], np.ones(1), 2, z)
-    sc._kernels.controlled_recurrence(
-        eye[None, :, :], eye[None, :, :], np.ones((1, 4)), np.ones((1, 4)),
-        np.ones(1), np.zeros(1), np.ones(1) * 0.1,
-        np.array([0.5, 0.5, 0.0, 0.0]), np.array([0.49, 0.49, 0.0, 0.02]),
-        0.1, 0.1, 0.8, 0.5)
-
-
 def write_climate_csv(path: Path, climate: sc.ClimateSeries,
                       with_pet: bool = False) -> None:
     lines = ["year,month,temp_c,rain_mm" + (",pet_mm" if with_pet else "")]

@@ -1,0 +1,82 @@
+"""Step-by-step loop forms of the kernels in socchange._kernels.
+
+The closed-form kernels compute these recurrences as matrix powers; the loops
+take one step at a time and are the reference the kernel tests compare against.
+The control kernel is itself a loop; its copy here pins its results bit for bit.
+"""
+
+import numpy as np
+
+
+def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
+    nsamples = nsteps // record_every
+    out = np.empty((nsamples, 4))
+    c = c0.copy()
+    idx = 0
+    for j in range(nsteps):
+        c = fmat @ c + gvec
+        if (j + 1) % record_every == 0:
+            out[idx] = c
+            idx += 1
+    return out
+
+
+def sensitivity_recurrence(fmat, phimat, coup, w, bc, c0, s0, nsteps, record_every):
+    nsamples = nsteps // record_every
+    cs = np.empty((nsamples, 4))
+    ss = np.empty((nsamples, 4))
+    c = c0.copy()
+    s = s0.copy()
+    idx = 0
+    for j in range(nsteps):
+        s = fmat @ s + phimat @ (coup @ c + w)
+        c = fmat @ c + phimat @ bc
+        if (j + 1) % record_every == 0:
+            cs[idx] = c
+            ss[idx] = s
+            idx += 1
+    return cs, ss
+
+
+def rk4_piecewise(amats, bvecs, dts, nsub, c0):
+    n = amats.shape[0]
+    out = np.empty((n + 1, 4))
+    out[0] = c0
+    c = c0.copy()
+    for j in range(n):
+        m = amats[j]
+        b = bvecs[j]
+        h = dts[j] / nsub
+        for _ in range(nsub):
+            k1 = m @ c + b
+            k2 = m @ (c + 0.5 * h * k1) + b
+            k3 = m @ (c + 0.5 * h * k2) + b
+            k4 = m @ (c + h * k3) + b
+            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[j + 1] = c
+    return out
+
+
+def controlled_recurrence(fmats, phimats, eks, phivs, dts, epsg, qs, ag, af,
+                          alpha, beta, delta, eps):
+    n = fmats.shape[0]
+    out = np.empty((n + 1, 4))
+    f0s = np.empty(n)
+    c = np.zeros(4)
+    out[0] = c
+    for j in range(n):
+        phiv = phivs[j]
+        trail = alpha * phiv[2] + beta * phiv[3]
+        # w[i] = 1^T phi(tau*Atilde) column weights
+        w = delta * phiv + trail
+        wg = w @ ag
+        wf = w @ af
+        decay = (delta / dts[j]) * ((1.0 - eks[j]) @ c)
+        f0 = qs[j] + (decay - epsg[j] * wg) / ((1.0 - eps) * wf)
+        if f0 < 0.0:
+            f0 = 0.0
+        f0s[j] = f0
+        b = epsg[j] * ag + (1.0 - eps) * (f0 - qs[j]) * af
+        c = fmats[j] @ c + phimats[j] @ b
+        out[j + 1] = c
+    return out, f0s

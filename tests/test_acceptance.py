@@ -29,15 +29,8 @@ def _report(number: int, name: str, elapsed: float, failures: list) -> None:
 
 
 def _check_runtime(failures: list, elapsed: float, limit: float) -> None:
-    """Runtime budgets apply to the shipped (jitted) configuration; the
-    pure-numpy debug fallback reports instead of failing."""
-    if elapsed < limit:
-        return
-    message = f"runtime {elapsed:.2f}s exceeds {limit:g}s"
-    if sc.NUMBA_ENABLED:
-        failures.append(message)
-    else:
-        print(f"  [note] {message} (pure-numpy fallback; budget not enforced)")
+    if elapsed >= limit:
+        failures.append(f"runtime {elapsed:.2f}s exceeds {limit:g}s")
 
 
 def test_criterion_1_equilibrium_preservation():

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,29 @@ from socchange.cli import main
 from conftest import write_scenario_inputs
 
 
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+
+
 def _read_totals(path):
     traj = sc.read_trajectory(path)
     return traj
+
+
+def _demo_with_cell(tmp_path, name, row_prefix, column, value):
+    """Copy the demo site, replacing one cell of the row starting with row_prefix.
+
+    Returns (config path, line number of the edited row)."""
+    for path in DEMO.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    lines = (tmp_path / name).read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    line_no = next(i for i, line in enumerate(lines, 1)
+                   if line.startswith(row_prefix))
+    cells = lines[line_no - 1].split(",")
+    cells[col] = value
+    lines[line_no - 1] = ",".join(cells)
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    return tmp_path / "scenario.cfg", line_no
 
 
 class TestSimulateCommand:
@@ -37,6 +59,20 @@ class TestSimulateCommand:
         (tmp_path / "climate.csv").unlink()
         assert main(["simulate", str(config)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, row_prefix, column, value", [
+        ("npp.csv", "2007,", "npp", "nan"),
+        ("climate.csv", "2008,3,", "temp_c", "inf"),
+    ])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, name,
+                                        row_prefix, column, value):
+        config, line_no = _demo_with_cell(tmp_path, name, row_prefix, column,
+                                          value)
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line_no}" in err and repr(column) in err
+        assert not (out / "trajectory.csv").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,

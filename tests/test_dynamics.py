@@ -208,3 +208,20 @@ class TestScenarioValidation:
                         density=sc.PlantInputDensity.standard("arable"),
                         climate=climate, reference=ref, baseline=baseline,
                         np_ratios=ratios)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_ratio_is_error(self, site50, bad):
+        climate = constant_climate(2005, 15, site50)
+        ref = sc.reference_from_climate(climate, 2005, site50)
+        params = sc.SoilParams.for_site(50.0, 23.0, 1.0)
+        mats = sc.build_matrices(params)
+        baseline = sc.BaselineState.from_inputs(1.0, 0.0, ref.rho0(1.0),
+                                                mats, 12.0)
+        ratios = {2005 + n: 1.0 for n in range(0, 15)}
+        ratios[2009] = bad
+        with pytest.raises(DataError, match="2009 must be positive"):
+            sc.Scenario(baseline_year=2005, horizon=14, params=params,
+                        mats=mats,
+                        density=sc.PlantInputDensity.standard("arable"),
+                        climate=climate, reference=ref, baseline=baseline,
+                        np_ratios=ratios)
