@@ -42,19 +42,13 @@ def day_lengths(latitude_deg: float, year: int) -> Array:
     """Monthly mean day length in hours from a solar-declination model."""
     if not -90.0 <= latitude_deg <= 90.0:
         raise ConfigError(f"latitude must be in [-90, 90] deg, got {latitude_deg}")
-    lat = math.radians(latitude_deg)
     ndays = month_lengths(year)
-    out = np.empty(12)
-    doy = 1
-    for m in range(12):
-        total = 0.0
-        for _ in range(ndays[m]):
-            decl = 0.409 * math.sin(2.0 * math.pi * doy / 365.0 - 1.39)
-            cos_ws = min(max(-math.tan(lat) * math.tan(decl), -1.0), 1.0)
-            total += (24.0 / math.pi) * math.acos(cos_ws)
-            doy += 1
-        out[m] = total / ndays[m]
-    return out
+    doy = np.arange(1, ndays.sum() + 1)
+    decl = 0.409 * np.sin(2.0 * np.pi * doy / 365.0 - 1.39)
+    cos_ws = np.clip(-math.tan(math.radians(latitude_deg)) * np.tan(decl), -1.0, 1.0)
+    hours = (24.0 / math.pi) * np.arccos(cos_ws)
+    month_starts = np.cumsum(ndays) - ndays
+    return np.add.reduceat(hours, month_starts) / ndays
 
 
 def thornthwaite_pet(monthly_temps, day_lengths_h, month_days) -> Array:
@@ -125,39 +119,50 @@ def accumulated_deficit(rain, pet, M: float) -> Array:
     return acc
 
 
-def rate_modifier_temperature(temp: float, temp0: float) -> float:
-    """Temperature rate modifier, equal to 1 at the reference temperature."""
-    u = temp + KA_OFFSET - temp0
-    if u <= 0.01:
+def rate_modifier_temperature(temp, temp0: float):
+    """Temperature rate modifier, equal to 1 at the reference temperature.
+
+    Elementwise over ``temp``.
+    """
+    u = np.asarray(temp, dtype=float) + KA_OFFSET - temp0
+    if np.any(u <= 0.01):
         pole = temp0 - KA_OFFSET
         raise ConfigError(
-            f"temperature {temp} too close to the modifier pole at "
+            f"temperature {np.min(temp)} too close to the modifier pole at "
             f"{pole:.2f} degC (reference {temp0} degC)")
-    return KA_SCALE / (1.0 + math.exp(KA_EXPONENT / u))
+    with np.errstate(over="ignore"):   # near the pole k_a tends to 0 exactly
+        return KA_SCALE / (1.0 + np.exp(KA_EXPONENT / u))
 
 
-def rate_modifier_moisture(acc: float, site: SiteMoisture) -> float:
-    """Moisture rate modifier in [0.2, 1] from the accumulated deficit."""
-    if acc > 0.0 or acc < site.M:
-        raise ConfigError(f"deficit {acc} outside [{site.M}, 0]")
-    if acc >= site.Mb:
-        return 1.0
-    return KB_MIN + (1.0 - KB_MIN) * (site.M - acc) / (site.M - site.Mb)
+def rate_modifier_moisture(acc, site: SiteMoisture):
+    """Moisture rate modifier in [0.2, 1] from the accumulated deficit.
+
+    Elementwise over ``acc``.
+    """
+    acc = np.asarray(acc, dtype=float)
+    outside = (acc > 0.0) | (acc < site.M)
+    if np.any(outside):
+        raise ConfigError(f"deficit {acc[outside][0]} outside [{site.M}, 0]")
+    slowed = KB_MIN + (1.0 - KB_MIN) * (site.M - acc) / (site.M - site.Mb)
+    return np.where(acc >= site.Mb, 1.0, slowed)[()]
 
 
-def rate_modifier_cover_timed(month: int, r: float, cover_schedule=None) -> float:
+def rate_modifier_cover_timed(month, r: float, cover_schedule=None):
     """Soil-cover rate modifier from the monthly schedule (periodic in the year).
 
     Below the arable threshold (r < 1) the soil is always vegetated (0.6);
     at or above it the monthly schedule alternates between 0.6 and 1.
+    Elementwise over ``month``.
     """
-    if not 1 <= month <= 12:
-        raise ConfigError(f"month must be in 1..12, got {month}")
+    month = np.asarray(month)
+    outside = (month < 1) | (month > 12)
+    if np.any(outside):
+        raise ConfigError(f"month must be in 1..12, got {month[outside][0]}")
     if r < 1.0:
-        return KC_VEGETATED
+        return np.full(month.shape, KC_VEGETATED)[()]
     if cover_schedule is None:
         raise ConfigError("arable class (r >= 1) requires a cover schedule")
-    return float(cover_schedule[month - 1])
+    return np.asarray(cover_schedule, dtype=float)[month - 1]
 
 
 def rate_modifier_cover_smooth(r: float, n_bare: float = DEFAULT_BARE_MONTHS) -> float:
@@ -189,10 +194,9 @@ class ReferenceState:
         return self.kb0 * rate_modifier_cover_smooth(r, self.n_bare)
 
 
-def rho_monthly(temp: float, acc: float, month: int, r: float,
-                reference: ReferenceState, cover_mode: str = "timed",
-                cover_schedule=None) -> float:
-    """Product rate modifier for one month record."""
+def rho_monthly(temp, acc, month, r: float, reference: ReferenceState,
+                cover_mode: str = "timed", cover_schedule=None):
+    """Product rate modifier, elementwise over month records (temp, acc, month)."""
     ka = rate_modifier_temperature(temp, reference.temp0)
     kb = rate_modifier_moisture(acc, reference.site)
     if cover_mode == "timed":
@@ -258,10 +262,13 @@ class ClimateSeries:
     def years(self) -> Array:
         return np.arange(self.start_year, self.start_year + self.nyears)
 
-    def index(self, year: int) -> int:
+    def index(self, year):
+        """Row of each calendar year in the series, elementwise over ``year``."""
+        year = np.asarray(year)
         i = year - self.start_year
-        if not 0 <= i < self.nyears:
-            raise DataError(f"climate data missing for year {year}")
+        missing = (i < 0) | (i >= self.nyears)
+        if np.any(missing):
+            raise DataError(f"climate data missing for year {year[missing][0]}")
         return i
 
 

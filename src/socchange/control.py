@@ -80,22 +80,12 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
     grid = build_time_grid(scenario)
-    nm = grid.nsteps
     mats = scenario.mats
-    T = scenario.params.T
-    rho0 = scenario.rho0
-
-    rhos = np.empty(nm)
-    epsg = np.empty(nm)
-    qs = np.empty(nm)
-    for j in range(nm):
-        n = int(grid.year_index[j])
-        m = int(grid.month[j])
-        rho = scenario.rho_at(n, m)
-        rhos[j] = rho
-        ghat = scenario.density.density(m, grid.dt[j])
-        qs[j] = rho / (T * rho0)
-        epsg[j] = epsilon * (scenario.np_ratio(n) * ghat - qs[j])
+    n, m = grid.year_index, grid.month
+    rhos = scenario.rho_at(n, m)
+    qs = rhos / (scenario.params.T * scenario.rho0)
+    epsg = epsilon * (scenario.np_ratio(n) * scenario.density.density(m, grid.dt)
+                      - qs)
 
     eks, phivs, fmats, phimats = _step_operators(grid, rhos, mats, "nonstandard")
 

@@ -23,7 +23,7 @@ from .control import ControlSchedule
 from .dynamics import (ARABLE_COVER_SCHEDULE, LAND_CLASSES, FymPolicy,
                        PlantInputDensity, Scenario, class_for_ratio)
 from .equilibrium import BaselineState
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericsError
 from .pools import DEFAULT_ETA, SoilParams, build_matrices
 from .sensitivity import DEFAULT_SENSITIVITY_DT, SensitivitySeries
 from .stepping import Trajectory
@@ -31,11 +31,6 @@ from .stepping import Trajectory
 Array = np.ndarray
 
 _VERSION = "0.1.0"
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(x))
 
 
 def _parse_float(text: str, path, line_no: int, column: str) -> float:
@@ -390,15 +385,10 @@ def _meta_line(kind: str, meta: dict) -> str:
 
 def write_trajectory(path, trajectory: Trajectory) -> None:
     """Trajectory CSV: year,month,t_months,dpm,rpm,bio,hum,total."""
-    path = Path(path)
-    lines = [_meta_line("trajectory", trajectory.meta),
-             "year,month,t_months,dpm,rpm,bio,hum,total"]
-    for i in range(trajectory.t.shape[0]):
-        comps = ",".join(_fmt(v) for v in trajectory.states[i])
-        lines.append(f"{int(trajectory.year[i])},{int(trajectory.month[i])},"
-                     f"{_fmt(trajectory.t[i])},{comps},"
-                     f"{_fmt(trajectory.totals[i])}")
-    _write_text(path, lines)
+    _write_csv(path, _meta_line("trajectory", trajectory.meta),
+               "year,month,t_months,dpm,rpm,bio,hum,total",
+               trajectory.year.astype(int), trajectory.month.astype(int),
+               trajectory.t, *trajectory.states.T, trajectory.totals)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -429,30 +419,34 @@ def read_trajectory(path) -> Trajectory:
 
 def write_sensitivity(path, series: SensitivitySeries) -> None:
     """Sensitivity CSV: t,s1,s2,s3,s4,s_dsoc."""
-    path = Path(path)
-    lines = [_meta_line("sensitivity", series.meta), "t,s1,s2,s3,s4,s_dsoc"]
-    for i in range(series.t.shape[0]):
-        comps = ",".join(_fmt(v) for v in series.s[i])
-        lines.append(f"{_fmt(series.t[i])},{comps},{_fmt(series.s_dsoc[i])}")
-    _write_text(path, lines)
+    _write_csv(path, _meta_line("sensitivity", series.meta),
+               "t,s1,s2,s3,s4,s_dsoc", series.t, *series.s.T, series.s_dsoc)
 
 
 def write_control(path, schedule: ControlSchedule) -> None:
     """Control CSV: year,month,f0,f,cumulative manure (t C ha^-1)."""
-    path = Path(path)
     meta = {"epsilon": schedule.epsilon, "hold": schedule.meta.get("hold"),
             "F0": schedule.meta.get("F0")}
-    lines = [_meta_line("control", meta), "year,month,f0,f,cumulative"]
-    cumulative = np.cumsum(schedule.f * schedule.meta["dt"])
-    for i in range(schedule.f0.shape[0]):
-        lines.append(f"{int(schedule.year[i])},{int(schedule.month[i])},"
-                     f"{_fmt(schedule.f0[i])},{_fmt(schedule.f[i])},"
-                     f"{_fmt(cumulative[i])}")
-    _write_text(path, lines)
+    _write_csv(path, _meta_line("control", meta), "year,month,f0,f,cumulative",
+               schedule.year.astype(int), schedule.month.astype(int),
+               schedule.f0, schedule.f,
+               np.cumsum(schedule.f * schedule.meta["dt"]))
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
+def _write_csv(path, meta_line: str, header: str, *columns: Array) -> None:
+    """Write one row per sample: integer columns as integers, floats as the
+    shortest decimal that round-trips exactly.
+
+    Raises NumericsError, before anything is written, if a value is not
+    finite.
+    """
+    path = Path(path)
+    if not np.all(np.isfinite(np.column_stack(columns))):
+        raise NumericsError(f"non-finite value in the output for {path}; "
+                            "nothing written")
+    rows = [",".join(map(repr, row))
+            for row in zip(*(column.tolist() for column in columns))]
     try:
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join([meta_line, header, *rows]) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None

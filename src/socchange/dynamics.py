@@ -8,6 +8,7 @@ ratio of the monthly rate modifier to its reference value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -77,13 +78,19 @@ class PlantInputDensity:
             raise ConfigError(f"unknown land class {land_class!r}")
         return cls(PLANT_INPUT_DISTRIBUTION[land_class].copy(), land_class)
 
-    def proportion(self, month: int) -> float:
-        if not 1 <= month <= 12:
-            raise ConfigError(f"month must be in 1..12, got {month}")
-        return float(self.proportions[month - 1])
+    def proportion(self, month):
+        """Share of the annual input in each month, elementwise over ``month``."""
+        month = np.asarray(month)
+        outside = (month < 1) | (month > 12)
+        if np.any(outside):
+            raise ConfigError(f"month must be in 1..12, got {month[outside][0]}")
+        return np.asarray(self.proportions, dtype=float)[month - 1]
 
-    def density(self, month: int, dt_m: float) -> float:
-        """Input density (month^-1): proportion over the month length."""
+    def density(self, month, dt_m):
+        """Input density ĝ (month^-1): proportion over the month length.
+
+        Elementwise over (month, dt_m).
+        """
         return self.proportion(month) / dt_m
 
 
@@ -140,8 +147,10 @@ class Scenario:
             year = self.baseline_year + n
             if year not in self.np_ratios:
                 raise DataError(f"NPP ratio missing for year {year}")
-            if not self.np_ratios[year] > 0:
-                raise DataError(f"NPP ratio for {year} must be positive")
+            if not 0.0 < self.np_ratios[year] < math.inf:
+                raise DataError(
+                    f"NPP ratio for {year} must be positive and finite, "
+                    f"got {self.np_ratios[year]}")
         self.climate.index(self.baseline_year)
         self.climate.index(self.baseline_year + self.horizon)
 
@@ -153,17 +162,31 @@ class Scenario:
     def rho0(self) -> float:
         return self.baseline.rho0
 
-    def np_ratio(self, n: int) -> float:
-        if n == 0:
-            return 1.0
-        return self.np_ratios[self.baseline_year + n]
+    def np_ratio(self, n):
+        """N_P^(n), elementwise over delta years n; 1 in the baseline year."""
+        n = np.asarray(n)
+        distinct, inverse = np.unique(n, return_inverse=True)
+        ratios = np.array([self.np_ratios[self.baseline_year + int(k)] if k else 1.0
+                           for k in distinct])
+        return ratios[inverse.reshape(n.shape)]
 
-    def rho_at(self, n: int, month: int) -> float:
-        """Monthly rate modifier for delta year n (year baseline+n)."""
-        i = self.climate.index(self.baseline_year + n)
-        return rho_monthly(self.climate.temp[i, month - 1],
-                           self.climate.acc[i, month - 1], month, self.r,
-                           self.reference, self.cover_mode, self.cover_schedule)
+    def dt_at(self, n, month):
+        """Month length in model months, T times the month's share of the
+        days of calendar year baseline+n; elementwise over (n, month)."""
+        i = self.climate.index(self.baseline_year + np.asarray(n))
+        days = self.climate.month_days
+        return self.params.T * days[i, np.asarray(month) - 1] / days[i].sum(axis=-1)
+
+    def rho_at(self, n, month):
+        """Monthly rate modifier for delta year n (year baseline+n).
+
+        Elementwise over (n, month).
+        """
+        i = self.climate.index(self.baseline_year + np.asarray(n))
+        m = np.asarray(month) - 1
+        return rho_monthly(self.climate.temp[i, m], self.climate.acc[i, m],
+                           month, self.r, self.reference, self.cover_mode,
+                           self.cover_schedule)
 
 
 @dataclass(frozen=True)
@@ -186,45 +209,46 @@ def delta_soc(state: DeltaState) -> float:
     return float(np.asarray(state.delta_c).sum())
 
 
-def delta_forcing_no_fym(month: int, n: int, scenario: Scenario,
-                         rho_m: Optional[float] = None,
-                         dt_m: Optional[float] = None) -> Array:
+def delta_forcing_no_fym(month, n, scenario: Scenario, rho_m=None,
+                         dt_m=None) -> Array:
     """Forcing of the no-manure delta equation: parallel to a_g.
 
     (N_P^(n) ghat_r(m) - rho(m) / (T rho0)) a_g with ghat the monthly
-    proportion converted to a density.
+    proportion converted to a density. Elementwise over (month, n); the
+    forcing vectors lie along the last axis.
     """
     if scenario.baseline.F0 != 0.0:
         raise ConfigError("baseline has manure input; use delta_forcing_fym")
-    rho_m = scenario.rho_at(n, month) if rho_m is None else rho_m
-    dt_m = _month_dt(scenario, n, month) if dt_m is None else dt_m
-    ghat = scenario.density.density(month, dt_m)
-    scale = scenario.np_ratio(n) * ghat - rho_m / (scenario.params.T * scenario.rho0)
-    return scale * scenario.mats.a_g
+    return _delta_forcing(month, n, scenario, 1.0, 0.0, rho_m, dt_m)
 
 
-def delta_forcing_fym(month: int, n: int, scenario: Scenario, f_value: float,
-                      rho_m: Optional[float] = None,
-                      dt_m: Optional[float] = None) -> Array:
+def delta_forcing_fym(month, n, scenario: Scenario, f_value, rho_m=None,
+                      dt_m=None) -> Array:
     """Forcing of the manure-driven delta equation: in span{a_g, a_f}.
 
     f_value is the manure density (t C ha^-1 month^-1); the a_f share is
     weighted by 1-eps and normalized by the baseline manure total F0.
+    Elementwise over (month, n, f_value); the forcing vectors lie along the
+    last axis.
     """
     baseline = scenario.baseline
     if baseline.F0 <= 0.0:
         raise ConfigError("delta_forcing_fym requires baseline manure F0 > 0")
-    eps = baseline.epsilon
+    return _delta_forcing(month, n, scenario, baseline.epsilon,
+                          f_value / baseline.F0, rho_m, dt_m)
+
+
+def _delta_forcing(month, n, scenario: Scenario, eps: float, f_ratio,
+                   rho_m, dt_m) -> Array:
+    """eps (N_P ghat - q) a_g + (1-eps) (f/F0 - q) a_f with q = rho/(T rho0).
+
+    At eps = 1 the a_f term is an exact zero, so the no-manure forcing is the
+    plant term alone.
+    """
     rho_m = scenario.rho_at(n, month) if rho_m is None else rho_m
-    dt_m = _month_dt(scenario, n, month) if dt_m is None else dt_m
-    ghat = scenario.density.density(month, dt_m)
+    dt_m = scenario.dt_at(n, month) if dt_m is None else dt_m
     q = rho_m / (scenario.params.T * scenario.rho0)
-    plant = eps * (scenario.np_ratio(n) * ghat - q)
-    manure = (1.0 - eps) * (f_value / baseline.F0 - q)
-    return plant * scenario.mats.a_g + manure * scenario.mats.a_f
-
-
-def _month_dt(scenario: Scenario, n: int, month: int) -> float:
-    i = scenario.climate.index(scenario.baseline_year + n)
-    ndays = scenario.climate.month_days[i]
-    return scenario.params.T * ndays[month - 1] / ndays.sum()
+    plant = eps * (scenario.np_ratio(n) * scenario.density.density(month, dt_m) - q)
+    manure = (1.0 - eps) * (f_ratio - q)
+    return (np.multiply.outer(plant, scenario.mats.a_g)
+            + np.multiply.outer(manure, scenario.mats.a_f))

@@ -142,20 +142,12 @@ def closed_form_first_year(t: float, averaged: AveragedModel, r: float,
     return tau * theta(1, averaged) * (phi1_dense(tau * rho1 * mats.A) @ mats.a_g)
 
 
-def _ka_pole_term(temp1: float, temp0: float) -> tuple[float, float]:
-    u = temp1 + KA_OFFSET - temp0
-    if u <= 0.01:
-        raise ConfigError(
-            f"temperature {temp1} too close to the modifier pole at "
-            f"{temp0 - KA_OFFSET:.2f} degC")
-    return u, np.exp(KA_EXPONENT / u)
-
-
 def drho_dtemp(temp1: float, temp0: float, acc1: float, site, r: float,
                n_bare: float) -> float:
     """Closed-form derivative of the averaged modifier w.r.t. Temp^(1); > 0."""
-    u, expo = _ka_pole_term(temp1, temp0)
-    ka = rate_modifier_temperature(temp1, temp0)
+    ka = rate_modifier_temperature(temp1, temp0)   # raises at the pole
+    u = temp1 + KA_OFFSET - temp0
+    expo = np.exp(KA_EXPONENT / u)
     kb = rate_modifier_moisture(acc1, site)
     kc = rate_modifier_cover_smooth(r, n_bare)
     return (KA_EXPONENT / KA_SCALE) * ka * ka * kb * kc * expo / (u * u)

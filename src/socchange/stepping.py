@@ -128,28 +128,14 @@ class TimeGrid:
 
 def build_time_grid(scenario: Scenario) -> TimeGrid:
     T = scenario.params.T
-    years = []
-    months = []
-    dts = []
-    for n in range(1, scenario.horizon + 1):
-        i = scenario.climate.index(scenario.baseline_year + n)
-        ndays = scenario.climate.month_days[i]
-        year_total = ndays.sum()
-        for m in range(1, 13):
-            years.append(n)
-            months.append(m)
-            dts.append(T * ndays[m - 1] / year_total)
-    years = np.array(years)
-    months = np.array(months)
-    dts = np.array(dts)
-    # absolute time in months since t0: delta year n starts at n*T exactly
-    t_end = np.empty_like(dts)
-    acc = T * years[0]
-    for j in range(dts.shape[0]):
-        if j > 0 and years[j] != years[j - 1]:
-            acc = T * years[j]
-        acc += dts[j]
-        t_end[j] = acc
+    nyears = scenario.horizon
+    years = np.repeat(np.arange(1, nyears + 1), 12)
+    months = np.tile(np.arange(1, 13), nyears)
+    dts = scenario.dt_at(years, months)
+    # absolute time in months since t0: delta year n starts at n*T exactly,
+    # and each year's row [n T, dt_1, ..., dt_12] is summed in order
+    rows = np.column_stack((T * np.arange(1, nyears + 1), dts.reshape(nyears, 12)))
+    t_end = np.cumsum(rows, axis=1)[:, 1:].ravel()
     return TimeGrid(year_index=years, month=months, dt=dts, t_end=t_end)
 
 
@@ -181,9 +167,6 @@ class Trajectory:
 def _monthly_coefficients(scenario: Scenario, mode: str):
     """Left-endpoint rho and forcing per month over the horizon."""
     grid = build_time_grid(scenario)
-    nm = grid.nsteps
-    rhos = np.empty(nm)
-    bvecs = np.empty((nm, 4))
     baseline = scenario.baseline
     fym = scenario.fym
     if fym.mode == "controlled":
@@ -192,27 +175,21 @@ def _monthly_coefficients(scenario: Scenario, mode: str):
         raise ConfigError("fixed manure forcing in delta mode needs a "
                           "baseline manure total F0 > 0 (the forcing is "
                           "normalized by it)")
-    for j in range(nm):
-        n = int(grid.year_index[j])
-        m = int(grid.month[j])
-        rho = scenario.rho_at(n, m)
-        rhos[j] = rho
-        f_value = 0.0
-        if fym.mode == "fixed":
-            f_value = float(fym.monthly_density[m - 1])
-        if mode == "delta":
-            if baseline.F0 == 0.0:
-                bvecs[j] = delta_forcing_no_fym(m, n, scenario, rho_m=rho,
-                                                dt_m=grid.dt[j])
-            else:
-                bvecs[j] = delta_forcing_fym(m, n, scenario, f_value,
-                                             rho_m=rho, dt_m=grid.dt[j])
-        elif mode == "absolute":
-            ghat = scenario.density.density(m, grid.dt[j])
-            g = baseline.P0 * scenario.np_ratio(n) * ghat
-            bvecs[j] = g * scenario.mats.a_g + f_value * scenario.mats.a_f
-        else:
-            raise ConfigError(f"unknown mode {mode!r}")
+    n, m = grid.year_index, grid.month
+    rhos = scenario.rho_at(n, m)
+    f_values = (np.asarray(fym.monthly_density, dtype=float)[m - 1]
+                if fym.mode == "fixed" else np.zeros(grid.nsteps))
+    if mode == "delta" and baseline.F0 == 0.0:
+        bvecs = delta_forcing_no_fym(m, n, scenario, rho_m=rhos, dt_m=grid.dt)
+    elif mode == "delta":
+        bvecs = delta_forcing_fym(m, n, scenario, f_values, rho_m=rhos,
+                                  dt_m=grid.dt)
+    elif mode == "absolute":
+        g = baseline.P0 * scenario.np_ratio(n) * scenario.density.density(m, grid.dt)
+        bvecs = (np.multiply.outer(g, scenario.mats.a_g)
+                 + np.multiply.outer(f_values, scenario.mats.a_f))
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
     return grid, rhos, bvecs
 
 

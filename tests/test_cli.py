@@ -74,6 +74,17 @@ class TestSimulateCommand:
         assert f"line {line_no}" in err and repr(column) in err
         assert not (out / "trajectory.csv").exists()
 
+    def test_overflowing_npp_ratio_exits_two(self, tmp_path, capsys):
+        # 1e300 / 1e-300 overflows to an infinite ratio for 2009
+        config, _ = _demo_with_cell(tmp_path, "npp.csv", "2005,", "npp",
+                                    "1e-300")
+        npp = tmp_path / "npp.csv"
+        npp.write_text(npp.read_text().replace("2009,534.28", "2009,1e300"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        assert "2009" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
                                        plant_input_tc_ha_yr=0.5)

@@ -1,5 +1,7 @@
 """Thornthwaite PET, moisture deficit, and the three rate modifiers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -288,6 +290,85 @@ class TestDayLengths:
             ld = sc.climate.day_lengths(lat, 2006)
             assert np.all(np.isfinite(ld))
             assert np.all((ld >= 0.0) & (ld <= 24.0))
+
+
+    @pytest.mark.parametrize("lat", [-90.0, -66.0, -41.0, 0.0, 23.4, 41.0,
+                                     67.0, 90.0])
+    @pytest.mark.parametrize("year", [2006, 2008])
+    def test_matches_per_day_loop(self, lat, year):
+        # numpy's sin/tan/arccos and the blocked monthly sums may differ from
+        # the math loop by a few ulp of 24 h
+        np.testing.assert_allclose(sc.climate.day_lengths(lat, year),
+                                   _day_lengths_loop(lat, year),
+                                   rtol=0, atol=1e-13)
+
+
+def _day_lengths_loop(latitude_deg, year):
+    """Reference: the per-day solar-declination loop."""
+    lat = math.radians(latitude_deg)
+    ndays = sc.climate.month_lengths(year)
+    out = np.empty(12)
+    doy = 1
+    for m in range(12):
+        total = 0.0
+        for _ in range(ndays[m]):
+            decl = 0.409 * math.sin(2.0 * math.pi * doy / 365.0 - 1.39)
+            cos_ws = min(max(-math.tan(lat) * math.tan(decl), -1.0), 1.0)
+            total += (24.0 / math.pi) * math.acos(cos_ws)
+            doy += 1
+        out[m] = total / ndays[m]
+    return out
+
+
+class TestElementwise:
+    """Array calls of the monthly formulas equal their scalar calls."""
+
+    def test_modifiers_and_product(self, site50):
+        rng = np.random.default_rng(11)
+        temps = rng.uniform(-5.0, 35.0, 60)
+        accs = rng.uniform(site50.M, 0.0, 60)
+        accs[:5] = [0.0, site50.M, site50.Mb, site50.Mb - 1e-9, -1e-12]
+        months = rng.integers(1, 13, 60)
+        ref = sc.ReferenceState(temp0=14.0, acc0=-20.0, site=site50)
+        np.testing.assert_array_equal(
+            sc.rate_modifier_temperature(temps, 14.0),
+            [sc.rate_modifier_temperature(t, 14.0) for t in temps])
+        np.testing.assert_array_equal(
+            sc.rate_modifier_moisture(accs, site50),
+            [sc.rate_modifier_moisture(a, site50) for a in accs])
+        for r, schedule in ((1.44, ARABLE_COVER), (0.67, None)):
+            np.testing.assert_array_equal(
+                sc.rate_modifier_cover_timed(months, r, schedule),
+                [sc.rate_modifier_cover_timed(int(m), r, schedule)
+                 for m in months])
+            for mode in ("timed", "smooth"):
+                np.testing.assert_array_equal(
+                    sc.rho_monthly(temps, accs, months, r, ref, mode, schedule),
+                    [sc.rho_monthly(t, a, int(m), r, ref, mode, schedule)
+                     for t, a, m in zip(temps, accs, months)])
+
+    def test_scalar_calls_return_scalars(self, site50):
+        assert np.ndim(sc.rate_modifier_moisture(-10.0, site50)) == 0
+        assert np.ndim(sc.rate_modifier_cover_timed(3, 0.5)) == 0
+        assert np.ndim(sc.rate_modifier_cover_timed(3, 1.5, ARABLE_COVER)) == 0
+
+    def test_array_domain_errors_name_the_culprit(self, site50):
+        temp0 = 14.0
+        pole = temp0 - KA_OFFSET
+        with pytest.raises(ConfigError, match=f"{pole:.2f}"):
+            sc.rate_modifier_temperature(np.array([20.0, pole + 0.005]), temp0)
+        with pytest.raises(ConfigError, match="0.5"):
+            sc.rate_modifier_moisture(np.array([-1.0, 0.5]), site50)
+        with pytest.raises(ConfigError, match="13"):
+            sc.rate_modifier_cover_timed(np.array([1, 13]), 0.5)
+
+    def test_series_index(self, site50):
+        climate = constant_climate(2005, 3, site50)
+        np.testing.assert_array_equal(
+            climate.index(np.array([[2005, 2007], [2006, 2006]])),
+            [[0, 2], [1, 1]])
+        with pytest.raises(DataError, match="2008"):
+            climate.index(np.array([2006, 2008]))
 
 
 class TestClimateSeries:

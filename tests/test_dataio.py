@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import socchange as sc
-from socchange.errors import ConfigError, DataError
+from socchange.errors import ConfigError, DataError, NumericsError
 
 from conftest import (make_scenario, synthetic_climate, write_climate_csv,
                       write_scenario_inputs)
@@ -262,6 +262,24 @@ class TestWriters:
         last = lines[-1].split(",")
         expected_total = sum(schedule.annual_totals().values())
         assert float(last[4]) == pytest.approx(expected_total, rel=1e-12)
+
+    @pytest.mark.parametrize("writer", ["trajectory", "sensitivity",
+                                        "control"])
+    def test_non_finite_value_raises_before_writing(self, tmp_path, writer):
+        scen = make_scenario(r=1.0, F0=0.5, P0=0.5, warming=0.15, seed=7)
+        if writer == "trajectory":
+            result = sc.simulate(scen)
+            result.states[3, 1] = np.nan
+        elif writer == "sensitivity":
+            result = sc.sensitivity("np1", scen, dt=0.05)
+            result.s_dsoc[-1] = np.inf
+        else:
+            _, result = sc.simulate_controlled(scen, 0.2)
+            result.f0[5] = np.nan
+        out = tmp_path / "out.csv"
+        with pytest.raises(NumericsError, match="non-finite"):
+            getattr(sc, f"write_{writer}")(out, result)
+        assert not out.exists()
 
     def test_metadata_line_carries_scheme_and_hash(self, tmp_path,
                                                    arable_scenario):

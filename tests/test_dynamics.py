@@ -225,3 +225,70 @@ class TestScenarioValidation:
                         density=sc.PlantInputDensity.standard("arable"),
                         climate=climate, reference=ref, baseline=baseline,
                         np_ratios=ratios)
+
+
+class TestWholeGridCalls:
+    """One call over the whole time grid equals the per-month scalar calls."""
+
+    @staticmethod
+    def _grid(scen):
+        grid = build_time_grid(scen)
+        return grid, grid.year_index, grid.month
+
+    def test_rho_density_ratio_and_dt(self, arable_scenario):
+        scen = arable_scenario
+        grid, n, m = self._grid(scen)
+        pairs = list(zip(n.tolist(), m.tolist()))
+        np.testing.assert_array_equal(
+            scen.rho_at(n, m), [scen.rho_at(k, j) for k, j in pairs])
+        np.testing.assert_array_equal(
+            scen.np_ratio(n), [scen.np_ratio(k) for k, _ in pairs])
+        np.testing.assert_array_equal(
+            scen.dt_at(n, m), [scen.dt_at(k, j) for k, j in pairs])
+        np.testing.assert_array_equal(scen.dt_at(n, m), grid.dt)
+        np.testing.assert_array_equal(
+            scen.density.density(m, grid.dt),
+            [scen.density.density(j, dt) for j, dt in zip(m.tolist(), grid.dt)])
+
+    def test_smooth_cover_rho(self):
+        scen = make_scenario(r=0.67, cover_mode="smooth")
+        _, n, m = self._grid(scen)
+        np.testing.assert_array_equal(
+            scen.rho_at(n, m), [scen.rho_at(k, j) for k, j in zip(n, m)])
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_no_fym_forcing(self, arable_scenario, given):
+        scen = arable_scenario
+        grid, n, m = self._grid(scen)
+        extra = ({"rho_m": scen.rho_at(n, m), "dt_m": grid.dt} if given
+                 else {})
+        whole = sc.delta_forcing_no_fym(m, n, scen, **extra)
+        assert whole.shape == (grid.nsteps, 4)
+        for j in range(grid.nsteps):
+            one = {key: value[j] for key, value in extra.items()}
+            np.testing.assert_array_equal(
+                whole[j], sc.delta_forcing_no_fym(int(m[j]), int(n[j]), scen,
+                                                  **one))
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_fym_forcing(self, manure_scenario, given):
+        scen = manure_scenario
+        grid, n, m = self._grid(scen)
+        f_values = np.linspace(0.0, 0.3, grid.nsteps)
+        extra = ({"rho_m": scen.rho_at(n, m), "dt_m": grid.dt} if given
+                 else {})
+        whole = sc.delta_forcing_fym(m, n, scen, f_values, **extra)
+        assert whole.shape == (grid.nsteps, 4)
+        for j in range(grid.nsteps):
+            one = {key: value[j] for key, value in extra.items()}
+            np.testing.assert_array_equal(
+                whole[j], sc.delta_forcing_fym(int(m[j]), int(n[j]), scen,
+                                               float(f_values[j]), **one))
+
+    def test_month_outside_year_rejected_in_arrays(self, arable_scenario):
+        with pytest.raises(ConfigError, match="13"):
+            arable_scenario.density.proportion(np.array([1, 13]))
+
+    def test_missing_year_named_in_arrays(self, arable_scenario):
+        with pytest.raises(DataError, match="2025"):
+            arable_scenario.rho_at(np.array([1, 20]), np.array([1, 1]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import socchange as sc
+from socchange.climate import KA_OFFSET
 from socchange.errors import ConfigError
 from socchange.sensitivity import build_averaged_model
 
@@ -115,6 +116,13 @@ class TestModifierDerivatives:
         got = sc.drho_dtemp(ref.temp0, ref.temp0, avg.accs[0], ref.site,
                             r, ref.n_bare)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_temp_derivative_rejects_the_pole(self, avg):
+        ref = avg.reference
+        pole = ref.temp0 - KA_OFFSET
+        with pytest.raises(ConfigError, match=f"{pole:.2f}"):
+            sc.drho_dtemp(pole + 0.005, ref.temp0, avg.accs[0], ref.site,
+                          0.67, ref.n_bare)
 
     def test_r_derivative_at_unit_ratio(self, avg):
         ref = avg.reference

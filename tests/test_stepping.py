@@ -9,7 +9,7 @@ import socchange as sc
 from socchange.errors import ConfigError
 from socchange.stepping import build_time_grid
 
-from conftest import constant_climate, make_scenario
+from conftest import constant_climate, make_scenario, synthetic_climate
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,38 @@ class TestTimeGrid:
         assert np.all(grid.dt > 0)
         assert np.all(np.diff(grid.t_end) > 0)
         assert grid.t_start == pytest.approx(12.0, abs=1e-12)
+
+    @pytest.mark.parametrize("baseline_year", [2005, 2007])
+    def test_matches_month_by_month_loop(self, site50, baseline_year):
+        # the same sums in the same order: equal to the last bit
+        climate = synthetic_climate(baseline_year, 21, site50, seed=3)
+        scen = make_scenario(baseline_year=baseline_year, horizon=20,
+                             climate=climate)
+        grid = build_time_grid(scen)
+        years, months, dts, t_end = _time_grid_loop(scen)
+        np.testing.assert_array_equal(grid.year_index, years)
+        np.testing.assert_array_equal(grid.month, months)
+        np.testing.assert_array_equal(grid.dt, dts)
+        np.testing.assert_array_equal(grid.t_end, t_end)
+
+
+def _time_grid_loop(scenario):
+    """Reference: the month-by-month time grid with a running year sum."""
+    T = scenario.params.T
+    years, months, dts = [], [], []
+    for n in range(1, scenario.horizon + 1):
+        ndays = scenario.climate.month_days[n + scenario.baseline_year
+                                            - scenario.climate.start_year]
+        for m in range(1, 13):
+            years.append(n)
+            months.append(m)
+            dts.append(T * ndays[m - 1] / ndays.sum())
+    t_end = []
+    for j, (n, dt) in enumerate(zip(years, dts)):
+        acc = T * n if j == 0 or n != years[j - 1] else acc
+        acc += dt
+        t_end.append(acc)
+    return years, months, dts, t_end
 
 
 class TestSimulate:
