@@ -9,7 +9,7 @@ the index non-negative.
 __version__ = "0.1.0"
 
 from .climate import (ClimateSeries, ReferenceState, SiteMoisture,
-                      accumulated_deficit, annual_averages, annual_rho_field,
+                      accumulated_deficit, annual_averages,
                       max_deficit, rate_modifier_cover_smooth,
                       rate_modifier_cover_timed, rate_modifier_moisture,
                       rate_modifier_temperature, reference_from_climate,

@@ -65,13 +65,16 @@ def thornthwaite_pet(monthly_temps, day_lengths_h, month_days) -> Array:
     if np.any(ld <= 0):
         raise DataError("day lengths must be positive")
     positive = temps > 0.0
-    heat = float(np.sum((temps[positive] / 5.0) ** 1.5))
+    heat = np.sum((temps[positive] / 5.0) ** 1.5)   # float64: powers overflow to inf
     if heat == 0.0:
         return np.zeros(12)
     a = 6.7e-7 * heat**3 - 7.7e-5 * heat**2 + 1.8e-2 * heat + 0.49
     pet = np.zeros(12)
     pet[positive] = (16.0 * (ld[positive] / 12.0) * (nm[positive] / 30.0)
                      * (10.0 * temps[positive] / heat) ** a)
+    if not np.all(np.isfinite(pet)):   # heat**2 overflows: a is inf - inf
+        raise DataError(f"Thornthwaite PET is not finite for monthly "
+                        f"temperatures up to {temps.max()} degC")
     return pet
 
 
@@ -272,22 +275,13 @@ class ClimateSeries:
         return i
 
 
-def annual_averages(series: ClimateSeries, year: int):
-    """Arithmetic means of monthly temperature and deficit for one year."""
+def annual_averages(series: ClimateSeries, year):
+    """Arithmetic means of monthly temperature and deficit per calendar year.
+
+    Elementwise over ``year``.
+    """
     i = series.index(year)
-    return float(series.temp[i].mean()), float(series.acc[i].mean())
-
-
-def annual_rho_field(series: ClimateSeries, year: int, reference: ReferenceState):
-    """(Temp^n, Acc^n, rho^n(r)) for one year; the field uses the smooth cover."""
-    temp_n, acc_n = annual_averages(series, year)
-    ka = rate_modifier_temperature(temp_n, reference.temp0)
-    kb = rate_modifier_moisture(acc_n, reference.site)
-
-    def field(r: float) -> float:
-        return ka * kb * rate_modifier_cover_smooth(r, reference.n_bare)
-
-    return temp_n, acc_n, field
+    return series.temp[i].mean(axis=-1), series.acc[i].mean(axis=-1)
 
 
 def reference_from_climate(series: ClimateSeries, baseline_year: int,
@@ -295,4 +289,5 @@ def reference_from_climate(series: ClimateSeries, baseline_year: int,
                            n_bare: float = DEFAULT_BARE_MONTHS) -> ReferenceState:
     """Reference state from the baseline year's annual averages."""
     temp0, acc0 = annual_averages(series, baseline_year)
-    return ReferenceState(temp0=temp0, acc0=acc0, site=site, n_bare=n_bare)
+    return ReferenceState(temp0=float(temp0), acc0=float(acc0), site=site,
+                          n_bare=n_bare)

@@ -87,7 +87,8 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     epsg = epsilon * (scenario.np_ratio(n) * scenario.density.density(m, grid.dt)
                       - qs)
 
-    eks, phivs, fmats, phimats = _step_operators(grid, rhos, mats, "nonstandard")
+    eks, phivs, fmats, phimats = _step_operators(grid.dt * rhos, mats)
+    phimats = grid.dt[:, None, None] * phimats
 
     states, f0 = _kernels.controlled_recurrence(
         fmats, phimats, eks, phivs, grid.dt, epsg, qs, mats.a_g, mats.a_f,

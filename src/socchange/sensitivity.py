@@ -20,7 +20,7 @@ from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
 from .dynamics import Scenario
 from .errors import ConfigError
 from .pools import DPM_RPM_SHIFT, CompartmentMatrices, SoilParams, build_matrices
-from .stepping import phi1_dense, phi_matrix, transition_matrix
+from .stepping import _step_operators, phi1_dense
 
 Array = np.ndarray
 
@@ -43,20 +43,25 @@ class AveragedModel:
     def horizon(self) -> int:
         return self.temps.shape[0]
 
-    def climate_factor(self, n: int) -> float:
-        """k_a(Temp^n) k_b(Acc^n); the cover factor cancels against rho0."""
-        return (rate_modifier_temperature(self.temps[n - 1], self.reference.temp0)
-                * rate_modifier_moisture(self.accs[n - 1], self.reference.site))
+    def climate_factor(self, n):
+        """k_a(Temp^n) k_b(Acc^n); the cover factor cancels against rho0.
 
-    def rho_n(self, n: int, r: float) -> float:
+        Elementwise over the delta years ``n``, as are ``rho_n`` and
+        ``np_ratio``.
+        """
+        i = np.asarray(n) - 1
+        return (rate_modifier_temperature(self.temps[i], self.reference.temp0)
+                * rate_modifier_moisture(self.accs[i], self.reference.site))
+
+    def rho_n(self, n, r: float):
         return self.climate_factor(n) * rate_modifier_cover_smooth(
             r, self.reference.n_bare)
 
     def rho0(self, r: float) -> float:
         return self.reference.rho0(r)
 
-    def np_ratio(self, n: int) -> float:
-        return float(self.np_ratios[n - 1])
+    def np_ratio(self, n):
+        return self.np_ratios[np.asarray(n) - 1]
 
     def with_temp(self, n: int, temp: float) -> "AveragedModel":
         temps = self.temps.copy()
@@ -70,21 +75,23 @@ class AveragedModel:
 
 
 def build_averaged_model(scenario: Scenario) -> AveragedModel:
-    temps = np.empty(scenario.horizon)
-    accs = np.empty(scenario.horizon)
-    ratios = np.empty(scenario.horizon)
-    for n in range(1, scenario.horizon + 1):
-        temps[n - 1], accs[n - 1] = annual_averages(
-            scenario.climate, scenario.baseline_year + n)
-        ratios[n - 1] = scenario.np_ratio(n)
-    return AveragedModel(temps=temps, accs=accs, np_ratios=ratios,
+    years = np.arange(1, scenario.horizon + 1)
+    temps, accs = annual_averages(scenario.climate, scenario.baseline_year + years)
+    return AveragedModel(temps=temps, accs=accs,
+                         np_ratios=scenario.np_ratio(years),
                          reference=scenario.reference, T=scenario.params.T)
 
 
-def theta(n: int, averaged: AveragedModel) -> float:
-    """Normalized annual forcing imbalance; independent of the DPM/RPM ratio."""
-    if not 1 <= n <= averaged.horizon:
-        raise ConfigError(f"year index {n} outside 1..{averaged.horizon}")
+def theta(n, averaged: AveragedModel):
+    """Normalized annual forcing imbalance; independent of the DPM/RPM ratio.
+
+    Elementwise over the delta years ``n``.
+    """
+    n = np.asarray(n)
+    outside = (n < 1) | (n > averaged.horizon)
+    if np.any(outside):
+        raise ConfigError(f"year index {n[outside][0]} outside "
+                          f"1..{averaged.horizon}")
     return (averaged.np_ratio(n)
             - averaged.climate_factor(n) / averaged.reference.kb0) / averaged.T
 
@@ -98,6 +105,34 @@ def _grids(T: float, dt: float, record_all: bool):
     return 12 * per_month, dt_eff, record_every
 
 
+def _co_integrate(avg: AveragedModel, r: float, mats: CompartmentMatrices,
+                  dt: float, record_all: bool, coups: Array, ws: Array):
+    """Co-integrate the averaged delta state c and a sensitivity s.
+
+    Year n (1..len(ws)) steps s <- F s + Φ(coups[n-1] c + ws[n-1]) beside
+    c <- F c + Φ θ^n a_g, both from zero at t0+T. The c half never reads s.
+    Returns (times, c, s), the zero initial sample included.
+    """
+    years = np.arange(1, ws.shape[0] + 1)
+    nsub, dt_eff, record_every = _grids(avg.T, dt, record_all)
+    _, _, fmats, phimats = _step_operators(dt_eff * avg.rho_n(years, r), mats)
+    phimats = dt_eff * phimats
+    bcs = np.multiply.outer(theta(years, avg), mats.a_g)
+    cs = [np.zeros((1, 4))]
+    ss = [np.zeros((1, 4))]
+    for j in range(years.shape[0]):
+        c, s = _kernels.sensitivity_recurrence(
+            fmats[j], phimats[j], coups[j], ws[j], bcs[j], cs[-1][-1],
+            ss[-1][-1], nsub, record_every)
+        cs.append(c)
+        ss.append(s)
+    per_year = nsub // record_every
+    times = (avg.T * np.repeat(years, per_year)
+             + np.tile(dt_eff * record_every * np.arange(1, per_year + 1),
+                       years.shape[0]))
+    return np.concatenate(([avg.T], times)), np.vstack(cs), np.vstack(ss)
+
+
 def averaged_delta_solve(averaged: AveragedModel, r: float,
                          mats: CompartmentMatrices,
                          dt: float = DEFAULT_SENSITIVITY_DT,
@@ -108,21 +143,10 @@ def averaged_delta_solve(averaged: AveragedModel, r: float,
     the zero initial sample included.
     """
     n_years = averaged.horizon if n_years is None else n_years
-    nsub, dt_eff, record_every = _grids(averaged.T, dt, record_all)
-    times = [averaged.T]
-    states = [np.zeros(4)]
-    c = np.zeros(4)
-    for n in range(1, n_years + 1):
-        rho = averaged.rho_n(n, r)
-        fmat = transition_matrix(dt_eff, rho, mats)
-        phimat = dt_eff * phi_matrix(dt_eff, rho, mats)
-        gvec = phimat @ (theta(n, averaged) * mats.a_g)
-        samples = _kernels.affine_recurrence_const(fmat, gvec, c, nsub, record_every)
-        c = samples[-1].copy()
-        t0_year = averaged.T * n
-        times.extend(t0_year + dt_eff * record_every * np.arange(1, samples.shape[0] + 1))
-        states.append(samples)
-    return np.array(times), np.vstack([states[0][None, :], *states[1:]])
+    times, states, _ = _co_integrate(averaged, r, mats, dt, record_all,
+                                     np.zeros((n_years, 4, 4)),
+                                     np.zeros((n_years, 4)))
+    return times, states
 
 
 def closed_form_first_year(t: float, averaged: AveragedModel, r: float,
@@ -147,27 +171,25 @@ def drho_dtemp(temp1: float, temp0: float, acc1: float, site, r: float,
     """Closed-form derivative of the averaged modifier w.r.t. Temp^(1); > 0."""
     ka = rate_modifier_temperature(temp1, temp0)   # raises at the pole
     u = temp1 + KA_OFFSET - temp0
-    expo = np.exp(KA_EXPONENT / u)
     kb = rate_modifier_moisture(acc1, site)
     kc = rate_modifier_cover_smooth(r, n_bare)
-    return (KA_EXPONENT / KA_SCALE) * ka * ka * kb * kc * expo / (u * u)
+    # dk_a/du = (E/u²) k_a (1 - k_a/S): no e^{E/u} factor, which overflows
+    # just above the pole where k_a is 0
+    return KA_EXPONENT * ka * (1.0 - ka / KA_SCALE) * kb * kc / (u * u)
 
 
-def drho_dr(temp_n: float, temp0: float, acc_n: float, site, r: float,
-            n_bare: float) -> float:
-    """Closed-form derivative of the averaged modifier w.r.t. the ratio r; > 0."""
+def drho_dr(temp_n, temp0: float, acc_n, site, r: float, n_bare: float):
+    """Closed-form derivative of the averaged modifier w.r.t. the ratio r; > 0.
+
+    Elementwise over (temp_n, acc_n).
+    """
     if r <= 0:
         raise ConfigError(f"DPM/RPM ratio must be positive, got {r}")
     ka = rate_modifier_temperature(temp_n, temp0)
     kb = rate_modifier_moisture(acc_n, site)
     x = 30.0 * (r - 1.0) / r
-    if x < 0:
-        ex = np.exp(x)
-        sig_sq = ex / (1.0 + ex) ** 2
-    else:
-        ex = np.exp(-x)
-        sig_sq = ex / (1.0 + ex) ** 2
-    return ka * kb * n_bare * sig_sq / (r * r)
+    ex = np.exp(-abs(x))   # the logistic term is symmetric in x
+    return ka * kb * n_bare * (ex / (1.0 + ex) ** 2) / (r * r)
 
 
 @dataclass(frozen=True)
@@ -200,44 +222,21 @@ def sensitivity(parameter: str, scenario: Scenario,
     mats = build_matrices(params)
     r = params.r
     ref = avg.reference
-    n_years = 1 if parameter in ("temp1", "np1") else avg.horizon
-    nsub, dt_eff, record_every = _grids(avg.T, dt, record_all)
-
-    times = [avg.T]
-    svals = [np.zeros(4)]
-    cvals = [np.zeros(4)]
-    c = np.zeros(4)
-    s = np.zeros(4)
-    for n in range(1, n_years + 1):
-        rho = avg.rho_n(n, r)
-        fmat = transition_matrix(dt_eff, rho, mats)
-        phimat = dt_eff * phi_matrix(dt_eff, rho, mats)
-        bc = theta(n, avg) * mats.a_g
-        if parameter == "temp1":
-            dr = drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0], ref.site,
-                            r, ref.n_bare)
-            coup = dr * mats.A
-            w = -dr * mats.a_g / (avg.T * avg.rho0(r))
-        elif parameter == "np1":
-            coup = np.zeros((4, 4))
-            w = mats.a_g / avg.T
-        else:
-            dr = drho_dr(avg.temps[n - 1], ref.temp0, avg.accs[n - 1],
-                         ref.site, r, ref.n_bare)
-            coup = dr * mats.A
-            w = theta(n, avg) * DPM_RPM_SHIFT / (r + 1.0) ** 2
-        cs, ss = _kernels.sensitivity_recurrence(
-            fmat, phimat, coup, w, bc, c, s, nsub, record_every)
-        c = cs[-1].copy()
-        s = ss[-1].copy()
-        t0_year = avg.T * n
-        times.extend(t0_year + dt_eff * record_every * np.arange(1, cs.shape[0] + 1))
-        svals.append(ss)
-        cvals.append(cs)
-    t = np.array(times)
-    s_arr = np.vstack([svals[0][None, :], *svals[1:]])
-    c_arr = np.vstack([cvals[0][None, :], *cvals[1:]])
-    meta = {"parameter": parameter, "dt": dt_eff, "years": n_years,
-            "dpm_rpm_ratio": r}
+    if parameter == "temp1":
+        dr = drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0], ref.site,
+                        r, ref.n_bare)
+        coups = (dr * mats.A)[None]
+        ws = (-dr * mats.a_g / (avg.T * avg.rho0(r)))[None]
+    elif parameter == "np1":
+        coups = np.zeros((1, 4, 4))
+        ws = (mats.a_g / avg.T)[None]
+    else:
+        dr = drho_dr(avg.temps, ref.temp0, avg.accs, ref.site, r, ref.n_bare)
+        coups = dr[:, None, None] * mats.A
+        ws = (np.outer(theta(np.arange(1, avg.horizon + 1), avg), DPM_RPM_SHIFT)
+              / (r + 1.0) ** 2)
+    t, c_arr, s_arr = _co_integrate(avg, r, mats, dt, record_all, coups, ws)
+    meta = {"parameter": parameter, "dt": _grids(avg.T, dt, record_all)[1],
+            "years": ws.shape[0], "dpm_rpm_ratio": r}
     return SensitivitySeries(parameter=parameter, t=t, s=s_arr,
                              s_dsoc=s_arr.sum(axis=1), delta=c_arr, meta=meta)

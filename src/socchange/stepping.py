@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dynamics import DeltaState, Scenario, delta_forcing_fym, delta_forcing_no_fym
+from .dynamics import Scenario, delta_forcing_fym, delta_forcing_no_fym
 from .errors import ConfigError
 from .pools import CompartmentMatrices
 
@@ -32,36 +32,41 @@ def phi1_scalar(z):
     return float(out) if out.ndim == 0 else out
 
 
+def _step_operators(taus, mats: CompartmentMatrices):
+    """e^{-τk}, φ(-τk), F(τ) and φ(τÃ) for τ = Δt ρ of any shape.
+
+    The one place the step's matrix functions are built; every result carries
+    the shape of ``taus`` ahead of its vector or matrix axes.
+    """
+    z = -np.asarray(taus, dtype=float)[..., None] * mats.k
+    eks = np.exp(z)
+    phivs = phi1_scalar(z)
+    fmats = mats.Lambda + mats.i_minus_lambda * eks[..., None, :]
+    phimats = (mats.i_minus_lambda * phivs[..., None, :]) @ mats.i_minus_lambda_inv
+    return eks, phivs, fmats, phimats
+
+
 def phi_matrix(dt: float, rho: float, mats: CompartmentMatrices) -> Array:
     """φ(dt rho Ã) via the (I-Λ) similarity with the diagonal D."""
     if dt <= 0 or rho <= 0:
         raise ConfigError(f"dt and rho must be positive, got dt={dt}, rho={rho}")
-    vals = phi1_scalar(-dt * rho * mats.k)
-    return mats.i_minus_lambda @ np.diag(vals) @ mats.i_minus_lambda_inv
+    return _step_operators(dt * rho, mats)[3]
 
 
 def transition_matrix(dt: float, rho: float, mats: CompartmentMatrices) -> Array:
     """F(dt rho) = Λ + (I-Λ) diag(e^{-dt rho k})."""
     if dt < 0:
         raise ConfigError(f"dt must be non-negative, got {dt}")
-    return mats.Lambda + mats.i_minus_lambda @ np.diag(np.exp(-dt * rho * mats.k))
+    return _step_operators(dt * rho, mats)[2]
 
 
-def nonstandard_step(state, dt: float, rho: float, b, mats: CompartmentMatrices,
-                     form: str = "transition") -> Array:
-    """One non-standard step; both compositions agree to round-off.
-
-    form="incremental": c + Δt φ(Δt rho Ã)(rho A c + b)
-    form="transition":  F(Δt rho) c + Δt φ(Δt rho Ã) b
-    """
+def nonstandard_step(state, dt: float, rho: float, b,
+                     mats: CompartmentMatrices) -> Array:
+    """One non-standard step F(Δt rho) c + Δt φ(Δt rho Ã) b."""
     state = np.asarray(state, dtype=float)
     b = np.asarray(b, dtype=float)
-    phi = phi_matrix(dt, rho, mats)
-    if form == "incremental":
-        return state + dt * (phi @ (rho * (mats.A @ state) + b))
-    if form == "transition":
-        return transition_matrix(dt, rho, mats) @ state + dt * (phi @ b)
-    raise ConfigError(f"unknown step form {form!r}")
+    return (transition_matrix(dt, rho, mats) @ state
+            + dt * (phi_matrix(dt, rho, mats) @ b))
 
 
 def rothc_discrete_step(state, dt: float, rho: float, b,
@@ -160,9 +165,6 @@ class Trajectory:
             out[int(y)] = float(self.totals[sel].mean())
         return out
 
-    def final_state(self) -> DeltaState:
-        return DeltaState.from_components(self.states[-1])
-
 
 def _monthly_coefficients(scenario: Scenario, mode: str):
     """Left-endpoint rho and forcing per month over the horizon."""
@@ -193,28 +195,6 @@ def _monthly_coefficients(scenario: Scenario, mode: str):
     return grid, rhos, bvecs
 
 
-def _step_operators(grid: TimeGrid, rhos: Array, mats: CompartmentMatrices,
-                    scheme: str):
-    """Per-month e^{-τk}, φ(-τk), transition matrices F and forcing weights.
-
-    The weights are Δt φ(Δt ρ Ã) for the non-standard scheme and Δt I for the
-    original discrete step. Returns (eks, phivs, fmats, weights), vectorized
-    over the months of ``grid``.
-    """
-    taus = grid.dt * rhos
-    eks = np.exp(-taus[:, None] * mats.k[None, :])
-    phivs = phi1_scalar(-taus[:, None] * mats.k[None, :])
-    fmats = mats.Lambda[None, :, :] + mats.i_minus_lambda[None, :, :] * eks[:, None, :]
-    if scheme == "nonstandard":
-        phimats = (mats.i_minus_lambda[None, :, :] * phivs[:, None, :]) @ mats.i_minus_lambda_inv
-        weights = grid.dt[:, None, None] * phimats
-    elif scheme == "rothc_discrete":
-        weights = grid.dt[:, None, None] * np.eye(4)[None, :, :]
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return eks, phivs, fmats, weights
-
-
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
              mode: str = "delta") -> Trajectory:
     """Run the monthly stepping over the horizon.
@@ -223,7 +203,13 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     from the baseline equilibrium pools (validation path).
     """
     grid, rhos, bvecs = _monthly_coefficients(scenario, mode)
-    _, _, fmats, weights = _step_operators(grid, rhos, scenario.mats, scheme)
+    _, _, fmats, phimats = _step_operators(grid.dt * rhos, scenario.mats)
+    if scheme == "nonstandard":
+        weights = grid.dt[:, None, None] * phimats
+    elif scheme == "rothc_discrete":
+        weights = grid.dt[:, None, None] * np.eye(4)
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     gvecs = np.einsum("jab,jb->ja", weights, bvecs)
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
     states = _kernels.affine_recurrence(fmats, gvecs, c0)

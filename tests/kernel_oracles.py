@@ -3,9 +3,18 @@
 The closed-form kernels compute these recurrences as matrix powers; the loops
 take one step at a time and are the reference the kernel tests compare against.
 The control kernel is itself a loop; its copy here pins its results bit for bit.
+``nonstandard_step_incremental`` is the scheme's other algebraic form, the
+reference for the transition form the engine steps with.
 """
 
 import numpy as np
+
+import socchange as sc
+
+
+def nonstandard_step_incremental(state, dt, rho, b, mats):
+    """c + Δt φ(Δt rho Ã)(rho A c + b); equals F(Δt rho) c + Δt φ(Δt rho Ã) b."""
+    return state + dt * (sc.phi_matrix(dt, rho, mats) @ (rho * (mats.A @ state) + b))
 
 
 def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):

@@ -18,6 +18,7 @@ from socchange.sensitivity import AveragedModel, build_averaged_model
 
 from conftest import (alta_murgia_available, alta_murgia_scenario,
                       make_scenario, needs_alta_murgia)
+from kernel_oracles import nonstandard_step_incremental
 
 T = 12.0
 
@@ -77,10 +78,8 @@ def test_criterion_2_scheme_equivalence_and_order():
         forcing = rng.standard_normal(4)
         dt = rng.uniform(0.05, 2.0)
         rho = rng.uniform(0.05, 2.0)
-        via_inc = sc.nonstandard_step(state, dt, rho, forcing, mats,
-                                      form="incremental")
-        via_trans = sc.nonstandard_step(state, dt, rho, forcing, mats,
-                                        form="transition")
+        via_inc = nonstandard_step_incremental(state, dt, rho, forcing, mats)
+        via_trans = sc.nonstandard_step(state, dt, rho, forcing, mats)
         scale = max(1.0, float(np.max(np.abs(via_trans))))
         worst_gap = max(worst_gap, float(np.max(np.abs(via_inc - via_trans)))
                         / scale)

@@ -1,13 +1,17 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import math
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import socchange as sc
+from socchange.climate import KA_OFFSET
 from socchange.cli import main
 
 from conftest import write_scenario_inputs
@@ -237,3 +241,51 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "socchange" in out and "nonstandard" in out
+
+
+# k_a pole of the unedited demo site: its 2005 mean temperature less KA_OFFSET
+_DEMO_POLE = float(np.loadtxt(DEMO / "climate.csv", delimiter=",", skiprows=1,
+                               max_rows=12)[:, 2].mean() - KA_OFFSET)
+
+_EXTREME_CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+                     "1e120"]),
+    st.floats(-1e-3, 1e-3).map(lambda d: repr(_DEMO_POLE + d)))
+
+_FUZZED_CELL = st.one_of(
+    st.tuples(st.just("climate.csv"),
+              st.builds("{},{},".format, st.integers(2005, 2019),
+                        st.integers(1, 12)),
+              st.sampled_from(["temp_c", "rain_mm"])),
+    st.tuples(st.just("npp.csv"),
+              st.builds("{},".format, st.integers(2005, 2019)),
+              st.just("npp")))
+
+
+def _written_values_finite(out: Path) -> bool:
+    for path in out.rglob("*.csv"):
+        rows = [line for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        for line in rows[1:]:
+            if not all(math.isfinite(float(v)) for v in line.split(",")):
+                return False
+    return True
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=50, deadline=None)
+    @given(cell=_FUZZED_CELL, value=_EXTREME_CELLS)
+    def test_one_extreme_cell_never_yields_non_finite_output(self, cell,
+                                                            value):
+        name, row_prefix, column = cell
+        with tempfile.TemporaryDirectory() as tmp:
+            config, _ = _demo_with_cell(Path(tmp), name, row_prefix, column,
+                                        value)
+            for command in (["simulate"], ["sensitivity", "--param", "temp1"],
+                            ["control", "--epsilon", "0.5"]):
+                out = Path(tmp) / command[0]
+                code = main([command[0], str(config), *command[1:],
+                             "--out", str(out)])
+                assert code in (0, 1, 2, 3)
+                if code == 0:
+                    assert _written_values_finite(out), (command, cell, value)

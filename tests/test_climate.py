@@ -56,6 +56,15 @@ class TestThornthwaite:
         with pytest.raises(DataError):
             sc.thornthwaite_pet(np.full(12, 10.0), np.zeros(12), N_2006)
 
+    @pytest.mark.parametrize("hot", [1e120, 1e300])
+    def test_overflowing_heat_index_rejected(self, hot):
+        # a NaN PET would otherwise clamp the whole year's deficit to M
+        temps = np.full(12, 10.0)
+        temps[6] = hot
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataError, match="not finite"):
+            sc.thornthwaite_pet(temps, np.full(12, 12.0), N_2006)
+
 
 class TestMaxDeficit:
     def test_paper_site_values(self):
@@ -260,15 +269,25 @@ class TestAnnualAverages:
     def test_constant_climate_is_stationary(self, site50):
         climate = constant_climate(2005, 4, site50)
         ref = sc.reference_from_climate(climate, 2005, site50)
-        for year in (2006, 2007, 2008):
-            _, _, field = sc.annual_rho_field(climate, year, ref)
+        temps, accs = sc.annual_averages(climate, np.arange(2006, 2009))
+        avg = sc.AveragedModel(temps=temps, accs=accs, np_ratios=np.ones(3),
+                               reference=ref, T=12.0)
+        for n in (1, 2, 3):
             for r in (0.25, 0.67, 1.44):
-                assert field(r) == pytest.approx(ref.rho0(r), rel=1e-12)
+                assert avg.rho_n(n, r) == pytest.approx(ref.rho0(r), rel=1e-12)
 
     def test_missing_year_is_data_error(self, site50):
         climate = constant_climate(2005, 2, site50)
         with pytest.raises(DataError, match="2009"):
             sc.annual_averages(climate, 2009)
+
+    def test_elementwise_over_years(self, site50):
+        climate = synthetic_climate(2005, 4, site50, seed=7)
+        years = np.arange(2005, 2009)
+        temps, accs = sc.annual_averages(climate, years)
+        per_year = [sc.annual_averages(climate, int(y)) for y in years]
+        np.testing.assert_array_equal(temps, [t for t, _ in per_year])
+        np.testing.assert_array_equal(accs, [a for _, a in per_year])
 
 
 class TestDayLengths:

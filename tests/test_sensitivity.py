@@ -1,5 +1,7 @@
 """Averaged model, closed-form first year, and direct-method sensitivities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ class TestAveragedModel:
     def test_missing_year_rejected(self, avg):
         with pytest.raises(ConfigError):
             sc.theta(avg.horizon + 1, avg)
+
+    def test_theta_elementwise_over_years(self, avg):
+        years = np.arange(1, avg.horizon + 1)
+        np.testing.assert_array_equal(
+            sc.theta(years, avg), [sc.theta(int(n), avg) for n in years])
 
 
 class TestAveragedDeltaSolve:
@@ -123,6 +130,17 @@ class TestModifierDerivatives:
         with pytest.raises(ConfigError, match=f"{pole:.2f}"):
             sc.drho_dtemp(pole + 0.005, ref.temp0, avg.accs[0], ref.site,
                           0.67, ref.n_bare)
+
+    @pytest.mark.parametrize("above", [0.02, 0.05, 0.14])
+    def test_temp_derivative_finite_just_above_the_pole(self, avg, above):
+        # k_a underflows to 0 here while e^{E/u} overflows; the derivative
+        # is ~0, not 0 * inf
+        ref = avg.reference
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sc.drho_dtemp(ref.temp0 - KA_OFFSET + above, ref.temp0,
+                                avg.accs[0], ref.site, 0.67, ref.n_bare)
+        assert np.isfinite(got) and got >= 0.0
 
     def test_r_derivative_at_unit_ratio(self, avg):
         ref = avg.reference
@@ -228,6 +246,17 @@ class TestSensitivitySeries:
             idx = _end_of_year_index(series, n)
             fd = (up[12 * n] - down[12 * n]) / (2 * h)
             assert series.s_dsoc[idx] == pytest.approx(fd, rel=1e-3)
+
+    @pytest.mark.parametrize("param, n_years", [("temp1", 1), ("np1", 1),
+                                                ("r", None)])
+    def test_delta_half_is_the_plain_solve_on_every_substep(self, scen, avg,
+                                                            param, n_years):
+        series = sc.sensitivity(param, scen, dt=0.01, record_all=True)
+        times, states = sc.averaged_delta_solve(avg, 0.67, scen.mats, dt=0.01,
+                                                n_years=n_years,
+                                                record_all=True)
+        np.testing.assert_array_equal(series.t, times)
+        np.testing.assert_array_equal(series.delta, states)
 
     def test_co_integrated_delta_matches_plain_solve(self, scen, avg):
         series = sc.sensitivity("np1", scen, dt=0.01)
