@@ -1,10 +1,11 @@
 """Kernels: monthly stepping, sub-monthly solves, RK4 reference, feedback control.
 
-The month-varying recurrences (``affine_recurrence``, ``controlled_recurrence``)
-are plain loops over preallocated float64 arrays. The constant-coefficient
-ones are closed-form: an affine step c <- F c + g is the linear step of the
-augmented matrix [[F, g], [0, 1]] on [c; 1] (Van Loan, IEEE TAC 1978), so k
-steps are one matrix power of it.
+The month-varying recurrences are plain loops over preallocated float64
+arrays: ``affine_recurrence``, and ``controlled_recurrence``, a generic clamped
+affine loop whose input factor is an affine function of the state, clamped at
+zero. The constant-coefficient ones are closed-form: an affine step
+c <- F c + g is the linear step of the augmented matrix [[F, g], [0, 1]] on
+[c; 1] (Van Loan, IEEE TAC 1978), so k steps are one matrix power of it.
 """
 
 import numpy as np
@@ -99,34 +100,19 @@ def rk4_piecewise(amats, bvecs, dts, nsub, c0):
     return affine_recurrence(month[:, :4, :4], month[:, :4, 4], c0)
 
 
-def controlled_recurrence(fmats, phimats, eks, phivs, dts, epsg, qs, ag, af,
-                          alpha, beta, delta, eps):
-    """Monthly feedback loop enforcing a non-negative SOC change index.
+def controlled_recurrence(fmats, gvecs, vvecs, avals, uvecs):
+    """Clamped affine loop c <- F_j c + g_j + f_j v_j, f_j = max(0, a_j + u_j·c).
 
-    The manure modifying factor is the value that zeroes the discrete Δsoc
-    increment of the non-standard step (the Δt→0 limit of the continuous
-    feedback law), clamped at zero. eks/phivs are the per-month vectors
-    exp(-τk) and φ(-τk); epsg is ε·(N_P ĝ - q) and qs is ρ/(Tρ⁰).
-    Returns (states (n+1, 4), f0 (n,)).
+    fmats: (n, 4, 4); gvecs, vvecs, uvecs: (n, 4); avals: (n,). Starts from
+    the zero state. Returns (states (n+1, 4), f (n,)).
     """
     n = fmats.shape[0]
-    out = np.empty((n + 1, 4))
-    f0s = np.empty(n)
-    c = np.zeros(4)
-    out[0] = c
+    out = np.zeros((n + 1, 4))
+    fs = np.empty(n)
+    c = out[0]
     for j in range(n):
-        phiv = phivs[j]
-        trail = alpha * phiv[2] + beta * phiv[3]
-        # w[i] = 1^T phi(tau*Atilde) column weights
-        w = delta * phiv + trail
-        wg = w @ ag
-        wf = w @ af
-        decay = (delta / dts[j]) * ((1.0 - eks[j]) @ c)
-        f0 = qs[j] + (decay - epsg[j] * wg) / ((1.0 - eps) * wf)
-        if f0 < 0.0:
-            f0 = 0.0
-        f0s[j] = f0
-        b = epsg[j] * ag + (1.0 - eps) * (f0 - qs[j]) * af
-        c = fmats[j] @ c + phimats[j] @ b
+        f = max(0.0, avals[j] + uvecs[j] @ c)
+        fs[j] = f
+        c = fmats[j] @ c + gvecs[j] + f * vvecs[j]
         out[j + 1] = c
-    return out, f0s
+    return out, fs

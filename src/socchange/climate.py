@@ -252,6 +252,13 @@ class ClimateSeries:
             pet_arr = np.atleast_2d(np.asarray(pet, dtype=float))
             if pet_arr.shape != temp.shape:
                 raise DataError("pet must match temperature shape")
+        for name, values in (("rain", rain), ("pet", pet_arr)):
+            bad = np.argwhere(~(values >= 0))   # negative or NaN
+            if bad.size:
+                i, m = bad[0]
+                raise DataError(f"{name} must be >= 0 mm, got "
+                                f"{float(values[i, m])!r} in "
+                                f"{start_year + i}-{m + 1:02d}")
         acc = np.stack([accumulated_deficit(rain[i], pet_arr[i], site.M)
                         for i in range(nyears)])
         return cls(start_year=start_year, temp=temp, rain=rain,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario
+from .dynamics import Scenario, _delta_forcing
 from .errors import ConfigError
 from .stepping import Trajectory, _step_operators, build_time_grid
 
@@ -83,16 +83,20 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     mats = scenario.mats
     n, m = grid.year_index, grid.month
     rhos = scenario.rho_at(n, m)
-    qs = rhos / (scenario.params.T * scenario.rho0)
-    epsg = epsilon * (scenario.np_ratio(n) * scenario.density.density(m, grid.dt)
-                      - qs)
-
-    eks, phivs, fmats, phimats = _step_operators(grid.dt * rhos, mats)
+    eks, fmats, phimats = _step_operators(grid.dt * rhos, mats)
     phimats = grid.dt[:, None, None] * phimats
-
+    # month j steps c <- F c + g + f v, g the manure-free forcing. f zeroes
+    # the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc, and 1ᵀ(I - F) =
+    # δ(1 - e^{-τk})ᵀ, so f = a + u·c with a = -1ᵀg / 1ᵀv and
+    # u = δ(1 - e^{-τk}) / 1ᵀv; taken from e^{-τk}, u keeps the HUM entry
+    # that the column sums of F would cancel (δτk is about 1e-3)
+    gvecs = np.einsum("jab,jb->ja", phimats,
+                      _delta_forcing(m, n, scenario, epsilon, 0.0, rhos, grid.dt))
+    vvecs = (1.0 - epsilon) * (phimats @ mats.a_f)
+    sum_v = vvecs.sum(axis=1)
     states, f0 = _kernels.controlled_recurrence(
-        fmats, phimats, eks, phivs, grid.dt, epsg, qs, mats.a_g, mats.a_f,
-        mats.alpha, mats.beta, mats.delta, epsilon)
+        fmats, gvecs, vvecs, -gvecs.sum(axis=1) / sum_v,
+        mats.delta * (1.0 - eks) / sum_v[:, None])
 
     t, year, month = grid.sample_axis(scenario.baseline_year)
     meta = {

@@ -131,8 +131,6 @@ class CompartmentMatrices:
     i_minus_lambda: Array = field(repr=False)
     i_minus_lambda_inv: Array = field(repr=False)
     k: Array = field(repr=False)
-    alpha: float = 0.0
-    beta: float = 0.0
     delta: float = 0.0
 
     def a_inv(self) -> Array:
@@ -161,4 +159,4 @@ def build_matrices(params: SoilParams) -> CompartmentMatrices:
     return CompartmentMatrices(A=amat, Lambda=lam, D=dmat, Atilde=atilde,
                                a_g=a_g, a_f=a_f,
                                i_minus_lambda=iml, i_minus_lambda_inv=iml_inv,
-                               k=k, alpha=alpha, beta=beta, delta=delta)
+                               k=k, delta=delta)

@@ -43,13 +43,22 @@ class AveragedModel:
     def horizon(self) -> int:
         return self.temps.shape[0]
 
+    def _row(self, n):
+        """Row of each delta year n in the per-year arrays; n in 1..horizon."""
+        n = np.asarray(n)
+        outside = (n < 1) | (n > self.horizon)
+        if np.any(outside):
+            raise ConfigError(f"year index {n[outside][0]} outside "
+                              f"1..{self.horizon}")
+        return n - 1
+
     def climate_factor(self, n):
         """k_a(Temp^n) k_b(Acc^n); the cover factor cancels against rho0.
 
         Elementwise over the delta years ``n``, as are ``rho_n`` and
         ``np_ratio``.
         """
-        i = np.asarray(n) - 1
+        i = self._row(n)
         return (rate_modifier_temperature(self.temps[i], self.reference.temp0)
                 * rate_modifier_moisture(self.accs[i], self.reference.site))
 
@@ -61,16 +70,16 @@ class AveragedModel:
         return self.reference.rho0(r)
 
     def np_ratio(self, n):
-        return self.np_ratios[np.asarray(n) - 1]
+        return self.np_ratios[self._row(n)]
 
     def with_temp(self, n: int, temp: float) -> "AveragedModel":
         temps = self.temps.copy()
-        temps[n - 1] = temp
+        temps[self._row(n)] = temp
         return replace(self, temps=temps)
 
     def with_np(self, n: int, value: float) -> "AveragedModel":
         ratios = self.np_ratios.copy()
-        ratios[n - 1] = value
+        ratios[self._row(n)] = value
         return replace(self, np_ratios=ratios)
 
 
@@ -87,11 +96,6 @@ def theta(n, averaged: AveragedModel):
 
     Elementwise over the delta years ``n``.
     """
-    n = np.asarray(n)
-    outside = (n < 1) | (n > averaged.horizon)
-    if np.any(outside):
-        raise ConfigError(f"year index {n[outside][0]} outside "
-                          f"1..{averaged.horizon}")
     return (averaged.np_ratio(n)
             - averaged.climate_factor(n) / averaged.reference.kb0) / averaged.T
 
@@ -115,7 +119,7 @@ def _co_integrate(avg: AveragedModel, r: float, mats: CompartmentMatrices,
     """
     years = np.arange(1, ws.shape[0] + 1)
     nsub, dt_eff, record_every = _grids(avg.T, dt, record_all)
-    _, _, fmats, phimats = _step_operators(dt_eff * avg.rho_n(years, r), mats)
+    _, fmats, phimats = _step_operators(dt_eff * avg.rho_n(years, r), mats)
     phimats = dt_eff * phimats
     bcs = np.multiply.outer(theta(years, avg), mats.a_g)
     cs = [np.zeros((1, 4))]

@@ -33,7 +33,7 @@ def phi1_scalar(z):
 
 
 def _step_operators(taus, mats: CompartmentMatrices):
-    """e^{-τk}, φ(-τk), F(τ) and φ(τÃ) for τ = Δt ρ of any shape.
+    """e^{-τk}, F(τ) and φ(τÃ) for τ = Δt ρ of any shape.
 
     The one place the step's matrix functions are built; every result carries
     the shape of ``taus`` ahead of its vector or matrix axes.
@@ -43,21 +43,21 @@ def _step_operators(taus, mats: CompartmentMatrices):
     phivs = phi1_scalar(z)
     fmats = mats.Lambda + mats.i_minus_lambda * eks[..., None, :]
     phimats = (mats.i_minus_lambda * phivs[..., None, :]) @ mats.i_minus_lambda_inv
-    return eks, phivs, fmats, phimats
+    return eks, fmats, phimats
 
 
 def phi_matrix(dt: float, rho: float, mats: CompartmentMatrices) -> Array:
     """φ(dt rho Ã) via the (I-Λ) similarity with the diagonal D."""
     if dt <= 0 or rho <= 0:
         raise ConfigError(f"dt and rho must be positive, got dt={dt}, rho={rho}")
-    return _step_operators(dt * rho, mats)[3]
+    return _step_operators(dt * rho, mats)[2]
 
 
 def transition_matrix(dt: float, rho: float, mats: CompartmentMatrices) -> Array:
     """F(dt rho) = Λ + (I-Λ) diag(e^{-dt rho k})."""
     if dt < 0:
         raise ConfigError(f"dt must be non-negative, got {dt}")
-    return _step_operators(dt * rho, mats)[2]
+    return _step_operators(dt * rho, mats)[1]
 
 
 def nonstandard_step(state, dt: float, rho: float, b,
@@ -203,7 +203,7 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     from the baseline equilibrium pools (validation path).
     """
     grid, rhos, bvecs = _monthly_coefficients(scenario, mode)
-    _, _, fmats, phimats = _step_operators(grid.dt * rhos, scenario.mats)
+    _, fmats, phimats = _step_operators(grid.dt * rhos, scenario.mats)
     if scheme == "nonstandard":
         weights = grid.dt[:, None, None] * phimats
     elif scheme == "rothc_discrete":

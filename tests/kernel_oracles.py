@@ -2,7 +2,8 @@
 
 The closed-form kernels compute these recurrences as matrix powers; the loops
 take one step at a time and are the reference the kernel tests compare against.
-The control kernel is itself a loop; its copy here pins its results bit for bit.
+The control loop here writes the feedback law from α, β, δ, φ(-τk) and the
+clamp; the engine steps the same law as a clamped affine input.
 ``nonstandard_step_incremental`` is the scheme's other algebraic form, the
 reference for the transition form the engine steps with.
 """

@@ -89,6 +89,14 @@ class TestSimulateCommand:
         assert "2009" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    def test_negative_rain_exits_two(self, tmp_path, capsys):
+        config, _ = _demo_with_cell(tmp_path, "climate.csv", "2008,3,",
+                                    "rain_mm", "-13.6")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        assert "2008-03" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
                                        plant_input_tc_ha_yr=0.5)

@@ -405,6 +405,16 @@ class TestClimateSeries:
                                         pet=given_pet)
         np.testing.assert_array_equal(series.pet, given_pet)
 
+    @pytest.mark.parametrize("name, value", [("rain", -1e300), ("rain", -13.6),
+                                             ("rain", math.nan), ("pet", -1.0)])
+    def test_negative_rain_or_pet_rejected(self, site50, name, value):
+        inputs = {"temp": np.full((2, 12), 15.0), "rain": np.full((2, 12), 30.0),
+                  "pet": np.full((2, 12), 45.0)}
+        inputs[name][1, 2] = value
+        with pytest.raises(DataError, match=f"{name} must be >= 0 .* 2006-03"):
+            sc.ClimateSeries.build(2005, inputs["temp"], inputs["rain"],
+                                   site50, pet=inputs["pet"])
+
     def test_acc_derived_consistently_between_pet_routes(self, site50):
         # same pet supplied explicitly vs recomputed from temperature
         temps = 14 + 8 * np.sin(2 * np.pi * (np.arange(12) - 3) / 12)

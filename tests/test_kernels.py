@@ -3,7 +3,9 @@
 Tolerances are relative to the largest oracle value. Matrix powers sum in a
 different order than the loops; the measured gap is below 2e-13 up to 1 200
 steps per call and below 5e-12 over 240 000 steps, so the bounds are
-1e-12 and 1e-10.
+1e-12 and 1e-10. The control loop is checked through ``simulate_controlled``,
+which steps the oracle's feedback law as a clamped affine input: states and
+f0 within 1e-12 × max(1, max|oracle|), the clamped months identical.
 """
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import socchange as sc
 from socchange import _kernels
+from socchange.stepping import build_time_grid
 
 import kernel_oracles as oracle
+from conftest import make_scenario
 
 TOL = 1e-12
 TOL_LONG = 1e-10
@@ -31,6 +35,39 @@ def _random_setup(seed, nsteps=24):
     gvecs = 0.01 * rng.standard_normal((nsteps, 4))
     c0 = rng.uniform(0, 1, 4)
     return fmats, gvecs, c0
+
+
+def _controlled_oracle(scenario, eps):
+    """The oracle's feedback law, written from α, β, δ, φ(-τk) and the clamp,
+    on the scenario's months with the scalar operator builders."""
+    grid = build_time_grid(scenario)
+    mats, params = scenario.mats, scenario.params
+    n, m, dts = grid.year_index, grid.month, grid.dt
+    rhos = scenario.rho_at(n, m)
+    taus = np.outer(dts * rhos, mats.k)
+    qs = rhos / (params.T * scenario.rho0)
+    epsg = eps * (scenario.np_ratio(n) * scenario.density.density(m, dts) - qs)
+    fmats = np.stack([sc.transition_matrix(dt, rho, mats)
+                      for dt, rho in zip(dts, rhos)])
+    phimats = np.stack([dt * sc.phi_matrix(dt, rho, mats)
+                        for dt, rho in zip(dts, rhos)])
+    return oracle.controlled_recurrence(
+        fmats, phimats, np.exp(-taus), sc.phi1_scalar(-taus), dts, epsg, qs,
+        mats.a_g, mats.a_f, params.alpha, params.beta, params.delta, eps)
+
+
+def _assert_controlled_matches_oracle(scenario, eps):
+    """States and f0 within 1e-12 × max(1, max|oracle|), the same clamped
+    months. The floor of 1 covers ε = 0, where the oracle state is exactly 0
+    and the kernel's is round-off. Returns the checked run."""
+    traj, schedule = sc.simulate_controlled(scenario, eps)
+    states, f0 = _controlled_oracle(scenario, eps)
+    for got, want in ((traj.states, states), (schedule.f0, f0)):
+        gap = float(np.max(np.abs(got - want)))
+        assert gap <= TOL * max(1.0, float(np.max(np.abs(want)))), \
+            (eps, gap)
+    np.testing.assert_array_equal(schedule.f0 == 0.0, f0 == 0.0)
+    return traj, schedule
 
 
 def _sub_monthly_step(dt, rho=0.9, r=0.67):
@@ -101,31 +138,11 @@ class TestPathEquivalence:
                           oracle.rk4_piecewise(m, bvecs, dts, nsub, c0))
 
     def test_controlled_recurrence(self):
-        rng = np.random.default_rng(4)
-        n = 24
-        k = np.array([10, 0.3, 0.66, 0.02]) / 12.0
-        taus = rng.uniform(0.3, 0.8, n)
-        eks = np.exp(-taus[:, None] * k[None, :])
-        phivs = np.where(np.abs(taus[:, None] * k[None, :]) < 1e-6, 1.0,
-                         -np.expm1(-taus[:, None] * k[None, :])
-                         / (taus[:, None] * k[None, :]))
-        lam = np.zeros((4, 4))
-        lam[2, :], lam[3, :] = 0.11, 0.13
-        iml = np.eye(4) - lam
-        fmats = lam[None, :, :] + iml[None, :, :] * eks[:, None, :]
-        phimats = np.stack([iml @ np.diag(phivs[j]) @
-                            (np.eye(4) + lam / 0.76) for j in range(n)])
-        dts = np.ones(n)
-        epsg = 0.1 * rng.standard_normal(n)
-        qs = rng.uniform(0.02, 0.1, n)
-        ag = np.array([0.5, 0.5, 0.0, 0.0])
-        af = np.array([0.49, 0.49, 0.0, 0.02])
-        args = (fmats, phimats, eks, phivs, dts, epsg, qs, ag, af,
-                0.11, 0.13, 0.76, 0.4)
-        sa, fa = _kernels.controlled_recurrence(*args)
-        sb, fb = oracle.controlled_recurrence(*args)
-        np.testing.assert_array_equal(sa, sb)
-        np.testing.assert_array_equal(fa, fb)
+        for r in (1.44, 0.67, 0.25):
+            scenario = make_scenario(r=r, F0=0.5, P0=0.5, warming=0.15,
+                                     np_trend=0.0, seed=7)
+            for eps in (0.0, 0.2, 0.5, 0.8):
+                _assert_controlled_matches_oracle(scenario, eps)
 
 
 def test_fewer_steps_than_one_stride_records_nothing():
@@ -181,3 +198,19 @@ class TestClosedFormProperties:
         want = oracle.sensitivity_recurrence(*args)
         _assert_close(got[0], want[0])
         _assert_close(got[1], want[1])
+
+
+class TestControlledEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.one_of(st.sampled_from([0.0, 1.0 - 1e-12]),
+                         st.floats(0.0, 1.0 - 1e-12)),
+           r=st.sampled_from([1e-6, 0.25, 0.67, 1.44, 3.0]),
+           horizon=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_controlled_runs_at_config_edges(self, eps, r, horizon, seed):
+        scenario = make_scenario(r=r, F0=0.5, P0=0.5, warming=0.15,
+                                 horizon=horizon, seed=seed)
+        traj, schedule = _assert_controlled_matches_oracle(scenario, eps)
+        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.isfinite(schedule.f0))
+        assert np.all(schedule.f0 >= 0.0)
+        assert traj.totals.min() >= -1e-9

@@ -38,8 +38,15 @@ class TestAveragedModel:
         assert sc.theta(n, balanced) == pytest.approx(0.0, abs=1e-15)
 
     def test_missing_year_rejected(self, avg):
-        with pytest.raises(ConfigError):
-            sc.theta(avg.horizon + 1, avg)
+        # year 0 must not wrap round to the last year
+        calls = (lambda n: sc.theta(n, avg), lambda n: avg.rho_n(n, 0.67),
+                 avg.climate_factor, avg.np_ratio,
+                 lambda n: avg.with_temp(n, 15.0),
+                 lambda n: avg.with_np(n, 1.0))
+        for call in calls:
+            for n in (0, avg.horizon + 1, np.array([1, 0])):
+                with pytest.raises(ConfigError, match="outside"):
+                    call(n)
 
     def test_theta_elementwise_over_years(self, avg):
         years = np.arange(1, avg.horizon + 1)
