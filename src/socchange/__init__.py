@@ -14,29 +14,24 @@ from .climate import (ClimateSeries, ReferenceState, SiteMoisture,
                       rate_modifier_cover_timed, rate_modifier_moisture,
                       rate_modifier_temperature, reference_from_climate,
                       rho_monthly, thornthwaite_pet)
-from .control import (ControlSchedule, fym_modifier, maintenance_rate,
-                      simulate_controlled)
+from .control import ControlSchedule, simulate_controlled
 from .dataio import (ScenarioConfig, build_scenario, load_climate,
                      load_config, load_density_table, load_npp,
                      read_trajectory, write_control, write_sensitivity,
                      write_trajectory)
-from .dynamics import (DeltaState, FymPolicy, PlantInputDensity, Scenario,
-                       class_for_ratio, delta_forcing_fym,
-                       delta_forcing_no_fym, delta_soc, plant_density)
-from .equilibrium import (BaselineState, equilibrium_pools,
-                          infer_initial_plant_input, iom_from_soc,
+from .dynamics import (FymPolicy, PlantInputDensity, Scenario, class_for_ratio,
+                       delta_forcing_fym, delta_forcing_no_fym)
+from .equilibrium import (BaselineState, equilibrium_pools, iom_from_soc,
                           soc_total_from_active)
 from .errors import (ConfigError, DataError, InfeasibleBaselineError,
                      NumericsError, SocChangeError)
-from .pools import (CompartmentMatrices, PoolVector, SoilParams,
-                    build_matrices, build_partition_fractions,
-                    default_rate_constants)
+from .pools import (CompartmentMatrices, SoilParams, build_matrices,
+                    build_partition_fractions, default_rate_constants)
 from .sensitivity import (AveragedModel, SensitivitySeries,
                           averaged_delta_solve, build_averaged_model,
                           closed_form_first_year, drho_dr, drho_dtemp,
                           sensitivity, theta)
-from .stepping import (TimeGrid, Trajectory, build_time_grid, nonstandard_step,
-                       phi1_dense, phi1_scalar, phi_matrix, rk4_reference,
-                       rothc_discrete_step, simulate, transition_matrix)
+from .stepping import (TimeGrid, Trajectory, build_time_grid, phi1_dense,
+                       phi1_scalar, rk4_reference, simulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,29 +21,6 @@ from .stepping import Trajectory, _step_operators, build_time_grid
 Array = np.ndarray
 
 
-def maintenance_rate(delta_c, rho: float, ghat: float, np_ratio: float,
-                     epsilon: float, T: float, rho0: float, delta: float,
-                     k) -> float:
-    """Continuous-time manure rate that freezes the SOC change index.
-
-    rho(t)/(1-eps) [delta k^T delta_c + 1/(T rho0)] - eps/(1-eps) N_P ghat.
-    """
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(
-            f"epsilon must be in [0, 1) for controlled runs, got {epsilon}")
-    dc = np.asarray(delta_c, dtype=float)
-    bracket = delta * float(np.asarray(k) @ dc) + 1.0 / (T * rho0)
-    return rho * bracket / (1.0 - epsilon) - epsilon * np_ratio * ghat / (1.0 - epsilon)
-
-
-def fym_modifier(delta_c, rho: float, ghat: float, np_ratio: float,
-                 epsilon: float, T: float, rho0: float, delta: float,
-                 k) -> float:
-    """Clamped manure modifying factor max(0, maintenance rate)."""
-    return max(0.0, maintenance_rate(delta_c, rho, ghat, np_ratio, epsilon,
-                                     T, rho0, delta, k))
-
-
 @dataclass(frozen=True)
 class ControlSchedule:
     """Applied manure modifying factor per month, with annual totals."""

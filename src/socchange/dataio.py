@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .climate import (DEFAULT_BARE_MONTHS, ClimateSeries, SiteMoisture,
                       max_deficit, reference_from_climate)
 from .control import ControlSchedule
@@ -29,8 +30,6 @@ from .sensitivity import DEFAULT_SENSITIVITY_DT, SensitivitySeries
 from .stepping import Trajectory
 
 Array = np.ndarray
-
-_VERSION = "0.1.0"
 
 
 def _parse_float(text: str, path, line_no: int, column: str) -> float:
@@ -305,6 +304,10 @@ def load_config(path) -> ScenarioConfig:
             kwargs[key] = value
         else:
             raise ConfigError(f"{path}: unknown key {key!r}")
+        if key in _FLOAT_KEYS + ("fym_monthly_tc_ha",) and not np.all(
+                np.isfinite(kwargs[key])):
+            raise ConfigError(f"{path}: key {key!r}: non-finite value "
+                              f"{value!r}")
     return ScenarioConfig(**kwargs)
 
 
@@ -379,7 +382,7 @@ def scenario_digest(meta: dict) -> str:
 def _meta_line(kind: str, meta: dict) -> str:
     pairs = " ".join(f"{k}={meta[k]}" for k in sorted(meta)
                      if not isinstance(meta[k], np.ndarray))
-    return (f"# socchange={_VERSION} kind={kind} scenario={scenario_digest(meta)}"
+    return (f"# socchange={__version__} kind={kind} scenario={scenario_digest(meta)}"
             + (f" {pairs}" if pairs else ""))
 
 

@@ -94,11 +94,6 @@ class PlantInputDensity:
         return self.proportion(month) / dt_m
 
 
-def plant_density(month: int, land_class: str) -> float:
-    """Standard Table proportion of annual input delivered in a month."""
-    return PlantInputDensity.standard(land_class).proportion(month)
-
-
 @dataclass(frozen=True)
 class FymPolicy:
     """Farmyard-manure forcing: absent, a fixed density, or feedback-controlled."""
@@ -187,26 +182,6 @@ class Scenario:
         return rho_monthly(self.climate.temp[i, m], self.climate.acc[i, m],
                            month, self.r, self.reference, self.cover_mode,
                            self.cover_schedule)
-
-
-@dataclass(frozen=True)
-class DeltaState:
-    """Normalized pool deviation and its scalar sum (the SOC change index)."""
-
-    delta_c: Array
-    delta_soc: float
-
-    @classmethod
-    def from_components(cls, delta_c) -> "DeltaState":
-        arr = np.asarray(delta_c, dtype=float)
-        if arr.shape != (4,) or not np.all(np.isfinite(arr)):
-            raise ConfigError(f"delta state must be a finite 4-vector, got {arr}")
-        return cls(delta_c=arr, delta_soc=float(arr.sum()))
-
-
-def delta_soc(state: DeltaState) -> float:
-    """Sum of the four delta components."""
-    return float(np.asarray(state.delta_c).sum())
 
 
 def delta_forcing_no_fym(month, n, scenario: Scenario, rho_m=None,

@@ -7,6 +7,7 @@ baseline plant input from observed stocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,10 @@ def soc_total_from_active(soc_active: float) -> float:
         return 0.0
 
     def residual(s):
-        return FALLOON_COEFF * s**FALLOON_POWER - s + soc_active
+        try:
+            return FALLOON_COEFF * s**FALLOON_POWER - s + soc_active
+        except OverflowError:   # only where the residual is positive
+            return math.inf
 
     lo = soc_active
     frac = FALLOON_COEFF * soc_active ** (FALLOON_POWER - 1.0)
@@ -71,29 +75,6 @@ def equilibrium_pools(P0: float, F0: float, rho0: float,
         raise ConfigError(f"inputs must be non-negative, got P0={P0}, F0={F0}")
     b = (P0 * mats.a_g + F0 * mats.a_f) / T
     return -mats.a_inv() @ b / rho0
-
-
-def infer_initial_plant_input(c0, rho0: float, F0: float,
-                              params: SoilParams) -> tuple[float, float]:
-    """Baseline plant input from observed equilibrium pools and known manure.
-
-    Returns (P0, P0 + F0), with P0 + F0 = T rho0 delta k^T c0.
-    """
-    c0 = np.asarray(c0, dtype=float)
-    if np.any(c0 < 0):
-        raise ConfigError(f"pools must be non-negative, got {c0}")
-    if rho0 <= 0:
-        raise ConfigError(f"reference modifier must be positive, got {rho0}")
-    total = params.T * rho0 * params.delta * float(params.k @ c0)
-    p0 = total - F0
-    if p0 < 0:
-        if p0 >= -1e-12 * max(1.0, total):
-            p0 = 0.0   # round-off at the zero-plant-input boundary
-        else:
-            raise InfeasibleBaselineError(
-                f"inferred plant input {p0:.6g} is negative: baseline manure "
-                f"F0={F0} exceeds the total turnover {total:.6g}")
-    return p0, total
 
 
 @dataclass(frozen=True)

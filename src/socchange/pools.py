@@ -1,4 +1,4 @@
-"""Carbon-pool state, soil parameterization, and the compartment matrices.
+"""Soil parameterization and the compartment matrices.
 
 The four active pools (DPM, RPM, BIO, HUM) decompose under first-order
 kinetics; the decomposition matrix A factors exactly as -(I-Λ)D, which gives
@@ -53,35 +53,6 @@ def plant_split(r: float) -> float:
     if r < 0:
         raise ConfigError(f"DPM/RPM ratio must be >= 0, got {r}")
     return r / (r + 1.0)
-
-
-@dataclass(frozen=True)
-class PoolVector:
-    """Physical pool state in t C ha^-1; negative components are rejected."""
-
-    dpm: float
-    rpm: float
-    bio: float
-    hum: float
-
-    def __post_init__(self):
-        arr = self.as_array()
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"pool components must be finite, got {arr}")
-        if np.any(arr < 0):
-            raise ConfigError(f"physical pools cannot be negative, got {arr}")
-
-    def as_array(self) -> Array:
-        return np.array([self.dpm, self.rpm, self.bio, self.hum])
-
-    @classmethod
-    def from_array(cls, arr) -> "PoolVector":
-        a = np.asarray(arr, dtype=float)
-        return cls(a[0], a[1], a[2], a[3])
-
-    @property
-    def total(self) -> float:
-        return self.dpm + self.rpm + self.bio + self.hum
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
                       annual_averages, rate_modifier_cover_smooth,
                       rate_modifier_moisture, rate_modifier_temperature)
 from .dynamics import Scenario
-from .errors import ConfigError
-from .pools import DPM_RPM_SHIFT, CompartmentMatrices, SoilParams, build_matrices
+from .errors import ConfigError, NumericsError
+from .pools import DPM_RPM_SHIFT, CompartmentMatrices
 from .stepping import _step_operators, phi1_dense
 
 Array = np.ndarray
@@ -101,8 +101,12 @@ def theta(n, averaged: AveragedModel):
 
 
 def _grids(T: float, dt: float, record_all: bool):
-    """Per-year substep count and recording stride; dt snaps to divide a month."""
+    """Per-year substep count and recording stride; dt in (0, T/12] snaps to
+    divide a month."""
     month = T / 12.0
+    if not 0.0 < dt <= month:
+        raise ConfigError(f"sensitivity step must be in (0, {month:g}] "
+                          f"months, got {dt}")
     per_month = max(1, round(month / dt))
     dt_eff = month / per_month
     record_every = 1 if record_all else per_month
@@ -210,9 +214,7 @@ class SensitivitySeries:
 
 def sensitivity(parameter: str, scenario: Scenario,
                 dt: float = DEFAULT_SENSITIVITY_DT,
-                record_all: bool = False,
-                averaged: AveragedModel | None = None,
-                params: SoilParams | None = None) -> SensitivitySeries:
+                record_all: bool = False) -> SensitivitySeries:
     """Co-integrate the averaged delta state and its parameter sensitivity.
 
     temp1 and np1 are defined on the first delta year only; r runs over the
@@ -221,10 +223,9 @@ def sensitivity(parameter: str, scenario: Scenario,
     if parameter not in PARAMETERS:
         raise ConfigError(f"unknown sensitivity parameter {parameter!r}; "
                           f"choose from {PARAMETERS}")
-    avg = build_averaged_model(scenario) if averaged is None else averaged
-    params = scenario.params if params is None else params
-    mats = build_matrices(params)
-    r = params.r
+    avg = build_averaged_model(scenario)
+    mats = scenario.mats
+    r = scenario.r
     ref = avg.reference
     if parameter == "temp1":
         dr = drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0], ref.site,
@@ -237,8 +238,12 @@ def sensitivity(parameter: str, scenario: Scenario,
     else:
         dr = drho_dr(avg.temps, ref.temp0, avg.accs, ref.site, r, ref.n_bare)
         coups = dr[:, None, None] * mats.A
+        try:
+            scale = (r + 1.0) ** 2   # dγ/dr = 1/(r + 1)²
+        except OverflowError:
+            raise NumericsError(f"(r + 1)^2 overflows for r={r}") from None
         ws = (np.outer(theta(np.arange(1, avg.horizon + 1), avg), DPM_RPM_SHIFT)
-              / (r + 1.0) ** 2)
+              / scale)
     t, c_arr, s_arr = _co_integrate(avg, r, mats, dt, record_all, coups, ws)
     meta = {"parameter": parameter, "dt": _grids(avg.T, dt, record_all)[1],
             "years": ws.shape[0], "dpm_rpm_ratio": r}

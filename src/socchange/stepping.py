@@ -46,36 +46,6 @@ def _step_operators(taus, mats: CompartmentMatrices):
     return eks, fmats, phimats
 
 
-def phi_matrix(dt: float, rho: float, mats: CompartmentMatrices) -> Array:
-    """φ(dt rho Ã) via the (I-Λ) similarity with the diagonal D."""
-    if dt <= 0 or rho <= 0:
-        raise ConfigError(f"dt and rho must be positive, got dt={dt}, rho={rho}")
-    return _step_operators(dt * rho, mats)[2]
-
-
-def transition_matrix(dt: float, rho: float, mats: CompartmentMatrices) -> Array:
-    """F(dt rho) = Λ + (I-Λ) diag(e^{-dt rho k})."""
-    if dt < 0:
-        raise ConfigError(f"dt must be non-negative, got {dt}")
-    return _step_operators(dt * rho, mats)[1]
-
-
-def nonstandard_step(state, dt: float, rho: float, b,
-                     mats: CompartmentMatrices) -> Array:
-    """One non-standard step F(Δt rho) c + Δt φ(Δt rho Ã) b."""
-    state = np.asarray(state, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (transition_matrix(dt, rho, mats) @ state
-            + dt * (phi_matrix(dt, rho, mats) @ b))
-
-
-def rothc_discrete_step(state, dt: float, rho: float, b,
-                        mats: CompartmentMatrices) -> Array:
-    """Original discrete RothC update F(Δt rho) c + Δt b."""
-    state = np.asarray(state, dtype=float)
-    return transition_matrix(dt, rho, mats) @ state + dt * np.asarray(b, dtype=float)
-
-
 def phi1_dense(z: Array, tol: float = 1e-12) -> Array:
     """φ applied to a dense square matrix by scaling-and-squaring on its series.
 

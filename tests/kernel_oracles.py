@@ -4,18 +4,51 @@ The closed-form kernels compute these recurrences as matrix powers; the loops
 take one step at a time and are the reference the kernel tests compare against.
 The control loop here writes the feedback law from α, β, δ, φ(-τk) and the
 clamp; the engine steps the same law as a clamped affine input.
-``nonstandard_step_incremental`` is the scheme's other algebraic form, the
-reference for the transition form the engine steps with.
+The one-step maps take F and φ from the production builder
+``socchange.stepping._step_operators``; ``nonstandard_step_incremental`` is
+the scheme's other algebraic form, the reference for the transition form the
+engine steps with. ``maintenance_rate`` is the continuous manure law that the
+discrete control law tends to as Δt → 0.
 """
 
 import numpy as np
 
-import socchange as sc
+from socchange.errors import ConfigError
+from socchange.stepping import _step_operators
+
+
+def transition_matrix(dt, rho, mats):
+    """F(Δt rho) = Λ + (I-Λ) diag(e^{-Δt rho k})."""
+    return _step_operators(dt * rho, mats)[1]
+
+
+def phi_matrix(dt, rho, mats):
+    """φ(Δt rho Ã)."""
+    return _step_operators(dt * rho, mats)[2]
+
+
+def nonstandard_step(state, dt, rho, b, mats):
+    """The transition form F(Δt rho) c + Δt φ(Δt rho Ã) b."""
+    return (transition_matrix(dt, rho, mats) @ state
+            + dt * (phi_matrix(dt, rho, mats) @ b))
+
+
+def rothc_discrete_step(state, dt, rho, b, mats):
+    """The original discrete RothC update F(Δt rho) c + Δt b."""
+    return transition_matrix(dt, rho, mats) @ state + dt * np.asarray(b)
 
 
 def nonstandard_step_incremental(state, dt, rho, b, mats):
     """c + Δt φ(Δt rho Ã)(rho A c + b); equals F(Δt rho) c + Δt φ(Δt rho Ã) b."""
-    return state + dt * (sc.phi_matrix(dt, rho, mats) @ (rho * (mats.A @ state) + b))
+    return state + dt * (phi_matrix(dt, rho, mats) @ (rho * (mats.A @ state) + b))
+
+
+def maintenance_rate(delta_c, rho, ghat, np_ratio, epsilon, T, rho0, delta, k):
+    """rho/(1-eps) [delta k^T delta_c + 1/(T rho0)] - eps/(1-eps) N_P ghat."""
+    if not 0.0 <= epsilon < 1.0:
+        raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
+    bracket = delta * float(np.asarray(k) @ np.asarray(delta_c)) + 1.0 / (T * rho0)
+    return rho * bracket / (1.0 - epsilon) - epsilon * np_ratio * ghat / (1.0 - epsilon)
 
 
 def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):

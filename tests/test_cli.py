@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import contextlib
+import io
 import math
 import re
 import shutil
@@ -40,6 +42,22 @@ def _demo_with_cell(tmp_path, name, row_prefix, column, value):
     lines[line_no - 1] = ",".join(cells)
     (tmp_path / name).write_text("\n".join(lines) + "\n")
     return tmp_path / "scenario.cfg", line_no
+
+
+def _demo_with_key(tmp_path, key, value):
+    """Copy the demo site with one config key set to value (added if absent).
+
+    soc_active_tc_ha replaces plant_input_tc_ha_yr, as the two exclude each
+    other. Returns the config path."""
+    for path in DEMO.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    config = tmp_path / "scenario.cfg"
+    drop = {key} | ({"plant_input_tc_ha_yr"} if key == "soc_active_tc_ha"
+                    else set())
+    lines = [line for line in config.read_text().splitlines()
+             if line.partition("=")[0].strip() not in drop]
+    config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    return config
 
 
 class TestSimulateCommand:
@@ -129,6 +147,50 @@ class TestSimulateCommand:
         traj = _read_totals(out / "trajectory.csv")
         assert np.all(traj.states >= -1e-12)
         assert traj.meta["mode"] == "absolute"
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key, value", [
+        ("dpm_rpm_ratio", "nan"), ("depth_cm", "nan"), ("depth_cm", "inf"),
+        ("plant_input_tc_ha_yr", "nan"), ("fym_baseline_tc_ha_yr", "-inf"),
+        ("soc_active_tc_ha", "nan"), ("sensitivity_dt", "inf"),
+        ("fym_monthly_tc_ha", ",".join(["0.05"] * 11 + ["nan"])),
+    ])
+    def test_non_finite_value_exits_one_naming_key(self, tmp_path, capsys,
+                                                   key, value):
+        config = _demo_with_key(tmp_path, key, value)
+        if key == "fym_monthly_tc_ha":
+            config.write_text(config.read_text() + "fym_mode = fixed\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"key {key!r}: non-finite value" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["nan", "0", "inf", "-inf", "-1", "1.5"])
+    def test_sensitivity_step_outside_one_month_exits_one(self, tmp_path,
+                                                          capsys, dt):
+        out = tmp_path / "out"
+        assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
+                     "temp1", f"--dt={dt}", "--out", str(out)]) == 1
+        assert "sensitivity step must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["plant_input_tc_ha_yr",
+                                     "fym_baseline_tc_ha_yr",
+                                     "soc_active_tc_ha"])
+    def test_overflowing_baseline_exits_three(self, tmp_path, capsys, key):
+        config = _demo_with_key(tmp_path, key, "1e300")
+        assert main(["equilibrium", str(config), "--inputs", "1", "0"]) == 3
+        assert "could not bracket" in capsys.readouterr().err
+
+    def test_overflowing_ratio_derivative_exits_three(self, tmp_path, capsys):
+        config = _demo_with_key(tmp_path, "dpm_rpm_ratio", "1e300")
+        out = tmp_path / "out"
+        assert main(["sensitivity", str(config), "--param", "r",
+                     "--out", str(out)]) == 3
+        assert "(r + 1)^2 overflows" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSensitivityCommand:
@@ -270,6 +332,22 @@ _FUZZED_CELL = st.one_of(
               st.just("npp")))
 
 
+_FLOAT_CONFIG_KEYS = ("latitude_deg", "clay_pct", "depth_cm", "dpm_rpm_ratio",
+                      "bare_months", "eta", "plant_input_tc_ha_yr",
+                      "fym_baseline_tc_ha_yr", "soc_active_tc_ha",
+                      "sensitivity_dt")
+
+_CONFIG_EDIT = st.sampled_from(
+    [(key, value) for key in _FLOAT_CONFIG_KEYS
+     for value in ("nan", "inf", "-inf", "0", "-1", "1e300")]
+    + [(key, value) for key in ("baseline_year", "horizon_years")
+       for value in ("0", "-1")])
+
+_FUZZED_COMMANDS = (["simulate"], ["sensitivity", "--param", "temp1"],
+                    ["sensitivity", "--param", "r"],
+                    ["control", "--epsilon", "0.5"])
+
+
 def _written_values_finite(out: Path) -> bool:
     for path in out.rglob("*.csv"):
         rows = [line for line in path.read_text().splitlines()
@@ -297,3 +375,22 @@ class TestFuzzedInputs:
                 assert code in (0, 1, 2, 3)
                 if code == 0:
                     assert _written_values_finite(out), (command, cell, value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(edit=_CONFIG_EDIT, command=st.sampled_from(_FUZZED_COMMANDS))
+    def test_one_extreme_config_value_exits_cleanly(self, edit, command):
+        # an error is one stderr line (a traceback would propagate out of
+        # main); a success writes only finite values
+        key, value = edit
+        with tempfile.TemporaryDirectory() as tmp:
+            config = _demo_with_key(Path(tmp), key, value)
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command[0], str(config), *command[1:],
+                             "--out", str(out)])
+            if code == 0:
+                assert _written_values_finite(out), (command, key, value)
+            else:
+                assert code in (1, 2, 3), (command, key, value)
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -8,6 +8,7 @@ from socchange.errors import ConfigError
 from socchange.stepping import build_time_grid
 
 from conftest import make_scenario
+from kernel_oracles import maintenance_rate
 
 T = 12.0
 EPS_SWEEP = (0.0, 0.2, 0.5, 0.8)
@@ -31,8 +32,8 @@ class TestMaintenanceRate:
         k = arable_scenario.params.k
         delta = arable_scenario.params.delta
         rho0 = arable_scenario.rho0
-        rate = sc.maintenance_rate(np.zeros(4), rho0, 0.0, 1.0, 0.0, T,
-                                   rho0, delta, k)
+        rate = maintenance_rate(np.zeros(4), rho0, 0.0, 1.0, 0.0, T,
+                                rho0, delta, k)
         assert rate == pytest.approx(1.0 / T, rel=1e-14)
         assert rate > 0
 
@@ -41,8 +42,8 @@ class TestMaintenanceRate:
         rng = np.random.default_rng(1)
         for _ in range(100):
             dc = rng.uniform(0.0, 1.0, 4)
-            rate = sc.maintenance_rate(dc, rng.uniform(0.1, 2.0), 0.3, 1.1,
-                                       0.0, T, 0.5, params.delta, params.k)
+            rate = maintenance_rate(dc, rng.uniform(0.1, 2.0), 0.3, 1.1,
+                                    0.0, T, 0.5, params.delta, params.k)
             assert rate > 0
 
     def test_recomposition_from_primitives(self):
@@ -56,36 +57,15 @@ class TestMaintenanceRate:
             expected = (rho / (1 - eps)
                         * (params.delta * float(params.k @ dc) + 1 / (T * rho0))
                         - eps / (1 - eps) * np_n * ghat)
-            got = sc.maintenance_rate(dc, rho, ghat, np_n, eps, T, rho0,
-                                      params.delta, params.k)
+            got = maintenance_rate(dc, rho, ghat, np_n, eps, T, rho0,
+                                   params.delta, params.k)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_epsilon_one_rejected(self):
         params = sc.SoilParams.for_site(50.0, 23.0, 1.44)
         with pytest.raises(ConfigError):
-            sc.maintenance_rate(np.zeros(4), 0.5, 0.1, 1.0, 1.0, T, 0.5,
-                                params.delta, params.k)
-
-
-class TestFymModifier:
-    def test_clamps_negative(self):
-        params = sc.SoilParams.for_site(50.0, 23.0, 1.44)
-        # large eps and large plant input push the rate negative
-        value = sc.fym_modifier(np.zeros(4), 0.5, 0.6, 1.2, 0.9, T, 0.5,
-                                params.delta, params.k)
-        raw = sc.maintenance_rate(np.zeros(4), 0.5, 0.6, 1.2, 0.9, T, 0.5,
-                                  params.delta, params.k)
-        assert raw < 0
-        assert value == 0.0
-
-    def test_identity_when_nonnegative(self):
-        params = sc.SoilParams.for_site(50.0, 23.0, 1.44)
-        raw = sc.maintenance_rate(np.zeros(4), 0.5, 0.0, 1.0, 0.3, T, 0.5,
-                                  params.delta, params.k)
-        value = sc.fym_modifier(np.zeros(4), 0.5, 0.0, 1.0, 0.3, T, 0.5,
-                                params.delta, params.k)
-        assert raw >= 0
-        assert value == raw
+            maintenance_rate(np.zeros(4), 0.5, 0.1, 1.0, 1.0, T, 0.5,
+                             params.delta, params.k)
 
 
 class TestSimulateControlled:
@@ -177,9 +157,9 @@ class TestSimulateControlled:
                 (1 - np.exp(-dt * rho * params.k)) @ dc)
             discrete = q + (decay - g_term * float(w @ mats.a_g)) \
                 / ((1 - eps) * float(w @ mats.a_f))
-            continuous = sc.maintenance_rate(dc, rho, ghat, scen.np_ratio(n),
-                                             eps, T, scen.rho0, params.delta,
-                                             params.k)
+            continuous = maintenance_rate(dc, rho, ghat, scen.np_ratio(n),
+                                          eps, T, scen.rho0, params.delta,
+                                          params.k)
             gaps.append(abs(discrete - continuous))
         assert gaps[-1] < 1e-3 * max(1.0, abs(continuous))
         assert gaps[0] > gaps[-1]

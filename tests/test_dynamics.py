@@ -12,19 +12,20 @@ from conftest import constant_climate, make_scenario
 
 class TestPlantDensity:
     def test_arable_july_half(self):
-        assert sc.plant_density(7, "arable") == 0.5
+        assert sc.PlantInputDensity.standard("arable").proportion(7) == 0.5
 
     def test_grassland_january(self):
-        assert sc.plant_density(1, "grassland") == 0.05
+        assert sc.PlantInputDensity.standard("grassland").proportion(1) == 0.05
 
     @pytest.mark.parametrize("land_class", ["forest", "grassland", "arable"])
     def test_normalization(self, land_class):
-        total = sum(sc.plant_density(m, land_class) for m in range(1, 13))
+        density = sc.PlantInputDensity.standard(land_class)
+        total = sum(density.proportion(m) for m in range(1, 13))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
-            sc.plant_density(1, "wetland")
+            sc.PlantInputDensity.standard("wetland").proportion(1)
 
     def test_bad_sum_rejected(self):
         props = np.full(12, 1.0 / 12.0)
@@ -161,21 +162,8 @@ class TestDeltaForcingFym:
 
 
 class TestDeltaSoc:
-    def test_zero_state(self):
-        state = sc.DeltaState.from_components(np.zeros(4))
-        assert sc.delta_soc(state) == 0.0
-
     def test_plant_direction_normalized(self, arable_scenario):
-        state = sc.DeltaState.from_components(arable_scenario.mats.a_g)
-        assert sc.delta_soc(state) == pytest.approx(1.0, abs=1e-15)
-
-    def test_matches_plain_summation(self):
-        rng = np.random.default_rng(5)
-        vec = rng.standard_normal(4)
-        state = sc.DeltaState.from_components(vec)
-        assert sc.delta_soc(state) == pytest.approx(float(sum(vec.tolist())),
-                                                    rel=1e-15)
-        assert state.delta_soc == pytest.approx(state.delta_c.sum(), abs=1e-14)
+        assert arable_scenario.mats.a_g.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestScenarioValidation:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import socchange as sc
-from socchange.errors import ConfigError, InfeasibleBaselineError
+from socchange.errors import (ConfigError, InfeasibleBaselineError,
+                             NumericsError)
 
 T = 12.0
 
@@ -75,6 +76,12 @@ class TestSocTotalFromActive:
         roots = np.array([sc.soc_total_from_active(s) for s in grid])
         assert np.all(np.diff(roots) > 0)
 
+    @pytest.mark.parametrize("soc", [1e10, 1e300])
+    def test_no_root_is_numerics_error(self, soc):
+        # s - 0.049 s^1.139 peaks near 1.2e8; at 1e300 s^1.139 overflows
+        with pytest.raises(NumericsError, match="could not bracket"):
+            sc.soc_total_from_active(soc)
+
 
 class TestEquilibriumPools:
     def test_zero_inputs_zero_state(self, setup50):
@@ -135,31 +142,35 @@ class TestInferInitialPlantInput:
         params = sc.SoilParams.for_site(50.0, 23.0, 1.44)
         mats = sc.build_matrices(params)
         c0 = sc.equilibrium_pools(p0, f0, rho0, mats, T)
-        got, total = sc.infer_initial_plant_input(c0, rho0, f0, params)
-        assert got == pytest.approx(p0, rel=1e-10, abs=1e-10)
-        assert total == pytest.approx(p0 + f0, rel=1e-10, abs=1e-10)
+        back = sc.BaselineState.from_active_soc(c0.sum(), f0, rho0, mats,
+                                                params)
+        assert back.P0 == pytest.approx(p0, rel=1e-10, abs=1e-10)
+        assert back.P0 + back.F0 == pytest.approx(p0 + f0, rel=1e-10,
+                                                  abs=1e-10)
 
     def test_zero_manure_recovers_turnover(self, setup50):
+        # P0 + F0 = T rho0 delta k^T c0 at the equilibrium
         params, mats = setup50
-        c0 = np.array([0.1, 2.0, 0.3, 12.0])
-        p0, total = sc.infer_initial_plant_input(c0, 0.5, 0.0, params)
-        expected = T * 0.5 * params.delta * float(params.k @ c0)
-        assert p0 == pytest.approx(expected, rel=1e-14)
-        assert total == p0
+        c0 = sc.equilibrium_pools(1.7, 0.0, 0.5, mats, T)
+        total = T * 0.5 * params.delta * float(params.k @ c0)
+        assert total == pytest.approx(1.7, rel=1e-14)
+        back = sc.BaselineState.from_active_soc(c0.sum(), 0.0, 0.5, mats,
+                                                params)
+        assert back.P0 == pytest.approx(total, rel=1e-14)
+        assert back.P0 + back.F0 == back.P0
 
     def test_alternative_identity_via_column_sums(self, setup50):
         # P0 + F0 = -T rho0 1^T A c0, cross-checked against the k-form
         params, mats = setup50
-        rng = np.random.default_rng(11)
-        c0 = rng.uniform(0, 10, 4)
-        _, total = sc.infer_initial_plant_input(c0, 0.6, 0.1, params)
+        c0 = sc.equilibrium_pools(2.3, 0.1, 0.6, mats, T)
+        total = T * 0.6 * params.delta * float(params.k @ c0)
         alt = -T * 0.6 * float(np.ones(4) @ mats.A @ c0)
         assert total == pytest.approx(alt, rel=1e-12)
 
     def test_infeasible_baseline(self, setup50):
-        params, _ = setup50
+        params, mats = setup50
         with pytest.raises(InfeasibleBaselineError):
-            sc.infer_initial_plant_input(np.full(4, 1e-6), 0.5, 100.0, params)
+            sc.BaselineState.from_active_soc(4e-6, 100.0, 0.5, mats, params)
 
 
 class TestBaselineState:

@@ -47,9 +47,9 @@ def _controlled_oracle(scenario, eps):
     taus = np.outer(dts * rhos, mats.k)
     qs = rhos / (params.T * scenario.rho0)
     epsg = eps * (scenario.np_ratio(n) * scenario.density.density(m, dts) - qs)
-    fmats = np.stack([sc.transition_matrix(dt, rho, mats)
+    fmats = np.stack([oracle.transition_matrix(dt, rho, mats)
                       for dt, rho in zip(dts, rhos)])
-    phimats = np.stack([dt * sc.phi_matrix(dt, rho, mats)
+    phimats = np.stack([dt * oracle.phi_matrix(dt, rho, mats)
                         for dt, rho in zip(dts, rhos)])
     return oracle.controlled_recurrence(
         fmats, phimats, np.exp(-taus), sc.phi1_scalar(-taus), dts, epsg, qs,
@@ -74,8 +74,8 @@ def _sub_monthly_step(dt, rho=0.9, r=0.67):
     """F and Δt φ of the non-standard step at a sub-monthly dt, as the
     averaged solves build them."""
     mats = sc.build_matrices(sc.SoilParams.for_site(50.0, 23.0, r))
-    fmat = sc.transition_matrix(dt, rho, mats)
-    phimat = dt * sc.phi_matrix(dt, rho, mats)
+    fmat = oracle.transition_matrix(dt, rho, mats)
+    phimat = dt * oracle.phi_matrix(dt, rho, mats)
     return mats, fmat, phimat
 
 

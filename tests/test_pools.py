@@ -143,23 +143,3 @@ class TestSoilParams:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError):
             sc.SoilParams.for_site(50.0, 23.0, -0.1)
-
-
-class TestPoolVector:
-    def test_rejects_negative_components(self):
-        with pytest.raises(ConfigError):
-            sc.PoolVector(1.0, -0.5, 0.2, 3.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigError):
-            sc.PoolVector(np.inf, 0.0, 0.0, 0.0)
-
-    def test_roundtrip_and_total(self):
-        pv = sc.PoolVector(1.0, 2.0, 3.0, 4.0)
-        np.testing.assert_array_equal(pv.as_array(), [1.0, 2.0, 3.0, 4.0])
-        assert sc.PoolVector.from_array(pv.as_array()) == pv
-        assert pv.total == 10.0
-
-    def test_delta_variant_allows_negative(self):
-        state = sc.DeltaState.from_components([-0.1, 0.2, 0.0, -0.3])
-        assert state.delta_soc == pytest.approx(-0.2, abs=1e-15)

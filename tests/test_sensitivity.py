@@ -222,6 +222,17 @@ class TestSensitivitySeries:
         with pytest.raises(ConfigError):
             sc.sensitivity("clay", scen)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, 1.5, np.inf, -np.inf, np.nan])
+    def test_step_outside_one_month_rejected(self, scen, avg, dt):
+        with pytest.raises(ConfigError, match="sensitivity step"):
+            sc.sensitivity("np1", scen, dt=dt)
+        with pytest.raises(ConfigError, match="sensitivity step"):
+            sc.averaged_delta_solve(avg, 0.67, scen.mats, dt=dt)
+
+    def test_sub_monthly_step_snaps_to_divide_a_month(self, scen):
+        assert sc.sensitivity("np1", scen, dt=0.3).meta["dt"] == 1.0 / 3.0
+        assert sc.sensitivity("np1", scen, dt=1.0).meta["dt"] == 1.0
+
     def test_temp1_finite_difference_validation(self, scen, avg):
         h, dt = 1e-4, 0.01
         series = sc.sensitivity("temp1", scen, dt=dt)

@@ -10,7 +10,9 @@ from socchange.errors import ConfigError
 from socchange.stepping import build_time_grid
 
 from conftest import constant_climate, make_scenario, synthetic_climate
-from kernel_oracles import nonstandard_step_incremental
+from kernel_oracles import (nonstandard_step, nonstandard_step_incremental,
+                            phi_matrix, rothc_discrete_step,
+                            transition_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -55,43 +57,43 @@ class TestPhiScalar:
 
 class TestPhiMatrix:
     def test_identity_at_vanishing_step(self, mats):
-        phi = sc.phi_matrix(1e-12, 0.5, mats)
+        phi = phi_matrix(1e-12, 0.5, mats)
         assert np.max(np.abs(phi - np.eye(4))) < 1e-9
 
     def test_matches_series_oracle(self, mats):
         for dt, rho in [(1.0, 0.55), (0.7, 1.2), (2.0, 0.3)]:
-            phi = sc.phi_matrix(dt, rho, mats)
+            phi = phi_matrix(dt, rho, mats)
             series = _phi_series(dt * rho * mats.Atilde)
             assert np.max(np.abs(phi - series)) < 1e-12
 
     def test_commutes_with_atilde(self, mats):
-        phi = sc.phi_matrix(1.0, 0.6, mats)
+        phi = phi_matrix(1.0, 0.6, mats)
         comm = phi @ mats.Atilde - mats.Atilde @ phi
         assert np.max(np.abs(comm)) < 1e-12
 
 
 class TestTransitionMatrix:
     def test_identity_at_zero(self, mats):
-        np.testing.assert_allclose(sc.transition_matrix(0.0, 0.5, mats),
+        np.testing.assert_allclose(transition_matrix(0.0, 0.5, mats),
                                    np.eye(4), atol=1e-15)
 
     def test_equivalence_of_step_forms(self, mats):
         # I + dt phi(dt rho Atilde) rho A reproduces F(dt rho); this is the
         # algebra behind the two equivalent one-step formulations
         for dt, rho in [(1.0, 0.55), (0.5, 1.3), (1.02, 0.2)]:
-            lhs = np.eye(4) + dt * sc.phi_matrix(dt, rho, mats) @ (rho * mats.A)
-            rhs = sc.transition_matrix(dt, rho, mats)
+            lhs = np.eye(4) + dt * phi_matrix(dt, rho, mats) @ (rho * mats.A)
+            rhs = transition_matrix(dt, rho, mats)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_long_time_limit_is_lambda(self, mats):
-        far = sc.transition_matrix(1e9, 1.0, mats)
+        far = transition_matrix(1e9, 1.0, mats)
         np.testing.assert_allclose(far, mats.Lambda, atol=1e-12)
 
     def test_entrywise_nonnegative(self, mats):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            f = sc.transition_matrix(rng.uniform(0, 3), rng.uniform(0.05, 2.5),
-                                     mats)
+            f = transition_matrix(rng.uniform(0, 3), rng.uniform(0.05, 2.5),
+                                  mats)
             assert f.min() >= 0.0
 
 
@@ -102,7 +104,7 @@ class TestNonstandardStep:
         rho0 = 0.55
         cstar = sc.equilibrium_pools(1.3, 0.4, rho0, mats, T)
         for dt in (0.3, 1.0, 1.02, 2.7):
-            stepped = sc.nonstandard_step(cstar, dt, rho0, b, mats)
+            stepped = nonstandard_step(cstar, dt, rho0, b, mats)
             assert np.max(np.abs(stepped - cstar) / cstar) < 1e-11
 
     @given(st.floats(min_value=0.0, max_value=100.0),
@@ -119,17 +121,17 @@ class TestNonstandardStep:
         mats = sc.build_matrices(params)
         b = (p0 * mats.a_g + f0 * mats.a_f) / params.T
         cstar = sc.equilibrium_pools(p0, f0, rho0, mats, params.T)
-        stepped = sc.nonstandard_step(cstar, dt, rho0, b, mats)
+        stepped = nonstandard_step(cstar, dt, rho0, b, mats)
         scale = max(1.0, float(np.max(np.abs(cstar))))
         assert np.max(np.abs(stepped - cstar)) / scale < 1e-12
 
     def test_homogeneous_contraction(self, mats):
         rng = np.random.default_rng(1)
         state = rng.uniform(0.1, 5.0, 4)
-        stepped = sc.nonstandard_step(state, 1.0, 0.5, np.zeros(4), mats)
+        stepped = nonstandard_step(state, 1.0, 0.5, np.zeros(4), mats)
         assert np.linalg.norm(stepped) < np.linalg.norm(state)
         np.testing.assert_allclose(
-            stepped, sc.transition_matrix(1.0, 0.5, mats) @ state, rtol=1e-14)
+            stepped, transition_matrix(1.0, 0.5, mats) @ state, rtol=1e-14)
 
     def test_two_forms_agree_on_random_steps(self, mats):
         rng = np.random.default_rng(2)
@@ -139,7 +141,7 @@ class TestNonstandardStep:
             dt = rng.uniform(0.1, 2.0)
             rho = rng.uniform(0.05, 2.0)
             via_inc = nonstandard_step_incremental(state, dt, rho, b, mats)
-            via_trans = sc.nonstandard_step(state, dt, rho, b, mats)
+            via_trans = nonstandard_step(state, dt, rho, b, mats)
             scale = max(1.0, np.max(np.abs(via_trans)))
             assert np.max(np.abs(via_inc - via_trans)) / scale < 1e-12
 
@@ -154,7 +156,7 @@ class TestNonstandardStep:
         for dt in (1.0, 0.5, 0.25, 0.125):
             c = c0.copy()
             for _ in range(int(T_end / dt)):
-                c = sc.nonstandard_step(c, dt, rho, b, mats)
+                c = nonstandard_step(c, dt, rho, b, mats)
             errors.append(np.max(np.abs(c - exact)))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(np.abs(orders - 1.0) < 0.15)
@@ -165,10 +167,10 @@ class TestNonstandardStep:
         c0 = np.array([0.5, 3.0, 0.4, 9.0])
         cstar = -np.linalg.solve(rho * mats.A, b)
         exact_1 = cstar + sla.expm(1.0 * rho * mats.A) @ (c0 - cstar)
-        e1 = np.max(np.abs(sc.nonstandard_step(c0, 1.0, rho, b, mats) - exact_1))
+        e1 = np.max(np.abs(nonstandard_step(c0, 1.0, rho, b, mats) - exact_1))
         exact_h = cstar + sla.expm(0.5 * rho * mats.A) @ (c0 - cstar)
-        c_half = sc.nonstandard_step(c0, 0.5, rho, b, mats)
-        c_half = sc.nonstandard_step(c_half, 0.5, rho, b, mats)
+        c_half = nonstandard_step(c0, 0.5, rho, b, mats)
+        c_half = nonstandard_step(c_half, 0.5, rho, b, mats)
         exact_full = cstar + sla.expm(1.0 * rho * mats.A) @ (c0 - cstar)
         e2 = np.max(np.abs(c_half - exact_full))
         assert e2 == pytest.approx(e1 / 2.0, rel=0.10)
@@ -177,8 +179,8 @@ class TestNonstandardStep:
 class TestRothcDiscreteStep:
     def test_same_homogeneous_part(self, mats):
         state = np.array([1.0, 2.0, 0.5, 7.0])
-        a = sc.rothc_discrete_step(state, 1.0, 0.6, np.zeros(4), mats)
-        b = sc.nonstandard_step(state, 1.0, 0.6, np.zeros(4), mats)
+        a = rothc_discrete_step(state, 1.0, 0.6, np.zeros(4), mats)
+        b = nonstandard_step(state, 1.0, 0.6, np.zeros(4), mats)
         np.testing.assert_allclose(a, b, rtol=1e-14)
 
     def test_equilibrium_drift_equals_algebraic_residual(self, mats):
@@ -187,9 +189,9 @@ class TestRothcDiscreteStep:
         rho0 = 0.5
         cstar = sc.equilibrium_pools(1.0, 0.0, rho0, mats, T)
         dt = 1.0
-        stepped = sc.rothc_discrete_step(cstar, dt, rho0, b, mats)
+        stepped = rothc_discrete_step(cstar, dt, rho0, b, mats)
         drift = stepped - cstar
-        residual = dt * (np.eye(4) - sc.phi_matrix(dt, rho0, mats)) @ b
+        residual = dt * (np.eye(4) - phi_matrix(dt, rho0, mats)) @ b
         np.testing.assert_allclose(drift, residual, atol=1e-14)
         assert np.max(np.abs(drift)) > 0
 
@@ -198,8 +200,8 @@ class TestRothcDiscreteStep:
         b = 0.4 * mats.a_g
         diffs = []
         for dt in (0.4, 0.2, 0.1):
-            a = sc.nonstandard_step(state, dt, 0.8, b, mats)
-            r = sc.rothc_discrete_step(state, dt, 0.8, b, mats)
+            a = nonstandard_step(state, dt, 0.8, b, mats)
+            r = rothc_discrete_step(state, dt, 0.8, b, mats)
             diffs.append(np.max(np.abs(a - r)))
         ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
         assert np.all(np.abs(ratios - 4.0) < 1.0)
