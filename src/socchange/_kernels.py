@@ -1,11 +1,12 @@
 """Kernels: monthly stepping, sub-monthly solves, RK4 reference, feedback control.
 
-The month-varying recurrences are plain loops over preallocated float64
-arrays: ``affine_recurrence``, and ``controlled_recurrence``, a generic clamped
-affine loop whose input factor is an affine function of the state, clamped at
-zero. The constant-coefficient ones are closed-form: an affine step
-c <- F c + g is the linear step of the augmented matrix [[F, g], [0, 1]] on
-[c; 1] (Van Loan, IEEE TAC 1978), so k steps are one matrix power of it.
+An affine step c <- F c + g is the linear step of the augmented matrix
+[[F, g], [0, 1]] on [c; 1] (Van Loan, IEEE TAC 1978). The constant-coefficient
+recurrences take k steps as one matrix power of it. The month-varying ones
+build every month's map first, then take one product per month into a
+preallocated float64 array (``np.dot``: the same bits as ``np.matmul`` at less
+cost per call). ``controlled_recurrence`` carries its unclamped input factor as
+a sixth state entry, which row 5 of each month's map predicts for the next.
 """
 
 import numpy as np
@@ -26,14 +27,11 @@ def affine_recurrence(fmats, gvecs, c0):
 
     fmats: (n, 4, 4), gvecs: (n, 4), c0: (4,). Returns (n+1, 4).
     """
-    n = fmats.shape[0]
-    out = np.empty((n + 1, 4))
-    out[0] = c0
-    c = c0.copy()
-    for j in range(n):
-        c = fmats[j] @ c + gvecs[j]
-        out[j + 1] = c
-    return out
+    x = np.empty((fmats.shape[0] + 1, c0.shape[0] + 1))
+    x[0] = np.append(c0, 1.0)
+    for step, xj, xnext in zip(_augmented(fmats, gvecs), x, x[1:]):
+        np.dot(step, xj, out=xnext)
+    return x[:, :-1]
 
 
 def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
@@ -105,14 +103,21 @@ def controlled_recurrence(fmats, gvecs, vvecs, avals, uvecs):
 
     fmats: (n, 4, 4); gvecs, vvecs, uvecs: (n, 4); avals: (n,). Starts from
     the zero state. Returns (states (n+1, 4), f (n,)).
+
+    On x_j = [c_j; 1; f̂_j], f̂_j = w_j·[c_j; 1] with w_j = [u_j; a_j], month
+    j has a clamped map with c rows [F_j, g_j] and an unclamped one with
+    [F_j, g_j] + v_j w_jᵀ. Row 5 of both is w_{j+1}ᵀ times the top 5x5 block
+    (zero in the last month), giving f̂_{j+1}; the sign of f̂_j picks the map.
     """
     n = fmats.shape[0]
-    out = np.zeros((n + 1, 4))
-    fs = np.empty(n)
-    c = out[0]
-    for j in range(n):
-        f = max(0.0, avals[j] + uvecs[j] @ c)
-        fs[j] = f
-        c = fmats[j] @ c + gvecs[j] + f * vvecs[j]
-        out[j + 1] = c
-    return out, fs
+    w = np.column_stack((uvecs, avals))
+    maps = np.zeros((2, n, 6, 6))   # clamped, unclamped
+    maps[:, :, :5, :5] = _augmented(fmats, gvecs)
+    maps[1, :, :4, :5] += vvecs[:, :, None] * w[:, None, :]
+    maps[:, :-1, 5, :5] = np.einsum("jb,kjbc->kjc", w[1:],
+                                    maps[:, :-1, :5, :5])
+    x = np.zeros((n + 1, 6))
+    x[0, 4:] = 1.0, avals[0]
+    for clamped, free, xj, xnext in zip(maps[0], maps[1], x, x[1:]):
+        np.dot(free if xj[5] > 0.0 else clamped, xj, out=xnext)
+    return x[:, :4], np.maximum(0.0, x[:-1, 5])

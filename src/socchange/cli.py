@@ -7,6 +7,7 @@ error. All outputs go under --out; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -149,6 +150,11 @@ def cmd_control(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    option, values = (("--soc", [args.soc]) if args.inputs is None
+                      else ("--inputs", args.inputs))
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{option} must be finite, got "
+                          f"{' '.join(map(str, values))}")
     config = load_config(args.config)
     scenario = build_scenario(config)
     mats = scenario.mats

@@ -29,6 +29,8 @@ KC_VEGETATED = 0.6
 
 DEFAULT_BARE_MONTHS = 4.0
 
+ABSOLUTE_ZERO_C = -273.15
+
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _MONTH_DAYS_LEAP = np.array([31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
@@ -65,13 +67,15 @@ def thornthwaite_pet(monthly_temps, day_lengths_h, month_days) -> Array:
     if np.any(ld <= 0):
         raise DataError("day lengths must be positive")
     positive = temps > 0.0
-    heat = np.sum((temps[positive] / 5.0) ** 1.5)   # float64: powers overflow to inf
-    if heat == 0.0:
-        return np.zeros(12)
-    a = 6.7e-7 * heat**3 - 7.7e-5 * heat**2 + 1.8e-2 * heat + 0.49
-    pet = np.zeros(12)
-    pet[positive] = (16.0 * (ld[positive] / 12.0) * (nm[positive] / 30.0)
-                     * (10.0 * temps[positive] / heat) ** a)
+    # float64 powers of extreme temperatures overflow to inf, caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        heat = np.sum((temps[positive] / 5.0) ** 1.5)
+        if heat == 0.0:
+            return np.zeros(12)
+        a = 6.7e-7 * heat**3 - 7.7e-5 * heat**2 + 1.8e-2 * heat + 0.49
+        pet = np.zeros(12)
+        pet[positive] = (16.0 * (ld[positive] / 12.0) * (nm[positive] / 30.0)
+                         * (10.0 * temps[positive] / heat) ** a)
     if not np.all(np.isfinite(pet)):   # heat**2 overflows: a is inf - inf
         raise DataError(f"Thornthwaite PET is not finite for monthly "
                         f"temperatures up to {temps.max()} degC")
@@ -235,6 +239,12 @@ class ClimateSeries:
         nyears = temp.shape[0]
         if temp.shape != (nyears, 12) or rain.shape != temp.shape:
             raise DataError("temperature and rainfall must be (nyears, 12)")
+        cold = np.argwhere(temp < ABSOLUTE_ZERO_C)
+        if cold.size:
+            i, m = cold[0]
+            raise DataError(f"temperature below absolute zero, "
+                            f"{float(temp[i, m])!r} degC in "
+                            f"{start_year + i}-{m + 1:02d}")
         ndays = np.stack([month_lengths(start_year + i) for i in range(nyears)])
         if pet is None:
             pet_arr = np.empty_like(temp)

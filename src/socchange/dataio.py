@@ -436,20 +436,28 @@ def write_control(path, schedule: ControlSchedule) -> None:
                np.cumsum(schedule.f * schedule.meta["dt"]))
 
 
+_WRITE_BLOCK_ROWS = 2048
+
+
 def _write_csv(path, meta_line: str, header: str, *columns: Array) -> None:
     """Write one row per sample: integer columns as integers, floats as the
     shortest decimal that round-trips exactly.
 
-    Raises NumericsError, before anything is written, if a value is not
-    finite.
+    Rows are formatted and written in blocks of ``_WRITE_BLOCK_ROWS``, so
+    memory does not grow with the row count. Raises NumericsError, before
+    the file is opened, if a value is not finite.
     """
     path = Path(path)
-    if not np.all(np.isfinite(np.column_stack(columns))):
+    if not all(np.all(np.isfinite(column)) for column in columns):
         raise NumericsError(f"non-finite value in the output for {path}; "
                             "nothing written")
-    rows = [",".join(map(repr, row))
-            for row in zip(*(column.tolist() for column in columns))]
     try:
-        path.write_text("\n".join([meta_line, header, *rows]) + "\n")
+        with path.open("w") as out:
+            out.write(f"{meta_line}\n{header}\n")
+            for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+                rows = zip(*(column[start:start + _WRITE_BLOCK_ROWS].tolist()
+                             for column in columns))
+                out.write("\n".join(",".join(map(repr, row)) for row in rows)
+                          + "\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None

@@ -1,7 +1,8 @@
 """Step-by-step loop forms of the kernels in socchange._kernels.
 
-The closed-form kernels compute these recurrences as matrix powers; the loops
-take one step at a time and are the reference the kernel tests compare against.
+The kernels compute these recurrences as matrix powers or as one augmented
+map per month; the loops take one plain step at a time and are the reference
+the kernel tests compare against.
 The control loop here writes the feedback law from α, β, δ, φ(-τk) and the
 clamp; the engine steps the same law as a clamped affine input.
 The one-step maps take F and φ from the production builder
@@ -49,6 +50,17 @@ def maintenance_rate(delta_c, rho, ghat, np_ratio, epsilon, T, rho0, delta, k):
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
     bracket = delta * float(np.asarray(k) @ np.asarray(delta_c)) + 1.0 / (T * rho0)
     return rho * bracket / (1.0 - epsilon) - epsilon * np_ratio * ghat / (1.0 - epsilon)
+
+
+def affine_recurrence(fmats, gvecs, c0):
+    n = fmats.shape[0]
+    out = np.empty((n + 1, 4))
+    out[0] = c0
+    c = c0.copy()
+    for j in range(n):
+        c = fmats[j] @ c + gvecs[j]
+        out[j + 1] = c
+    return out
 
 
 def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):

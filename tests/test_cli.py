@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import socchange as sc
 from socchange.climate import KA_OFFSET
@@ -303,6 +303,19 @@ class TestEquilibriumCommand:
         assert main(["equilibrium", str(config), "--soc", "1.0"]) == 3
         assert "negative" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["--soc", "nan"], ["--soc", "inf"], ["--soc=-inf"],
+        ["--inputs", "nan", "0"], ["--inputs", "1", "inf"]])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
+                                                argv):
+        # argparse takes "-inf" after a space for an option, hence --soc=-inf
+        config = write_scenario_inputs(tmp_path)
+        assert main(["equilibrium", str(config)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:"), err
+        assert len(err.splitlines()) == 1, err
+
 
 class TestVersion:
     def test_version_prints_scheme_identifiers(self, capsys):
@@ -319,7 +332,7 @@ _DEMO_POLE = float(np.loadtxt(DEMO / "climate.csv", delimiter=",", skiprows=1,
 
 _EXTREME_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
-                     "1e120"]),
+                     "1e120", "-300"]),
     st.floats(-1e-3, 1e-3).map(lambda d: repr(_DEMO_POLE + d)))
 
 _FUZZED_CELL = st.one_of(
@@ -359,10 +372,16 @@ def _written_values_finite(out: Path) -> bool:
 
 
 class TestFuzzedInputs:
+    # a numeric warning is a failure here, as under the CI package job
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=50, deadline=None)
     @given(cell=_FUZZED_CELL, value=_EXTREME_CELLS)
+    @example(cell=("climate.csv", "2005,3,", "temp_c"), value="-1e300")
+    @example(cell=("climate.csv", "2010,7,", "temp_c"), value="-300")
+    @example(cell=("climate.csv", "2010,7,", "temp_c"), value="1e300")
     def test_one_extreme_cell_never_yields_non_finite_output(self, cell,
                                                             value):
+        # an error is one stderr line; a success writes only finite values
         name, row_prefix, column = cell
         with tempfile.TemporaryDirectory() as tmp:
             config, _ = _demo_with_cell(Path(tmp), name, row_prefix, column,
@@ -370,11 +389,16 @@ class TestFuzzedInputs:
             for command in (["simulate"], ["sensitivity", "--param", "temp1"],
                             ["control", "--epsilon", "0.5"]):
                 out = Path(tmp) / command[0]
-                code = main([command[0], str(config), *command[1:],
-                             "--out", str(out)])
-                assert code in (0, 1, 2, 3)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command[0], str(config), *command[1:],
+                                 "--out", str(out)])
                 if code == 0:
                     assert _written_values_finite(out), (command, cell, value)
+                else:
+                    assert code in (1, 2, 3), (command, cell, value)
+                    assert len(err.getvalue().splitlines()) == 1, \
+                        err.getvalue()
 
     @settings(max_examples=40, deadline=None)
     @given(edit=_CONFIG_EDIT, command=st.sampled_from(_FUZZED_COMMANDS))

@@ -56,13 +56,14 @@ class TestThornthwaite:
         with pytest.raises(DataError):
             sc.thornthwaite_pet(np.full(12, 10.0), np.zeros(12), N_2006)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("hot", [1e120, 1e300])
     def test_overflowing_heat_index_rejected(self, hot):
-        # a NaN PET would otherwise clamp the whole year's deficit to M
+        # a NaN PET would otherwise clamp the whole year's deficit to M; the
+        # overflow itself is no RuntimeWarning
         temps = np.full(12, 10.0)
         temps[6] = hot
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DataError, match="not finite"):
+        with pytest.raises(DataError, match="not finite"):
             sc.thornthwaite_pet(temps, np.full(12, 12.0), N_2006)
 
 

@@ -49,6 +49,19 @@ class TestLoadClimate:
         with pytest.raises(DataError, match="line 4"):
             sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
 
+    @pytest.mark.parametrize("temp", ["-300", "-273.16", "-1e300"])
+    def test_temperature_below_absolute_zero_names_month(self, tmp_path,
+                                                         site50, temp):
+        climate = synthetic_climate(2006, 2, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        cells = lines[15].split(",")   # 2007-03, after the header
+        cells[2] = temp
+        lines[15] = ",".join(cells)
+        (tmp_path / "cold.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="absolute zero.* 2007-03"):
+            sc.load_climate(tmp_path / "cold.csv", site50, latitude_deg=41.0)
+
     def test_pet_column_skips_thornthwaite(self, tmp_path, site50):
         climate = synthetic_climate(2005, 2, site50, seed=3)
         write_climate_csv(tmp_path / "with_pet.csv", climate, with_pet=True)
@@ -280,6 +293,36 @@ class TestWriters:
         with pytest.raises(NumericsError, match="non-finite"):
             getattr(sc, f"write_{writer}")(out, result)
         assert not out.exists()
+
+    def test_blocks_past_the_first_write_the_same_bytes(self, tmp_path):
+        # rows are written 2 048 at a time; the file is the one-join form
+        n = 2 * 2048 + 5
+        rng = np.random.default_rng(8)
+        states = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-30, 30,
+                                                                   (n, 4))
+        traj = sc.Trajectory(t=np.arange(n) / 3.0,
+                             year=2005 + np.arange(n) // 12,
+                             month=np.arange(n) % 12 + 1, states=states,
+                             totals=states.sum(axis=1), scheme="nonstandard",
+                             mode="delta", meta={"scheme": "nonstandard"})
+        out = tmp_path / "long.csv"
+        sc.write_trajectory(out, traj)
+        rows = [",".join(map(repr, row)) for row in zip(
+            traj.year.tolist(), traj.month.tolist(), traj.t.tolist(),
+            *traj.states.T.tolist(), traj.totals.tolist())]
+        lines = out.read_text().splitlines()
+        expected = "\n".join([lines[0],
+                              "year,month,t_months,dpm,rpm,bio,hum,total",
+                              *rows]) + "\n"
+        assert out.read_bytes() == expected.encode()
+        assert len(lines) == n + 2
+
+    def test_unwritable_path_is_a_data_error(self, tmp_path, arable_scenario):
+        traj = sc.simulate(arable_scenario)
+        with pytest.raises(DataError, match="cannot write"):
+            sc.write_trajectory(tmp_path / "missing" / "t.csv", traj)
+        with pytest.raises(DataError, match="cannot write"):
+            sc.write_trajectory(tmp_path, traj)
 
     def test_metadata_line_carries_scheme_and_hash(self, tmp_path,
                                                    arable_scenario):

@@ -1,11 +1,18 @@
-"""The closed-form kernels agree with their step-by-step loop oracles.
+"""The kernels agree with their step-by-step loop oracles.
 
-Tolerances are relative to the largest oracle value. Matrix powers sum in a
-different order than the loops; the measured gap is below 2e-13 up to 1 200
-steps per call and below 5e-12 over 240 000 steps, so the bounds are
-1e-12 and 1e-10. The control loop is checked through ``simulate_controlled``,
-which steps the oracle's feedback law as a clamped affine input: states and
-f0 within 1e-12 × max(1, max|oracle|), the clamped months identical.
+The month loops step augmented maps: ``affine_recurrence`` applies
+[[F, g], [0, 1]] to [c; 1], the same sums in the same order as c <- F c + g,
+so it equals its oracle bit for bit. ``controlled_recurrence`` carries the
+unclamped factor f̂ = a + u·c as a sixth entry that row 5 of each month's map
+predicts for the next month, so f̂ is rounded differently from the oracle's
+feedback law, written from α, β, δ, φ(-τk) and the clamp and checked through
+``simulate_controlled``: states and f0 within 1e-12 × max(1, max|oracle|),
+the clamped months identical, up to 1 200 months.
+
+The closed-form kernels are checked relative to the largest oracle value.
+Matrix powers sum in a different order than the loops; the measured gap is
+below 2e-13 up to 1 200 steps per call and below 5e-12 over 240 000 steps, so
+the bounds are 1e-12 and 1e-10.
 """
 
 import numpy as np
@@ -82,6 +89,9 @@ def _sub_monthly_step(dt, rho=0.9, r=0.67):
 class TestPathEquivalence:
     def test_affine_recurrence(self):
         fmats, gvecs, c0 = _random_setup(0)
+        np.testing.assert_array_equal(
+            _kernels.affine_recurrence(fmats, gvecs, c0),
+            oracle.affine_recurrence(fmats, gvecs, c0))
         # constant coefficients: the same steps as the constant-F oracle
         const = np.repeat(fmats[:1], 24, axis=0)
         gconst = np.repeat(gvecs[:1], 24, axis=0)
@@ -92,6 +102,23 @@ class TestPathEquivalence:
         gfixed = np.einsum("jab,b->ja", np.eye(4) - fmats, c0)
         states = _kernels.affine_recurrence(fmats, gfixed, c0)
         np.testing.assert_allclose(states, np.tile(c0, (25, 1)), rtol=1e-14)
+
+    def test_affine_recurrence_on_a_century(self, monkeypatch):
+        # the months simulate steps, 1 200 of them, bit for bit
+        kernel = _kernels.affine_recurrence
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "affine_recurrence", recorded)
+        scenario = make_scenario(r=0.67, horizon=100, seed=7)
+        for mode in ("delta", "absolute"):
+            states = sc.simulate(scenario, mode=mode).states
+            assert states.shape == (1201, 4)
+            np.testing.assert_array_equal(states,
+                                          oracle.affine_recurrence(*calls[-1]))
 
     def test_affine_recurrence_const(self):
         fmats, gvecs, c0 = _random_setup(1, nsteps=1)
@@ -139,10 +166,12 @@ class TestPathEquivalence:
 
     def test_controlled_recurrence(self):
         for r in (1.44, 0.67, 0.25):
-            scenario = make_scenario(r=r, F0=0.5, P0=0.5, warming=0.15,
-                                     np_trend=0.0, seed=7)
-            for eps in (0.0, 0.2, 0.5, 0.8):
-                _assert_controlled_matches_oracle(scenario, eps)
+            for horizon in (14, 100):
+                scenario = make_scenario(r=r, F0=0.5, P0=0.5, warming=0.15,
+                                         np_trend=0.0, seed=7,
+                                         horizon=horizon)
+                for eps in (0.0, 0.2, 0.5, 0.8):
+                    _assert_controlled_matches_oracle(scenario, eps)
 
 
 def test_fewer_steps_than_one_stride_records_nothing():
