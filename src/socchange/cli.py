@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -26,8 +27,21 @@ from .stepping import simulate
 _SCHEME_IDS = "nonstandard(F,phi) rothc_discrete(F,dt)"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative float literal (-1e-3, -inf) after an option as a value.
+
+    argparse's own pattern knows only -1 and -1.5; subcommands inherit this.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="socchange",
         description="Scenario engine for the normalized SOC change index")
     parser.add_argument("--version", action="version",

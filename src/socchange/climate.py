@@ -9,7 +9,6 @@ DPM/RPM ratio for sensitivity analysis).
 
 from __future__ import annotations
 
-import calendar
 import math
 from dataclasses import dataclass
 
@@ -35,47 +34,62 @@ _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _MONTH_DAYS_LEAP = np.array([31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def month_lengths(year: int) -> Array:
-    """Days per calendar month of a year (Feb = 29 in leap years)."""
-    return (_MONTH_DAYS_LEAP if calendar.isleap(year) else _MONTH_DAYS).copy()
+def _is_leap(year) -> Array:
+    year = np.asarray(year)
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
 
 
-def day_lengths(latitude_deg: float, year: int) -> Array:
-    """Monthly mean day length in hours from a solar-declination model."""
+def month_lengths(year) -> Array:
+    """Days per month (Feb = 29 in leap years); shape year.shape + (12,)."""
+    return np.where(_is_leap(year)[..., None], _MONTH_DAYS_LEAP, _MONTH_DAYS)
+
+
+def day_lengths(latitude_deg: float, year) -> Array:
+    """Monthly mean day length (h), solar model; shape year.shape + (12,)."""
     if not -90.0 <= latitude_deg <= 90.0:
         raise ConfigError(f"latitude must be in [-90, 90] deg, got {latitude_deg}")
-    ndays = month_lengths(year)
-    doy = np.arange(1, ndays.sum() + 1)
+    doy = np.arange(1, 367)
     decl = 0.409 * np.sin(2.0 * np.pi * doy / 365.0 - 1.39)
     cos_ws = np.clip(-math.tan(math.radians(latitude_deg)) * np.tan(decl), -1.0, 1.0)
     hours = (24.0 / math.pi) * np.arccos(cos_ws)
-    month_starts = np.cumsum(ndays) - ndays
-    return np.add.reduceat(hours, month_starts) / ndays
+    # one row per calendar, common then leap
+    by_calendar = np.stack([
+        np.add.reduceat(hours[:ndays.sum()], np.cumsum(ndays) - ndays) / ndays
+        for ndays in (_MONTH_DAYS, _MONTH_DAYS_LEAP)])
+    return by_calendar[_is_leap(year).astype(int)]
+
+
+def _monthly(*arrays) -> list[Array]:
+    """Broadcast float arrays whose last axis is the 12 months."""
+    try:
+        arrays = np.broadcast_arrays(*(np.asarray(a, float) for a in arrays))
+    except ValueError:
+        arrays = [np.empty(0)]
+    if arrays[0].shape[-1:] != (12,):
+        raise DataError("expected 12 monthly values on the last axis, with "
+                        "leading axes that broadcast")
+    return arrays
 
 
 def thornthwaite_pet(monthly_temps, day_lengths_h, month_days) -> Array:
     """Monthly potential evapotranspiration (mm) from mean temperatures.
 
-    Months with non-positive temperature contribute nothing to the heat
-    index and get pet = 0; a zero heat index yields an all-zero year.
+    Elementwise over leading (year) axes, months last. Months with
+    non-positive temperature contribute nothing to the heat index and get
+    pet = 0; a zero heat index yields an all-zero year.
     """
-    temps = np.asarray(monthly_temps, dtype=float)
-    ld = np.asarray(day_lengths_h, dtype=float)
-    nm = np.asarray(month_days, dtype=float)
-    if temps.shape != (12,) or ld.shape != (12,) or nm.shape != (12,):
-        raise DataError("thornthwaite_pet expects 12 monthly values per input")
+    temps, ld, nm = _monthly(monthly_temps, day_lengths_h, month_days)
     if np.any(ld <= 0):
         raise DataError("day lengths must be positive")
     positive = temps > 0.0
-    # float64 powers of extreme temperatures overflow to inf, caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        heat = np.sum((temps[positive] / 5.0) ** 1.5)
-        if heat == 0.0:
-            return np.zeros(12)
+    # float64 powers of extreme temperatures overflow to inf, caught below;
+    # cold months and zero-heat years are computed, then masked to 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        heat = np.sum(np.where(positive, temps / 5.0, 0.0) ** 1.5, axis=-1,
+                      keepdims=True)
         a = 6.7e-7 * heat**3 - 7.7e-5 * heat**2 + 1.8e-2 * heat + 0.49
-        pet = np.zeros(12)
-        pet[positive] = (16.0 * (ld[positive] / 12.0) * (nm[positive] / 30.0)
-                         * (10.0 * temps[positive] / heat) ** a)
+        pet = 16.0 * (ld / 12.0) * (nm / 30.0) * (10.0 * temps / heat) ** a
+    pet = np.where(positive & (heat > 0.0), pet, 0.0)
     if not np.all(np.isfinite(pet)):   # heat**2 overflows: a is inf - inf
         raise DataError(f"Thornthwaite PET is not finite for monthly "
                         f"temperatures up to {temps.max()} degC")
@@ -101,28 +115,24 @@ def max_deficit(cly: float, d: float) -> SiteMoisture:
 
 
 def accumulated_deficit(rain, pet, M: float) -> Array:
-    """Accumulated soil moisture deficit for one year of monthly data.
+    """Accumulated soil moisture deficit over years of monthly data.
 
-    Zero through the leading run of months with pet <= rain; from the first
-    month where pet exceeds rain the running balance rain - pet accrues,
-    clamped to [M, 0]. Resets each year.
+    Elementwise over leading (year) axes, months last. Zero through the
+    leading run of months with pet <= rain; from the first month where pet
+    exceeds rain the running balance rain - pet accrues, clamped to [M, 0].
+    Resets each year.
     """
-    rain = np.asarray(rain, dtype=float)
-    pet = np.asarray(pet, dtype=float)
-    if rain.shape != (12,) or pet.shape != (12,):
-        raise DataError("accumulated_deficit expects 12 monthly values")
+    rain, pet = _monthly(rain, pet)
     if M > 0:
         raise ConfigError(f"maximum deficit M must be <= 0, got {M}")
-    acc = np.zeros(12)
-    started = False
-    prev = 0.0
+    acc = np.zeros(rain.shape)
+    started = np.zeros(rain.shape[:-1], dtype=bool)
+    prev = np.zeros(rain.shape[:-1])
     for m in range(12):
-        if not started:
-            if pet[m] <= rain[m]:
-                continue
-            started = True
-        prev = min(max(M, prev + rain[m] - pet[m]), 0.0)
-        acc[m] = prev
+        started |= pet[..., m] > rain[..., m]
+        prev = np.where(started, np.minimum(
+            np.maximum(M, prev + rain[..., m] - pet[..., m]), 0.0), 0.0)
+        acc[..., m] = prev
     return acc
 
 
@@ -245,23 +255,20 @@ class ClimateSeries:
             raise DataError(f"temperature below absolute zero, "
                             f"{float(temp[i, m])!r} degC in "
                             f"{start_year + i}-{m + 1:02d}")
-        ndays = np.stack([month_lengths(start_year + i) for i in range(nyears)])
-        if pet is None:
-            pet_arr = np.empty_like(temp)
-            for i in range(nyears):
-                if day_lengths_h is not None:
-                    ld = np.asarray(day_lengths_h, dtype=float)
-                    ld_i = ld[i] if ld.ndim == 2 else ld
-                elif latitude_deg is not None:
-                    ld_i = day_lengths(latitude_deg, start_year + i)
-                else:
-                    raise ConfigError(
-                        "PET missing: provide pet, day lengths, or latitude")
-                pet_arr[i] = thornthwaite_pet(temp[i], ld_i, ndays[i])
+        years = start_year + np.arange(nyears)
+        ndays = month_lengths(years)
+        if pet is not None:
+            pet_arr = np.asarray(pet, dtype=float)
+        elif day_lengths_h is not None:
+            pet_arr = thornthwaite_pet(temp, day_lengths_h, ndays)
+        elif latitude_deg is not None:
+            pet_arr = thornthwaite_pet(temp, day_lengths(latitude_deg, years),
+                                       ndays)
         else:
-            pet_arr = np.atleast_2d(np.asarray(pet, dtype=float))
-            if pet_arr.shape != temp.shape:
-                raise DataError("pet must match temperature shape")
+            raise ConfigError("PET missing: provide pet, day lengths, or latitude")
+        pet_arr = np.atleast_2d(pet_arr)
+        if pet_arr.shape != temp.shape:
+            raise DataError("pet must match temperature shape")
         for name, values in (("rain", rain), ("pet", pet_arr)):
             bad = np.argwhere(~(values >= 0))   # negative or NaN
             if bad.size:
@@ -269,8 +276,7 @@ class ClimateSeries:
                 raise DataError(f"{name} must be >= 0 mm, got "
                                 f"{float(values[i, m])!r} in "
                                 f"{start_year + i}-{m + 1:02d}")
-        acc = np.stack([accumulated_deficit(rain[i], pet_arr[i], site.M)
-                        for i in range(nyears)])
+        acc = accumulated_deficit(rain, pet_arr, site.M)
         return cls(start_year=start_year, temp=temp, rain=rain,
                    pet=pet_arr, acc=acc, month_days=ndays)
 

@@ -52,30 +52,34 @@ def _parse_int(text: str, path, line_no: int, column: str) -> int:
             f"{path}: line {line_no}: non-integer {column!r} value {text!r}") from None
 
 
-def _csv_fields(reader: csv.DictReader, path) -> list[str]:
+def _read_table(path, kind: str, required) -> tuple[dict[str, int], list]:
+    """Read a CSV table with a header row.
+
+    Returns the column index of each stripped header name, and the data
+    rows as (line number, cells) pairs, blank rows skipped. Raises
+    DataError for an unreadable or empty file, malformed CSV, a header
+    without a ``required`` column, or a row shorter than the header.
+    """
     try:
-        names = reader.fieldnames
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} {path}: {exc}") from None
+    reader = csv.reader(text.splitlines())
+    try:
+        header = next(reader, None)
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from None
-    if names is None:
+    if header is None:
         raise DataError(f"{path}: empty file")
-    return [f.strip() for f in names]
-
-
-def _csv_rows(reader: csv.DictReader, path):
-    """Yield (line_no, row), converting csv-module failures to DataError."""
-    line_no = 1
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise DataError(f"{path}: malformed CSV: {exc}") from None
-        line_no += 1
-        if any(v is None for v in row.values()):
+    columns = {name.strip(): i for i, name in enumerate(header)}
+    if not set(required).issubset(columns):
+        raise DataError(f"{path}: header must contain {list(required)}, "
+                        f"got {list(columns)}")
+    for line_no, row in rows:
+        if len(row) < len(header):
             raise DataError(f"{path}: line {line_no}: too few columns")
-        yield line_no, row
+    return columns, rows
 
 
 def load_climate(path, site: SiteMoisture,
@@ -85,79 +89,51 @@ def load_climate(path, site: SiteMoisture,
     Expected header: year,month,temp_c,rain_mm[,pet_mm][,daylength_h].
     The series must cover whole contiguous years.
     """
-    path = Path(path)
-    records: dict[tuple[int, int], tuple] = {}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read climate file {path}: {exc}") from None
-    reader = csv.DictReader(text.splitlines())
-    fields = _csv_fields(reader, path)
-    required = {"year", "month", "temp_c", "rain_mm"}
-    if not required.issubset(fields):
-        raise DataError(f"{path}: header must contain {sorted(required)}, "
-                        f"got {fields}")
-    has_pet = "pet_mm" in fields
-    has_daylen = "daylength_h" in fields
-    for line_no, row in _csv_rows(reader, path):
-        year = _parse_int(row["year"], path, line_no, "year")
-        month = _parse_int(row["month"], path, line_no, "month")
+    columns, rows = _read_table(path, "climate file",
+                                ("year", "month", "temp_c", "rain_mm"))
+    names = [name for name in ("temp_c", "rain_mm", "pet_mm", "daylength_h")
+             if name in columns]
+    cells: dict[int, int] = {}   # months since year 0 -> row of values
+    values = []
+    for line_no, row in rows:
+        year = _parse_int(row[columns["year"]], path, line_no, "year")
+        month = _parse_int(row[columns["month"]], path, line_no, "month")
         if not 1 <= month <= 12:
             raise DataError(f"{path}: line {line_no}: month {month} outside 1..12")
-        if (year, month) in records:
+        if year * 12 + month - 1 in cells:
             raise DataError(f"{path}: line {line_no}: duplicate month "
                             f"{year}-{month:02d}")
-        temp = _parse_float(row["temp_c"], path, line_no, "temp_c")
-        rain = _parse_float(row["rain_mm"], path, line_no, "rain_mm")
-        pet = (_parse_float(row["pet_mm"], path, line_no, "pet_mm")
-               if has_pet else None)
-        dlen = (_parse_float(row["daylength_h"], path, line_no, "daylength_h")
-                if has_daylen else None)
-        records[(year, month)] = (temp, rain, pet, dlen)
-    if not records:
+        cells[year * 12 + month - 1] = len(values)
+        values.append([_parse_float(row[columns[name]], path, line_no, name)
+                       for name in names])
+    if not values:
         raise DataError(f"{path}: no data rows")
-    years = sorted({y for y, _ in records})
-    start_year = years[0]
-    if years != list(range(start_year, years[-1] + 1)):
-        missing = sorted(set(range(start_year, years[-1] + 1)) - set(years))
-        raise DataError(f"{path}: gap at {missing[0]}-01")
-    for y in years:
-        for m in range(1, 13):
-            if (y, m) not in records:
-                raise DataError(f"{path}: gap at {y}-{m:02d}")
-    nyears = len(years)
-    temp = np.empty((nyears, 12))
-    rain = np.empty((nyears, 12))
-    pet = np.empty((nyears, 12)) if has_pet else None
-    dlen = np.empty((nyears, 12)) if has_daylen else None
-    for (y, m), (tv, rv, pv, dv) in records.items():
-        i = y - start_year
-        temp[i, m - 1] = tv
-        rain[i, m - 1] = rv
-        if has_pet:
-            pet[i, m - 1] = pv
-        if has_daylen:
-            dlen[i, m - 1] = dv
-    return ClimateSeries.build(start_year, temp, rain, site, pet=pet,
-                               latitude_deg=latitude_deg, day_lengths_h=dlen)
+    # whole contiguous years: the k-th month in calendar order is k months
+    # after January of the first year, and the count is a multiple of 12
+    start_year = min(cells) // 12
+    order = sorted(cells)
+    gap = next((k for k, cell in enumerate(order)
+                if cell != start_year * 12 + k), len(order))
+    if gap < len(order) or gap % 12:
+        raise DataError(f"{path}: gap at {start_year + gap // 12}-"
+                        f"{gap % 12 + 1:02d}")
+    table = np.array(values)[[cells[cell] for cell in order]]
+    grid = dict(zip(names, table.T.reshape(len(names), -1, 12)))
+    return ClimateSeries.build(start_year, grid["temp_c"], grid["rain_mm"],
+                               site, pet=grid.get("pet_mm"),
+                               latitude_deg=latitude_deg,
+                               day_lengths_h=grid.get("daylength_h"))
 
 
 def load_npp(path, baseline_year: int) -> dict[int, float]:
     """Load annual NPP and normalize by the baseline year (ratio 1 there)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read NPP file {path}: {exc}") from None
-    reader = csv.DictReader(text.splitlines())
-    if not {"year", "npp"}.issubset(_csv_fields(reader, path)):
-        raise DataError(f"{path}: header must contain year,npp")
+    columns, rows = _read_table(path, "NPP file", ("year", "npp"))
     values: dict[int, float] = {}
-    for line_no, row in _csv_rows(reader, path):
-        year = _parse_int(row["year"], path, line_no, "year")
+    for line_no, row in rows:
+        year = _parse_int(row[columns["year"]], path, line_no, "year")
         if year in values:
             raise DataError(f"{path}: line {line_no}: duplicate year {year}")
-        values[year] = _parse_float(row["npp"], path, line_no, "npp")
+        values[year] = _parse_float(row[columns["npp"]], path, line_no, "npp")
     if baseline_year not in values:
         raise DataError(f"{path}: baseline year {baseline_year} missing")
     base = values[baseline_year]
@@ -170,37 +146,32 @@ def load_density_table(path):
     """Load plant-input densities and cover schedules keyed by land class.
 
     Expected header: month,forest,grassland,arable plus optional cover_<class>
-    columns; rows may appear in any order (keyed by month). Returns
-    (densities, covers) dicts.
+    columns, each cover factor in (0, 1]; rows may appear in any order
+    (keyed by month). Returns (densities, covers) dicts.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read density table {path}: {exc}") from None
-    reader = csv.DictReader(text.splitlines())
-    fields = _csv_fields(reader, path)
-    if "month" not in fields:
-        raise DataError(f"{path}: header must contain a month column")
-    classes = [c for c in LAND_CLASSES if c in fields]
+    columns, rows = _read_table(path, "density table", ("month",))
+    classes = [c for c in LAND_CLASSES if c in columns]
     if not classes:
         raise DataError(f"{path}: no land-class columns found")
-    cover_cols = [f for f in fields if f.startswith("cover_")]
+    cover_cols = [name for name in columns if name.startswith("cover_")]
     dens = {c: np.full(12, np.nan) for c in classes}
     covers = {c.removeprefix("cover_"): np.full(12, np.nan) for c in cover_cols}
     seen = set()
-    for line_no, row in _csv_rows(reader, path):
-        m = _parse_int(row["month"], path, line_no, "month")
+    for line_no, row in rows:
+        m = _parse_int(row[columns["month"]], path, line_no, "month")
         if not 1 <= m <= 12:
             raise DataError(f"{path}: line {line_no}: month {m} outside 1..12")
         if m in seen:
             raise DataError(f"{path}: line {line_no}: duplicate month {m}")
         seen.add(m)
         for c in classes:
-            dens[c][m - 1] = _parse_float(row[c], path, line_no, c)
+            dens[c][m - 1] = _parse_float(row[columns[c]], path, line_no, c)
         for col in cover_cols:
-            covers[col.removeprefix("cover_")][m - 1] = _parse_float(
-                row[col], path, line_no, col)
+            cover = _parse_float(row[columns[col]], path, line_no, col)
+            if not 0.0 < cover <= 1.0:
+                raise DataError(f"{path}: line {line_no}: {col!r} value "
+                                f"{cover!r} outside (0, 1]")
+            covers[col.removeprefix("cover_")][m - 1] = cover
     if len(seen) != 12:
         missing = sorted(set(range(1, 13)) - seen)
         raise DataError(f"{path}: missing month {missing[0]}")

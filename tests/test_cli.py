@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import contextlib
+import functools
 import io
 import math
 import re
@@ -20,6 +21,7 @@ from conftest import write_scenario_inputs
 
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+DATA = Path(__file__).parent / "data"
 
 
 def _read_totals(path):
@@ -33,6 +35,8 @@ def _demo_with_cell(tmp_path, name, row_prefix, column, value):
     Returns (config path, line number of the edited row)."""
     for path in DEMO.iterdir():
         shutil.copy(path, tmp_path / path.name)
+    if column in ("pet_mm", "daylength_h"):
+        (tmp_path / name).write_text(_demo_climate_with(column))
     lines = (tmp_path / name).read_text().splitlines()
     col = lines[0].split(",").index(column)
     line_no = next(i for i, line in enumerate(lines, 1)
@@ -42,6 +46,20 @@ def _demo_with_cell(tmp_path, name, row_prefix, column, value):
     lines[line_no - 1] = ",".join(cells)
     (tmp_path / name).write_text("\n".join(lines) + "\n")
     return tmp_path / "scenario.cfg", line_no
+
+
+@functools.cache
+def _demo_climate_with(column):
+    """The demo climate CSV with a pet_mm or daylength_h column added, filled
+    with the values the demo derives from its latitude."""
+    config = sc.load_config(DEMO / "scenario.cfg")
+    series = sc.build_scenario(config).climate
+    extra = (series.pet if column == "pet_mm"
+             else sc.climate.day_lengths(config.latitude_deg, series.years))
+    lines = (DEMO / "climate.csv").read_text().splitlines()
+    rows = [f"{line},{value!r}"
+            for line, value in zip(lines[1:], extra.ravel().tolist())]
+    return "\n".join([f"{lines[0]},{column}"] + rows) + "\n"
 
 
 def _demo_with_key(tmp_path, key, value):
@@ -115,6 +133,35 @@ class TestSimulateCommand:
         assert "2008-03" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spaces_after_header_commas_change_nothing(self, tmp_path):
+        out = {}
+        for variant in ("plain", "spaced"):
+            site = tmp_path / variant
+            site.mkdir()
+            for path in DEMO.iterdir():
+                lines = path.read_text().splitlines()
+                if variant == "spaced" and path.suffix == ".csv":
+                    lines[0] = lines[0].replace(",", ", ")
+                (site / path.name).write_text("\n".join(lines) + "\n")
+            assert main(["simulate", str(site / "scenario.cfg"),
+                         "--out", str(site / "out")]) == 0
+            out[variant] = (site / "out" / "trajectory.csv").read_bytes()
+        assert out["spaced"] == out["plain"]
+
+    @pytest.mark.parametrize("cover", ["-5", "0"])
+    def test_cover_outside_unit_interval_exits_two(self, tmp_path, capsys,
+                                                   cover):
+        table = (DATA / "density_table1.csv").read_text().replace(
+            "1,0.025,0.05,0.0,0.6", f"1,0.025,0.05,0.0,{cover}")
+        (tmp_path / "density.csv").write_text(table)
+        config = _demo_with_key(tmp_path, "density_csv", "density.csv")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: 'cover_arable'" in err and "outside (0, 1]" in err
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
                                        plant_input_tc_ha_yr=0.5)
@@ -167,14 +214,18 @@ class TestConfigValues:
         assert f"key {key!r}: non-finite value" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dt", ["nan", "0", "inf", "-inf", "-1", "1.5"])
+    @pytest.mark.parametrize("dt", ["nan", "0", "inf", "-inf", "-1", "1.5",
+                                    "-1e-3"])
     def test_sensitivity_step_outside_one_month_exits_one(self, tmp_path,
                                                           capsys, dt):
         out = tmp_path / "out"
-        assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
-                     "temp1", f"--dt={dt}", "--out", str(out)]) == 1
-        assert "sensitivity step must be in (0, 1]" in capsys.readouterr().err
-        assert not out.exists()
+        for option in ([f"--dt={dt}"], ["--dt", dt]):
+            assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
+                         "temp1", *option, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: sensitivity step "
+                                  "must be in (0, 1]"), err
+            assert not out.exists()
 
     @pytest.mark.parametrize("key", ["plant_input_tc_ha_yr",
                                      "fym_baseline_tc_ha_yr",
@@ -306,10 +357,11 @@ class TestEquilibriumCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["--soc", "nan"], ["--soc", "inf"], ["--soc=-inf"],
-        ["--inputs", "nan", "0"], ["--inputs", "1", "inf"]])
+        ["--inputs", "nan", "0"], ["--inputs", "1", "inf"],
+        ["--soc", "-1e-3"], ["--soc", "-inf"], ["--inputs", "1", "-inf"]])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
                                                 argv):
-        # argparse takes "-inf" after a space for an option, hence --soc=-inf
+        # a negative value after a space is a value, not an option
         config = write_scenario_inputs(tmp_path)
         assert main(["equilibrium", str(config)] + argv) == 1
         err = capsys.readouterr().err
@@ -339,7 +391,8 @@ _FUZZED_CELL = st.one_of(
     st.tuples(st.just("climate.csv"),
               st.builds("{},{},".format, st.integers(2005, 2019),
                         st.integers(1, 12)),
-              st.sampled_from(["temp_c", "rain_mm"])),
+              st.sampled_from(["temp_c", "rain_mm", "pet_mm",
+                               "daylength_h"])),
     st.tuples(st.just("npp.csv"),
               st.builds("{},".format, st.integers(2005, 2019)),
               st.just("npp")))
@@ -374,11 +427,15 @@ def _written_values_finite(out: Path) -> bool:
 class TestFuzzedInputs:
     # a numeric warning is a failure here, as under the CI package job
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(cell=_FUZZED_CELL, value=_EXTREME_CELLS)
     @example(cell=("climate.csv", "2005,3,", "temp_c"), value="-1e300")
     @example(cell=("climate.csv", "2010,7,", "temp_c"), value="-300")
     @example(cell=("climate.csv", "2010,7,", "temp_c"), value="1e300")
+    @example(cell=("climate.csv", "2010,7,", "pet_mm"), value="1e300")
+    @example(cell=("climate.csv", "2010,7,", "daylength_h"), value="1e300")
+    @example(cell=("climate.csv", "2010,7,", "daylength_h"), value="1e-300")
+    @example(cell=("climate.csv", "2006,1,", "daylength_h"), value="-300")
     def test_one_extreme_cell_never_yields_non_finite_output(self, cell,
                                                             value):
         # an error is one stderr line; a success writes only finite values

@@ -1,5 +1,6 @@
 """Thornthwaite PET, moisture deficit, and the three rate modifiers."""
 
+import calendar
 import math
 
 import numpy as np
@@ -430,3 +431,141 @@ class TestClimateSeries:
         climate = synthetic_climate(2005, 6, site50, seed=9)
         assert np.all(climate.acc <= 0.0)
         assert np.all(climate.acc >= site50.M)
+
+
+def _pet_year(temps, day_lengths_h, month_days):
+    """Reference: one year of Thornthwaite PET over the warm months only,
+    with a scalar heat index."""
+    pet = np.zeros(12)
+    warm = temps > 0.0
+    heat = sum((t / 5.0) ** 1.5 for t in temps[warm])
+    if heat == 0.0:
+        return pet
+    a = 6.7e-7 * heat**3 - 7.7e-5 * heat**2 + 1.8e-2 * heat + 0.49
+    pet[warm] = (16.0 * (day_lengths_h[warm] / 12.0)
+                 * (month_days[warm] / 30.0) * (10.0 * temps[warm] / heat) ** a)
+    return pet
+
+
+def _deficit_year(rain, pet, M):
+    """Reference: the per-month deficit loop over one year."""
+    acc = np.zeros(12)
+    started = False
+    prev = 0.0
+    for m in range(12):
+        if not started:
+            if pet[m] <= rain[m]:
+                continue
+            started = True
+        prev = min(max(M, prev + rain[m] - pet[m]), 0.0)
+        acc[m] = prev
+    return acc
+
+
+# common and leap years, century rules included
+_YEARS = np.array([1900, 2000, 2006, 2008, 2023, 2024])
+
+
+def _mixed_years(seed):
+    """Temperatures of six years: mixed-sign, all-warm and all-cold rows."""
+    temps = np.random.default_rng(seed).uniform(-8.0, 30.0, (6, 12))
+    temps[1] = np.abs(temps[1]) + 0.5
+    temps[4] = -np.abs(temps[4]) - 0.5   # zero heat index: a zero-PET year
+    return temps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWholeArrays:
+    """Calls over a (year, month) grid equal per-year calls and oracles."""
+
+    def test_month_lengths_per_year(self):
+        ndays = sc.climate.month_lengths(_YEARS)
+        assert ndays.shape == (6, 12)
+        np.testing.assert_array_equal(
+            ndays, [sc.climate.month_lengths(int(y)) for y in _YEARS])
+        np.testing.assert_array_equal(
+            ndays[:, 1], [28 + calendar.isleap(int(y)) for y in _YEARS])
+        assert sc.climate.month_lengths(_YEARS.reshape(2, 3)).shape == (2, 3, 12)
+
+    @pytest.mark.parametrize("lat", [-90.0, -41.0, 0.0, 41.0, 67.0, 90.0])
+    def test_day_lengths_per_year(self, lat):
+        ld = sc.climate.day_lengths(lat, _YEARS)
+        np.testing.assert_array_equal(
+            ld, [sc.climate.day_lengths(lat, int(y)) for y in _YEARS])
+        np.testing.assert_allclose(
+            ld, [_day_lengths_loop(lat, int(y)) for y in _YEARS],
+            rtol=0, atol=1e-13)
+        assert sc.climate.day_lengths(lat, _YEARS.reshape(3, 2)).shape == (3, 2, 12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pet_per_year(self, seed):
+        temps = _mixed_years(seed)
+        ld = sc.climate.day_lengths(41.0, _YEARS)
+        ndays = sc.climate.month_lengths(_YEARS)
+        pet = sc.thornthwaite_pet(temps, ld, ndays)
+        np.testing.assert_array_equal(
+            pet, [sc.thornthwaite_pet(temps[i], ld[i], ndays[i])
+                  for i in range(6)])
+        np.testing.assert_allclose(
+            pet, [_pet_year(temps[i], ld[i], ndays[i]) for i in range(6)],
+            rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(pet[4], np.zeros(12))
+        assert np.all(pet[temps <= 0.0] == 0.0)
+
+    def test_pet_day_lengths_broadcast_over_years(self):
+        temps = _mixed_years(3)
+        ndays = sc.climate.month_lengths(_YEARS)
+        ld = np.linspace(9.0, 15.0, 12)
+        np.testing.assert_array_equal(
+            sc.thornthwaite_pet(temps, ld, ndays),
+            sc.thornthwaite_pet(temps, np.tile(ld, (6, 1)), ndays))
+
+    def test_deficit_equals_month_loop(self):
+        rng = np.random.default_rng(4)
+        rain = rng.uniform(0.0, 100.0, (40, 12))
+        pet = rng.uniform(0.0, 100.0, (40, 12))
+        rain[0], pet[0] = 0.0, 10.0    # reaches M = -60 exactly in June
+        rain[1], pet[1] = 0.0, 30.0    # lands on M, then clamps
+        rain[2], pet[2] = 80.0, 50.0   # never starts
+        acc = sc.accumulated_deficit(rain, pet, -60.0)
+        np.testing.assert_array_equal(
+            acc, [_deficit_year(rain[i], pet[i], -60.0) for i in range(40)])
+        assert acc[0, 5] == acc[1, 1] == -60.0
+        np.testing.assert_array_equal(
+            sc.accumulated_deficit(rain.reshape(4, 10, 12),
+                                   pet.reshape(4, 10, 12), -60.0),
+            acc.reshape(4, 10, 12))
+
+    @pytest.mark.parametrize("daylength_shape", [(12,), (6, 12)])
+    def test_series_build_equals_per_year_calls(self, site50, daylength_shape):
+        temps = _mixed_years(5)
+        rain = np.random.default_rng(5).uniform(0.0, 90.0, (6, 12))
+        ld = np.broadcast_to(np.linspace(9.0, 15.0, 12), daylength_shape)
+        built = {
+            "latitude": sc.ClimateSeries.build(1900, temps, rain, site50,
+                                               latitude_deg=41.0),
+            "day lengths": sc.ClimateSeries.build(1900, temps, rain, site50,
+                                                  day_lengths_h=ld)}
+        years = np.arange(1900, 1906)
+        for route, series in built.items():
+            for i, year in enumerate(years):
+                ld_i = (sc.climate.day_lengths(41.0, int(year))
+                        if route == "latitude"
+                        else np.broadcast_to(ld, (6, 12))[i])
+                ndays = sc.climate.month_lengths(int(year))
+                np.testing.assert_array_equal(series.month_days[i], ndays)
+                np.testing.assert_array_equal(
+                    series.pet[i], sc.thornthwaite_pet(temps[i], ld_i, ndays))
+                np.testing.assert_array_equal(
+                    series.acc[i], _deficit_year(rain[i], series.pet[i],
+                                                 site50.M))
+
+    def test_shapes_that_do_not_broadcast_rejected(self, site50):
+        with pytest.raises(DataError, match="12 monthly values"):
+            sc.thornthwaite_pet(np.full(11, 10.0), np.full(11, 12.0), N_2006[:11])
+        with pytest.raises(DataError, match="12 monthly values"):
+            sc.accumulated_deficit(np.zeros((3, 12)), np.zeros((2, 12)), -60.0)
+        with pytest.raises(DataError, match="12 monthly values"):
+            sc.ClimateSeries.build(2005, np.full((2, 12), 10.0),
+                                   np.full((2, 12), 30.0), site50,
+                                   day_lengths_h=np.full((3, 12), 12.0))

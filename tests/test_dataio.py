@@ -107,8 +107,60 @@ class TestLoadClimate:
         with pytest.raises(DataError):
             sc.load_climate(tmp_path / "junk.csv", site50, latitude_deg=41.0)
 
+    def test_spaces_after_header_commas(self, tmp_path, site50):
+        climate = synthetic_climate(2005, 2, site50, seed=6)
+        write_climate_csv(tmp_path / "c.csv", climate, with_pet=True)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[0] = lines[0].replace(",", ", ")
+        (tmp_path / "spaced.csv").write_text("\n".join(lines) + "\n")
+        plain = sc.load_climate(tmp_path / "c.csv", site50)
+        spaced = sc.load_climate(tmp_path / "spaced.csv", site50)
+        for name in ("temp", "rain", "pet", "acc"):
+            np.testing.assert_array_equal(getattr(spaced, name),
+                                          getattr(plain, name))
+
+    def test_line_numbers_count_blank_lines(self, tmp_path, site50):
+        climate = synthetic_climate(2006, 1, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",n/a"
+        lines[1:1] = ["", ""]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 6: non-numeric"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
+
+
+_LOADERS = {
+    "climate": lambda path: sc.load_climate(path, sc.max_deficit(50.0, 23.0),
+                                            latitude_deg=41.0),
+    "npp": lambda path: sc.load_npp(path, 2005),
+    "density": sc.load_density_table,
+}
+_HEADERS = {"climate": "year,month,temp_c,rain_mm", "npp": "year,npp",
+            "density": "month,forest"}
+
+
+@pytest.mark.parametrize("loader", sorted(_LOADERS))
+@pytest.mark.parametrize("body, message", [
+    ("", "empty file"),
+    ("year,day\n2005,1\n", "header must contain"),
+    ("{header}\n\n2005\n", "line 3: too few columns"),
+    ("{header}\n" + "9" * 200_000 + "\n", "malformed CSV"),
+], ids=["empty", "header", "short-row", "oversized-field"])
+def test_table_reader_errors_shared_by_loaders(tmp_path, loader, body,
+                                               message):
+    (tmp_path / "t.csv").write_text(body.format(header=_HEADERS[loader]))
+    with pytest.raises(DataError, match=message):
+        _LOADERS[loader](tmp_path / "t.csv")
+
 
 class TestLoadNpp:
+    def test_spaces_after_header_commas(self, tmp_path):
+        rows = ["year, npp"] + [f"{2005 + n},{500.0 + n}" for n in range(3)]
+        (tmp_path / "npp.csv").write_text("\n".join(rows) + "\n")
+        assert sc.load_npp(tmp_path / "npp.csv", 2005) == {
+            2005: 1.0, 2006: 501.0 / 500.0, 2007: 502.0 / 500.0}
+
     def test_constant_column_gives_unit_ratios(self, tmp_path):
         rows = ["year,npp"] + [f"{2005 + n},512.5" for n in range(5)]
         (tmp_path / "npp.csv").write_text("\n".join(rows) + "\n")
@@ -157,6 +209,29 @@ class TestLoadDensityTable:
         (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DataError, match="month 12"):
             sc.load_density_table(tmp_path / "short.csv")
+
+    def test_spaces_after_header_commas(self, tmp_path):
+        lines = (DATA / "density_table1.csv").read_text().splitlines()
+        lines[0] = lines[0].replace(",", ", ")
+        (tmp_path / "spaced.csv").write_text("\n".join(lines) + "\n")
+        densities, covers = sc.load_density_table(tmp_path / "spaced.csv")
+        shipped, shipped_covers = sc.load_density_table(
+            DATA / "density_table1.csv")
+        for cls, density in shipped.items():
+            np.testing.assert_array_equal(densities[cls].proportions,
+                                          density.proportions)
+        np.testing.assert_array_equal(covers["arable"],
+                                      shipped_covers["arable"])
+
+    @pytest.mark.parametrize("cover", ["-5", "0", "0.0", "1.0000001", "2"])
+    def test_cover_outside_unit_interval_names_line_and_column(self, tmp_path,
+                                                               cover):
+        text = (DATA / "density_table1.csv").read_text()
+        (tmp_path / "bad.csv").write_text(
+            text.replace("1,0.025,0.05,0.0,0.6", f"1,0.025,0.05,0.0,{cover}"))
+        with pytest.raises(DataError,
+                           match=r"line 2: 'cover_arable' .* outside \(0, 1\]"):
+            sc.load_density_table(tmp_path / "bad.csv")
 
 
 class TestConfig:
