@@ -98,6 +98,9 @@ def load_climate(path, site: SiteMoisture,
     for line_no, row in rows:
         year = _parse_int(row[columns["year"]], path, line_no, "year")
         month = _parse_int(row[columns["month"]], path, line_no, "month")
+        if not 1 <= year <= 9999:   # the datetime range
+            raise DataError(f"{path}: line {line_no}: 'year' value {year} "
+                            "outside 1..9999")
         if not 1 <= month <= 12:
             raise DataError(f"{path}: line {line_no}: month {month} outside 1..12")
         if year * 12 + month - 1 in cells:

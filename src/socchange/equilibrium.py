@@ -3,15 +3,20 @@
 The baseline pool vector is the equilibrium of the constant-coefficient
 dynamics over the reference year; running the relation in reverse infers the
 baseline plant input from observed stocks.
+
+The SOC root solve uses Brent's method (Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4) as ported line for line from scipy's
+``Zeros/brentq.c``: ``brentq`` returns ``scipy.optimize.brentq``'s root bit
+for bit, after the same number of function evaluations.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, InfeasibleBaselineError, NumericsError
 from .pools import CompartmentMatrices, SoilParams
@@ -22,6 +27,79 @@ FALLOON_COEFF = 0.049
 FALLOON_POWER = 1.139
 
 _ROOT_RESIDUAL_TOL = 1e-10
+_BRENT_RTOL_FLOOR = 4 * sys.float_info.epsilon   # scipy's floor on rtol
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float,
+           maxiter: int) -> float:
+    """Root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Stops when the bracket half-width is below (xtol + rtol*|x|)/2. Raises
+    NumericsError for a same-sign bracket, a NaN value of f, tolerances
+    below scipy's floor (xtol <= 0 or rtol < 4 eps), or no convergence
+    within maxiter iterations.
+    """
+    if xtol <= 0 or rtol < _BRENT_RTOL_FLOOR:
+        raise NumericsError(f"root tolerances too small: xtol={xtol:g}, "
+                            f"rtol={rtol:g}")
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericsError(f"root solve: function is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericsError(f"root solve: f({a!r}) and f({b!r}) have the "
+                            "same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C's step is then inf or NaN, which the test below refuses
+                stry = math.inf
+            limit = abs(spre)
+            if not limit < 3 * abs(sbis) - delta:   # C's MIN, NaN included
+                limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < limit:   # good short step
+                spre, scur = scur, stry
+            else:                       # bisect
+                spre = scur = sbis
+        else:                           # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericsError(f"root solve did not converge in {maxiter} "
+                        f"iterations (last x={xcur!r})")
 
 
 def iom_from_soc(soc_total: float) -> float:

@@ -4,8 +4,11 @@ import contextlib
 import functools
 import io
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -132,6 +135,32 @@ class TestSimulateCommand:
         assert main(["simulate", str(config), "--out", str(out)]) == 2
         assert "2008-03" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("year", ["12005000000000000000000000000", "0",
+                                      "10000", "-2008"])
+    def test_year_outside_calendar_exits_two(self, tmp_path, capsys, year):
+        config, line_no = _demo_with_cell(tmp_path, "climate.csv", "2008,3,",
+                                          "year", year)
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line_no}: 'year' value {year} outside 1..9999" in err
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+    def test_one_year_beyond_int64_exits_two(self, tmp_path, capsys):
+        # a whole year past int64 once reached ClimateSeries.build and ended
+        # in an OverflowError traceback
+        for path in DEMO.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        rows = [f"12005000000000000000000000000,{month},10.0,50.0"
+                for month in range(1, 13)]
+        (tmp_path / "climate.csv").write_text(
+            "\n".join(["year,month,temp_c,rain_mm", *rows]) + "\n")
+        assert main(["simulate", str(tmp_path / "scenario.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: 'year'" in err
+        assert len(err.splitlines()) == 1, err
 
     def test_spaces_after_header_commas_change_nothing(self, tmp_path):
         out = {}
@@ -369,6 +398,39 @@ class TestEquilibriumCommand:
         assert len(err.splitlines()) == 1, err
 
 
+def _run_python(*args):
+    """Run the interpreter on the repository's src/ from the repository root."""
+    src = str(DEMO.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=DEMO.parents[1], timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestRuntimeImports:
+    """numpy is the only runtime dependency: scipy is for the tests only."""
+
+    def test_package_and_cli_load_no_scipy(self):
+        proc = _run_python("-c", "import socchange, socchange.cli, sys; "
+                                 "print(*sorted(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "socchange.cli" in loaded and "numpy" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    def test_equilibrium_command_imports_no_scipy(self):
+        proc = _run_python("-X", "importtime", "-m", "socchange.cli",
+                           "equilibrium", "data/demo/scenario.cfg",
+                           "--soc", "14.9")
+        assert proc.returncode == 0, proc.stderr
+        assert "P0 = " in proc.stdout
+        imported = [line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "socchange.equilibrium" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
 class TestVersion:
     def test_version_prints_scheme_identifiers(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -384,7 +446,8 @@ _DEMO_POLE = float(np.loadtxt(DEMO / "climate.csv", delimiter=",", skiprows=1,
 
 _EXTREME_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
-                     "1e120", "-300"]),
+                     "1e120", "-300", "0", "10000",
+                     "12005000000000000000000000000"]),
     st.floats(-1e-3, 1e-3).map(lambda d: repr(_DEMO_POLE + d)))
 
 _FUZZED_CELL = st.one_of(
@@ -392,7 +455,7 @@ _FUZZED_CELL = st.one_of(
               st.builds("{},{},".format, st.integers(2005, 2019),
                         st.integers(1, 12)),
               st.sampled_from(["temp_c", "rain_mm", "pet_mm",
-                               "daylength_h"])),
+                               "daylength_h", "year"])),
     st.tuples(st.just("npp.csv"),
               st.builds("{},".format, st.integers(2005, 2019)),
               st.just("npp")))
@@ -436,6 +499,8 @@ class TestFuzzedInputs:
     @example(cell=("climate.csv", "2010,7,", "daylength_h"), value="1e300")
     @example(cell=("climate.csv", "2010,7,", "daylength_h"), value="1e-300")
     @example(cell=("climate.csv", "2006,1,", "daylength_h"), value="-300")
+    @example(cell=("climate.csv", "2010,7,", "year"),
+             value="12005000000000000000000000000")
     def test_one_extreme_cell_never_yields_non_finite_output(self, cell,
                                                             value):
         # an error is one stderr line; a success writes only finite values

@@ -1,10 +1,14 @@
 """Falloon IOM partition, the SOC scalar solve, and equilibrium initialization."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import socchange as sc
+from socchange import equilibrium
 from socchange.errors import (ConfigError, InfeasibleBaselineError,
                              NumericsError)
 
@@ -81,6 +85,100 @@ class TestSocTotalFromActive:
         # s - 0.049 s^1.139 peaks near 1.2e8; at 1e300 s^1.139 overflows
         with pytest.raises(NumericsError, match="could not bracket"):
             sc.soc_total_from_active(soc)
+
+
+def _falloon_bracket(soc):
+    """soc_total_from_active's residual and bracket (hi is the last tried)."""
+    coeff, power = equilibrium.FALLOON_COEFF, equilibrium.FALLOON_POWER
+
+    def residual(s):
+        try:
+            return coeff * s**power - s + soc
+        except OverflowError:
+            return math.inf
+    frac = coeff * soc ** (power - 1.0)
+    hi = soc / (1.0 - frac) if frac < 1.0 else 2.0 * soc
+    for _ in range(200):
+        if residual(hi) <= 0.0:
+            break
+        hi *= 1.5
+    return residual, soc, hi
+
+
+def _solve_counted(solver, f, a, b, **tolerances):
+    """(root, or None on an error) and the number of calls of f."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+    try:
+        root = solver(counted, a, b, **tolerances)
+    except (ValueError, RuntimeError, NumericsError):
+        root = None
+    return root, calls
+
+
+_SOC_TOLERANCES = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+# roots exist for soc up to about 1.27e8 (the peak of s - 0.049 s^1.139)
+_ORACLE_SOCS = [float(v) for v in np.logspace(-12, 300, 200)] + [
+    float(v) for v in np.logspace(-12, 8, 200)] + [14.9, 5e-324, 1e307]
+
+_SMOOTH = [(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+           (lambda x: math.cos(x) - x, 0.0, 1.0),
+           (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+           # steep, and flat at a ninefold root: many steps are bisections
+           (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+           (lambda x: (x - 1.0)**9, 0.0, 3.0)]
+
+
+class TestBrentq:
+    """The pure-Python port against scipy.optimize.brentq, bit for bit."""
+
+    def test_falloon_roots_and_call_counts_match_scipy(self):
+        rooted = 0
+        for soc in _ORACLE_SOCS:
+            residual, lo, hi = _falloon_bracket(soc)
+            ours = _solve_counted(equilibrium.brentq, residual, lo, hi,
+                                  **_SOC_TOLERANCES)
+            theirs = _solve_counted(scipy.optimize.brentq, residual, lo, hi,
+                                    **_SOC_TOLERANCES)
+            assert ours == theirs, soc
+            rooted += ours[0] is not None
+        assert rooted >= 200
+
+    @pytest.mark.parametrize("xtol, rtol", [(2e-12, 8.9e-16),
+                                            (1e-14, 8.9e-16), (1e-6, 1e-6)])
+    @pytest.mark.parametrize("case", range(len(_SMOOTH)))
+    def test_smooth_roots_and_call_counts_match_scipy(self, case, xtol, rtol):
+        f, a, b = _SMOOTH[case]
+        for lo, hi in ((a, b), (b, a)):
+            ours = _solve_counted(equilibrium.brentq, f, lo, hi, xtol=xtol,
+                                  rtol=rtol, maxiter=200)
+            theirs = _solve_counted(scipy.optimize.brentq, f, lo, hi,
+                                    xtol=xtol, rtol=rtol, maxiter=200)
+            assert ours[0] is not None and ours == theirs
+
+    def test_soc_total_from_active_returns_the_scipy_root(self):
+        residual, lo, hi = _falloon_bracket(14.9)
+        assert sc.soc_total_from_active(14.9) == scipy.optimize.brentq(
+            residual, lo, hi, **_SOC_TOLERANCES)
+
+    @pytest.mark.parametrize("f, a, b, tolerances", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}),                  # same sign
+        (lambda x: (x - 1.0)**9, 0.0, 3.0, {"maxiter": 1}),      # hard root
+        (lambda x: x - 0.5, 0.0, 1.0, {"rtol": 1e-16}),          # rtol floor
+        (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}),            # xtol floor
+        (lambda x: math.nan if x > 0.2 else x - 0.5, 0.0, 1.0, {}),  # NaN
+    ])
+    def test_failures_are_numerics_errors(self, f, a, b, tolerances):
+        kwargs = dict(xtol=2e-12, rtol=8.9e-16, maxiter=100) | tolerances
+        with pytest.raises(NumericsError):
+            equilibrium.brentq(f, a, b, **kwargs)
+        with pytest.raises((ValueError, RuntimeError)):
+            scipy.optimize.brentq(f, a, b, **kwargs)
 
 
 class TestEquilibriumPools:
