@@ -4,9 +4,11 @@ An affine step c <- F c + g is the linear step of the augmented matrix
 [[F, g], [0, 1]] on [c; 1] (Van Loan, IEEE TAC 1978). The constant-coefficient
 recurrences take k steps as one matrix power of it. The month-varying ones
 build every month's map first, then take one product per month into a
-preallocated float64 array (``np.dot``: the same bits as ``np.matmul`` at less
-cost per call). ``controlled_recurrence`` carries its unclamped input factor as
-a sixth state entry, which row 5 of each month's map predicts for the next.
+preallocated float64 array. The product is the ndarray method ``.dot``: the
+same bits as ``np.dot`` and ``np.matmul``, without the Python-level dispatch
+of a numpy function on each call. ``controlled_recurrence`` carries its
+unclamped input factor as a sixth state entry, which row 5 of each month's map
+predicts for the next.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ def affine_recurrence(fmats, gvecs, c0):
     x = np.empty((fmats.shape[0] + 1, c0.shape[0] + 1))
     x[0] = np.append(c0, 1.0)
     for step, xj, xnext in zip(_augmented(fmats, gvecs), x, x[1:]):
-        np.dot(step, xj, out=xnext)
+        step.dot(xj, out=xnext)
     return x[:, :-1]
 
 
@@ -119,5 +121,5 @@ def controlled_recurrence(fmats, gvecs, vvecs, avals, uvecs):
     x = np.zeros((n + 1, 6))
     x[0, 4:] = 1.0, avals[0]
     for clamped, free, xj, xnext in zip(maps[0], maps[1], x, x[1:]):
-        np.dot(free if xj[5] > 0.0 else clamped, xj, out=xnext)
+        (free if xj[5] > 0.0 else clamped).dot(xj, out=xnext)
     return x[:, :4], np.maximum(0.0, x[:-1, 5])

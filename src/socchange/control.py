@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import Scenario, _delta_forcing
 from .errors import ConfigError
-from .stepping import Trajectory, _step_operators, build_time_grid
+from .stepping import Trajectory
 
 Array = np.ndarray
 
@@ -56,11 +56,9 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
-    grid = build_time_grid(scenario)
+    grid, rhos, eks, fmats, phimats = scenario.month_operators
     mats = scenario.mats
     n, m = grid.year_index, grid.month
-    rhos = scenario.rho_at(n, m)
-    eks, fmats, phimats = _step_operators(grid.dt * rhos, mats)
     phimats = grid.dt[:, None, None] * phimats
     # month j steps c <- F c + g + f v, g the manure-free forcing. f zeroes
     # the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc, and 1ᵀ(I - F) =

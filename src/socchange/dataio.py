@@ -52,22 +52,66 @@ def _parse_int(text: str, path, line_no: int, column: str) -> int:
             f"{path}: line {line_no}: non-integer {column!r} value {text!r}") from None
 
 
-def _read_table(path, kind: str, required) -> tuple[dict[str, int], list]:
-    """Read a CSV table with a header row.
+_INT64 = np.iinfo(np.int64)
 
-    Returns the column index of each stripped header name, and the data
-    rows as (line number, cells) pairs, blank rows skipped. Raises
-    DataError for an unreadable or empty file, malformed CSV, a header
-    without a ``required`` column, or a row shorter than the header.
+
+def _parse_row(path, line_no: int, row, columns: dict[str, int],
+               fields) -> list:
+    """One row's (name, kind) fields parsed cell by cell, kind ``int`` or
+    ``float``. Raises DataError naming the line and column of the first
+    cell that is not a finite float or an int64 integer."""
+    values = []
+    for name, kind in fields:
+        text = row[columns[name]]
+        if kind is float:
+            values.append(_parse_float(text, path, line_no, name))
+            continue
+        value = _parse_int(text, path, line_no, name)
+        if not _INT64.min <= value <= _INT64.max:
+            raise DataError(f"{path}: line {line_no}: {name!r} value {value} "
+                            "outside the int64 range")
+        values.append(value)
+    return values
+
+
+def _columns_whole(columns: dict[str, int], rows, fields):
+    """Each (name, kind) field's column converted in one pass to an array of
+    that kind, or None if any cell does not convert or is not finite.
+
+    Converts with the same ``int``/``float`` as ``_parse_row``, so where
+    both succeed the values are the same; on None, ``_parse_row`` over the
+    rows names the first bad cell.
     """
     try:
-        text = Path(path).read_text()
+        arrays = [np.fromiter(map(kind, [row[columns[name]]
+                                         for _, row in rows]), kind, len(rows))
+                  for name, kind in fields]
+    except (ValueError, OverflowError):
+        return None
+    return arrays if all(np.isfinite(a).all() for a in arrays) else None
+
+
+def _read_lines(path, kind: str) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
-    reader = csv.reader(text.splitlines())
+
+
+def _read_table(path, lines, required,
+                skip: int = 0) -> tuple[dict[str, int], list]:
+    """Parse CSV ``lines`` of ``path`` with a header row after ``skip``
+    leading lines.
+
+    Returns the column index of each stripped header name, and the data
+    rows as (physical line number, cells) pairs, blank rows skipped. Raises
+    DataError for an empty file, malformed CSV, a header without a
+    ``required`` column, or a row shorter than the header.
+    """
+    reader = csv.reader(lines[skip:])
     try:
         header = next(reader, None)
-        rows = [(reader.line_num, row) for row in reader if row]
+        rows = [(reader.line_num + skip, row) for row in reader if row]
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from None
     if header is None:
@@ -82,19 +126,33 @@ def _read_table(path, kind: str, required) -> tuple[dict[str, int], list]:
     return columns, rows
 
 
-def load_climate(path, site: SiteMoisture,
-                 latitude_deg: Optional[float] = None) -> ClimateSeries:
-    """Load a monthly climate CSV and derive PET (if absent) and deficits.
+def _climate_by_columns(columns, rows, names):
+    """(start year, {name: (nyears, 12) array}) from whole-column
+    conversion and array checks, or None if any cell or check fails."""
+    arrays = _columns_whole(columns, rows, [("year", int), ("month", int)]
+                            + [(name, float) for name in names])
+    if arrays is None or not rows:
+        return None
+    year, month, *values = arrays
+    if not (np.all((year >= 1) & (year <= 9999))
+            and np.all((month >= 1) & (month <= 12))):
+        return None
+    cells = year * 12 + month - 1     # months since year 0
+    order = np.argsort(cells, kind="stable")
+    start_year = int(cells[order[0]]) // 12
+    if len(cells) % 12 or not np.array_equal(
+            cells[order], start_year * 12 + np.arange(len(cells))):
+        return None
+    return start_year, {name: column[order].reshape(-1, 12)
+                        for name, column in zip(names, values)}
 
-    Expected header: year,month,temp_c,rain_mm[,pet_mm][,daylength_h].
-    The series must cover whole contiguous years.
-    """
-    columns, rows = _read_table(path, "climate file",
-                                ("year", "month", "temp_c", "rain_mm"))
-    names = [name for name in ("temp_c", "rain_mm", "pet_mm", "daylength_h")
-             if name in columns]
+
+def _climate_by_rows(path, columns, rows, names):
+    """The same result as ``_climate_by_columns``, row by row, raising
+    DataError at the first bad row in file order."""
     cells: dict[int, int] = {}   # months since year 0 -> row of values
     values = []
+    fields = [(name, float) for name in names]
     for line_no, row in rows:
         year = _parse_int(row[columns["year"]], path, line_no, "year")
         month = _parse_int(row[columns["month"]], path, line_no, "month")
@@ -107,8 +165,7 @@ def load_climate(path, site: SiteMoisture,
             raise DataError(f"{path}: line {line_no}: duplicate month "
                             f"{year}-{month:02d}")
         cells[year * 12 + month - 1] = len(values)
-        values.append([_parse_float(row[columns[name]], path, line_no, name)
-                       for name in names])
+        values.append(_parse_row(path, line_no, row, columns, fields))
     if not values:
         raise DataError(f"{path}: no data rows")
     # whole contiguous years: the k-th month in calendar order is k months
@@ -121,7 +178,24 @@ def load_climate(path, site: SiteMoisture,
         raise DataError(f"{path}: gap at {start_year + gap // 12}-"
                         f"{gap % 12 + 1:02d}")
     table = np.array(values)[[cells[cell] for cell in order]]
-    grid = dict(zip(names, table.T.reshape(len(names), -1, 12)))
+    return start_year, dict(zip(names, table.T.reshape(len(names), -1, 12)))
+
+
+def load_climate(path, site: SiteMoisture,
+                 latitude_deg: Optional[float] = None) -> ClimateSeries:
+    """Load a monthly climate CSV and derive PET (if absent) and deficits.
+
+    Expected header: year,month,temp_c,rain_mm[,pet_mm][,daylength_h].
+    The series must cover whole contiguous years. Columns are converted
+    whole; only a file that fails a check is read again row by row, so the
+    error names the first bad line in file order.
+    """
+    columns, rows = _read_table(path, _read_lines(path, "climate file"),
+                                ("year", "month", "temp_c", "rain_mm"))
+    names = [name for name in ("temp_c", "rain_mm", "pet_mm", "daylength_h")
+             if name in columns]
+    start_year, grid = (_climate_by_columns(columns, rows, names)
+                        or _climate_by_rows(path, columns, rows, names))
     return ClimateSeries.build(start_year, grid["temp_c"], grid["rain_mm"],
                                site, pet=grid.get("pet_mm"),
                                latitude_deg=latitude_deg,
@@ -130,7 +204,8 @@ def load_climate(path, site: SiteMoisture,
 
 def load_npp(path, baseline_year: int) -> dict[int, float]:
     """Load annual NPP and normalize by the baseline year (ratio 1 there)."""
-    columns, rows = _read_table(path, "NPP file", ("year", "npp"))
+    columns, rows = _read_table(path, _read_lines(path, "NPP file"),
+                                ("year", "npp"))
     values: dict[int, float] = {}
     for line_no, row in rows:
         year = _parse_int(row[columns["year"]], path, line_no, "year")
@@ -152,7 +227,8 @@ def load_density_table(path):
     columns, each cover factor in (0, 1]; rows may appear in any order
     (keyed by month). Returns (densities, covers) dicts.
     """
-    columns, rows = _read_table(path, "density table", ("month",))
+    columns, rows = _read_table(path, _read_lines(path, "density table"),
+                                ("month",))
     classes = [c for c in LAND_CLASSES if c in columns]
     if not classes:
         raise DataError(f"{path}: no land-class columns found")
@@ -368,28 +444,35 @@ def write_trajectory(path, trajectory: Trajectory) -> None:
                trajectory.t, *trajectory.states.T, trajectory.totals)
 
 
+_TRAJECTORY_FIELDS = (("year", int), ("month", int), ("t_months", float),
+                      *((name, float) for name in ("dpm", "rpm", "bio", "hum",
+                                                   "total")))
+
+
 def read_trajectory(path) -> Trajectory:
-    """Reload a trajectory CSV written by write_trajectory."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read trajectory {path}: {exc}") from None
+    """Reload a trajectory CSV written by write_trajectory.
+
+    Raises DataError naming the line and column of a short row, or of a
+    cell that is not a finite number of its column's kind.
+    """
+    lines = _read_lines(path, "trajectory")
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise DataError(f"{path}: not a trajectory file")
     meta: dict = {}
     for token in lines[0].lstrip("# ").split():
         key, _, value = token.partition("=")
         meta[key] = value
-    rows = [line.split(",") for line in lines[2:] if line]
-    year = np.array([int(r[0]) for r in rows])
-    month = np.array([int(r[1]) for r in rows])
-    t = np.array([float(r[2]) for r in rows])
-    states = np.array([[float(v) for v in r[3:7]] for r in rows])
-    totals = np.array([float(r[7]) for r in rows])
-    if states.size == 0:
-        states = states.reshape(0, 4)
-    return Trajectory(t=t, year=year, month=month, states=states,
+    columns, rows = _read_table(
+        path, lines, [name for name, _ in _TRAJECTORY_FIELDS], skip=1)
+    arrays = _columns_whole(columns, rows, _TRAJECTORY_FIELDS)
+    if arrays is None:
+        parsed = [_parse_row(path, line_no, row, columns, _TRAJECTORY_FIELDS)
+                  for line_no, row in rows]
+        arrays = [np.array(column, dtype=kind) for column, (_, kind)
+                  in zip(zip(*parsed), _TRAJECTORY_FIELDS)]
+    year, month, t, *pools, totals = arrays
+    return Trajectory(t=t, year=year, month=month,
+                      states=np.column_stack(pools),
                       totals=totals, scheme=meta.get("scheme", ""),
                       mode=meta.get("mode", ""), meta=meta)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -148,6 +149,14 @@ class Scenario:
                     f"got {self.np_ratios[year]}")
         self.climate.index(self.baseline_year)
         self.climate.index(self.baseline_year + self.horizon)
+
+    @cached_property
+    def month_operators(self):
+        """(grid, rhos, eks, fmats, phimats) of ``stepping._month_operators``,
+        built on first use and shared, read-only, by every monthly run on
+        this scenario."""
+        from . import stepping   # stepping imports this module
+        return stepping._month_operators(self)
 
     @property
     def r(self) -> float:

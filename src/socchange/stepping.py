@@ -136,9 +136,24 @@ class Trajectory:
         return out
 
 
-def _monthly_coefficients(scenario: Scenario, mode: str):
-    """Left-endpoint rho and forcing per month over the horizon."""
-    grid = build_time_grid(scenario)
+def _month_operators(scenario: Scenario):
+    """Time grid, left-endpoint ρ, e^{-τk}, F(τ) and φ(τÃ) per month, τ = Δt ρ.
+
+    Read through ``Scenario.month_operators``, which builds them once per
+    scenario for every monthly run on it. The arrays are read-only, so no
+    run or caller can change what a later run reads.
+    """
+    grid = build_time_grid(scenario)   # the module global: tracers patch it
+    rhos = scenario.rho_at(grid.year_index, grid.month)
+    operators = (rhos, *_step_operators(grid.dt * rhos, scenario.mats))
+    for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
+                  *operators):
+        array.flags.writeable = False
+    return (grid, *operators)
+
+
+def _monthly_forcing(scenario: Scenario, mode: str):
+    """Forcing vector b per month over the horizon, from left-endpoint ρ."""
     baseline = scenario.baseline
     fym = scenario.fym
     if fym.mode == "controlled":
@@ -147,22 +162,19 @@ def _monthly_coefficients(scenario: Scenario, mode: str):
         raise ConfigError("fixed manure forcing in delta mode needs a "
                           "baseline manure total F0 > 0 (the forcing is "
                           "normalized by it)")
+    if mode not in ("delta", "absolute"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    grid, rhos = scenario.month_operators[:2]
     n, m = grid.year_index, grid.month
-    rhos = scenario.rho_at(n, m)
     f_values = (np.asarray(fym.monthly_density, dtype=float)[m - 1]
                 if fym.mode == "fixed" else np.zeros(grid.nsteps))
-    if mode == "delta" and baseline.F0 == 0.0:
-        bvecs = delta_forcing_no_fym(m, n, scenario, rho_m=rhos, dt_m=grid.dt)
-    elif mode == "delta":
-        bvecs = delta_forcing_fym(m, n, scenario, f_values, rho_m=rhos,
-                                  dt_m=grid.dt)
-    elif mode == "absolute":
+    if mode == "absolute":
         g = baseline.P0 * scenario.np_ratio(n) * scenario.density.density(m, grid.dt)
-        bvecs = (np.multiply.outer(g, scenario.mats.a_g)
-                 + np.multiply.outer(f_values, scenario.mats.a_f))
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    return grid, rhos, bvecs
+        return (np.multiply.outer(g, scenario.mats.a_g)
+                + np.multiply.outer(f_values, scenario.mats.a_f))
+    if baseline.F0 == 0.0:
+        return delta_forcing_no_fym(m, n, scenario, rho_m=rhos, dt_m=grid.dt)
+    return delta_forcing_fym(m, n, scenario, f_values, rho_m=rhos, dt_m=grid.dt)
 
 
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
@@ -172,8 +184,8 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     Delta mode starts from the zero state at t0 + T; absolute mode starts
     from the baseline equilibrium pools (validation path).
     """
-    grid, rhos, bvecs = _monthly_coefficients(scenario, mode)
-    _, fmats, phimats = _step_operators(grid.dt * rhos, scenario.mats)
+    bvecs = _monthly_forcing(scenario, mode)
+    grid, _, _, fmats, phimats = scenario.month_operators
     if scheme == "nonstandard":
         weights = grid.dt[:, None, None] * phimats
     elif scheme == "rothc_discrete":
@@ -206,7 +218,8 @@ def rk4_reference(scenario: Scenario, mode: str = "delta",
     Within each month the model coefficients are constant, so this resolves
     the exact flow that the monthly one-step schemes approximate.
     """
-    grid, rhos, bvecs = _monthly_coefficients(scenario, mode)
+    bvecs = _monthly_forcing(scenario, mode)
+    grid, rhos = scenario.month_operators[:2]
     amats = rhos[:, None, None] * scenario.mats.A[None, :, :]
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
     states = _kernels.rk4_piecewise(amats, bvecs, grid.dt, refine, c0)

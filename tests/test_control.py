@@ -1,9 +1,12 @@
 """Feedback manure law and the controlled simulation guarantee."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import socchange as sc
+from socchange import stepping
 from socchange.errors import ConfigError
 from socchange.stepping import build_time_grid
 
@@ -193,3 +196,69 @@ class TestSimulateControlled:
         assert sorted(totals) == list(range(2006, 2020))
         assert all(v >= 0.0 for v in totals.values())
         assert any(v > 0.0 for v in totals.values())
+
+
+def _sharing_scenario():
+    return make_scenario(r=1.0, F0=0.5, P0=0.5, warming=0.15, np_trend=0.0,
+                         seed=7)
+
+
+def _arrays(trajectory, schedule=None):
+    out = {name: getattr(trajectory, name)
+           for name in ("t", "year", "month", "states", "totals")}
+    if schedule is not None:
+        out.update({f"schedule.{name}": getattr(schedule, name)
+                    for name in ("t", "year", "month", "f0", "f")})
+        out["schedule.dt"] = schedule.meta["dt"]
+    return out
+
+
+# every monthly run on one scenario, each returning its output arrays
+_MONTHLY_RUNS = {
+    "simulate-delta": lambda s: _arrays(sc.simulate(s)),
+    "simulate-absolute-rothc": lambda s: _arrays(
+        sc.simulate(s, scheme="rothc_discrete", mode="absolute")),
+    "rk4": lambda s: _arrays(sc.rk4_reference(s, refine=4)),
+    **{f"control-{eps}": (lambda s, eps=eps: _arrays(
+        *sc.simulate_controlled(s, eps))) for eps in EPS_SWEEP},
+}
+
+
+class TestSharedMonthOperators:
+    def test_runs_on_one_scenario_match_runs_on_fresh_ones(self, monkeypatch):
+        calls = []
+        build = stepping.build_time_grid
+        monkeypatch.setattr(stepping, "build_time_grid",
+                            lambda scenario: calls.append(scenario)
+                            or build(scenario))
+        shared = _sharing_scenario()
+        for name, run in _MONTHLY_RUNS.items():
+            fresh = run(_sharing_scenario())
+            for key, array in run(shared).items():
+                assert array.dtype == fresh[key].dtype, (name, key)
+                np.testing.assert_array_equal(array, fresh[key],
+                                              err_msg=f"{name} {key}")
+        assert sum(s is shared for s in calls) == 1
+        shorter = dataclasses.replace(shared, horizon=shared.horizon - 1)
+        assert shorter.month_operators[0].nsteps == 12 * shorter.horizon
+        assert sum(s is shorter for s in calls) == 1
+        assert shared.month_operators[0].nsteps == 12 * shared.horizon
+
+    def test_operators_are_read_only(self):
+        grid, *operators = _sharing_scenario().month_operators
+        for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
+                      *operators):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(_MONTHLY_RUNS))
+    def test_writing_into_outputs_cannot_change_a_later_run(self, name):
+        expected = _MONTHLY_RUNS[name](_sharing_scenario())
+        shared = _sharing_scenario()
+        for other in _MONTHLY_RUNS.values():
+            for array in other(shared).values():
+                try:
+                    array[...] = 7
+                except ValueError:   # an array the scenario shares
+                    assert not array.flags.writeable
+        for key, array in _MONTHLY_RUNS[name](shared).items():
+            np.testing.assert_array_equal(array, expected[key], err_msg=key)

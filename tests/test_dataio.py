@@ -129,6 +129,63 @@ class TestLoadClimate:
         with pytest.raises(DataError, match="line 6: non-numeric"):
             sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
 
+    @pytest.mark.parametrize("first, second, message", [
+        ((2, "n/a"), (1, "13"), "line 4: non-numeric 'temp_c' value 'n/a'"),
+        ((1, "13"), (2, "n/a"), "line 4: month 13 outside 1..12"),
+    ], ids=["bad-cell-first", "bad-month-first"])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, site50,
+                                                   first, second, message):
+        # each fault alone is an error; with two, the earlier line wins
+        climate = synthetic_climate(2006, 2, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        for line_no, (column, value) in ((4, first), (20, second)):
+            cells = lines[line_no - 1].split(",")
+            cells[column] = value
+            lines[line_no - 1] = ",".join(cells)
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad.csv: {message}$"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
+
+    @pytest.mark.parametrize("column, value, message", [
+        (3, "x", "non-numeric 'rain_mm' value 'x'"),
+        (2, "nan", "non-finite 'temp_c' value 'nan'"),
+        (0, "2105.5", "non-integer 'year' value '2105.5'"),
+    ])
+    def test_bad_cell_in_last_of_1200_rows_names_its_line(
+            self, tmp_path, site50, column, value, message):
+        climate = synthetic_climate(2006, 100, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[column] = value
+        lines[-1] = ",".join(cells)
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"line 1201: {message}$"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
+
+    def test_month_13_in_place_of_january_rejected(self, tmp_path, site50):
+        # 2006-13 would be 2007-01 by month count: the whole-column checks
+        # must reject the month itself, not only gaps and duplicates
+        climate = synthetic_climate(2006, 2, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        text = (tmp_path / "c.csv").read_text()
+        (tmp_path / "bad.csv").write_text(text.replace("\n2007,1,", "\n2006,13,"))
+        with pytest.raises(DataError, match="line 14: month 13 outside 1..12"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
+
+    def test_rows_in_any_order_load_as_sorted(self, tmp_path, site50):
+        climate = synthetic_climate(2005, 3, site50, seed=8)
+        write_climate_csv(tmp_path / "c.csv", climate, with_pet=True)
+        header, *rows = (tmp_path / "c.csv").read_text().splitlines()
+        (tmp_path / "shuffled.csv").write_text(
+            "\n".join([header, *rows[::-1]]) + "\n")
+        plain = sc.load_climate(tmp_path / "c.csv", site50)
+        shuffled = sc.load_climate(tmp_path / "shuffled.csv", site50)
+        for name in ("temp", "rain", "pet", "acc"):
+            np.testing.assert_array_equal(getattr(shuffled, name),
+                                          getattr(plain, name))
+
 
 _LOADERS = {
     "climate": lambda path: sc.load_climate(path, sc.max_deficit(50.0, 23.0),
@@ -328,6 +385,45 @@ class TestWriters:
         assert len(lines) == 2
         assert lines[0].startswith("#")
         assert lines[1].startswith("year,month")
+
+    def test_empty_trajectory_reads_back(self, tmp_path):
+        empty = sc.Trajectory(t=np.empty(0), year=np.empty(0, dtype=int),
+                              month=np.empty(0, dtype=int),
+                              states=np.empty((0, 4)), totals=np.empty(0),
+                              scheme="nonstandard", mode="delta",
+                              meta={"scheme": "nonstandard"})
+        sc.write_trajectory(tmp_path / "empty.csv", empty)
+        back = sc.read_trajectory(tmp_path / "empty.csv")
+        assert back.states.shape == (0, 4)
+        assert back.t.shape == back.year.shape == (0,)
+
+    @pytest.mark.parametrize("column, value, message", [
+        (4, "x", "non-numeric 'rpm' value 'x'"),
+        (7, "nan", "non-finite 'total' value 'nan'"),
+        (1, "1.5", "non-integer 'month' value '1.5'"),
+        (0, "9" * 30, "'year' value 9{30} outside the int64 range"),
+        (7, None, "too few columns"),
+    ], ids=["non-numeric", "nan", "non-integer", "int64", "short-row"])
+    def test_bad_trajectory_cell_names_line_and_column(
+            self, tmp_path, arable_scenario, column, value, message):
+        sc.write_trajectory(tmp_path / "traj.csv", sc.simulate(arable_scenario))
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
+        cells = lines[4].split(",")   # the third sample, after meta and header
+        if value is None:
+            del cells[column]
+        else:
+            cells[column] = value
+        lines[4] = ",".join(cells)
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad.csv: line 5: {message}$"):
+            sc.read_trajectory(tmp_path / "bad.csv")
+
+    def test_trajectory_header_names_checked(self, tmp_path, arable_scenario):
+        sc.write_trajectory(tmp_path / "traj.csv", sc.simulate(arable_scenario))
+        text = (tmp_path / "traj.csv").read_text()
+        (tmp_path / "bad.csv").write_text(text.replace(",total\n", ",sum\n"))
+        with pytest.raises(DataError, match="header must contain"):
+            sc.read_trajectory(tmp_path / "bad.csv")
 
     def test_sensitivity_columns(self, tmp_path, arable_scenario):
         series = sc.sensitivity("np1", arable_scenario, dt=0.05)
