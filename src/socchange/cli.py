@@ -19,7 +19,7 @@ from .charts import write_line_chart
 from .control import simulate_controlled
 from .dataio import (build_scenario, load_config, write_control,
                      write_sensitivity, write_trajectory)
-from .equilibrium import BaselineState, soc_total_from_active
+from .equilibrium import BaselineState, iom_from_soc, soc_total_from_active
 from .errors import ConfigError, DataError, NumericsError, SocChangeError
 from .sensitivity import PARAMETERS, sensitivity
 from .stepping import simulate
@@ -177,17 +177,17 @@ def cmd_equilibrium(args) -> int:
     if args.inputs is not None:
         p0, f0 = args.inputs
         baseline = BaselineState.from_inputs(p0, f0, rho0, mats, params.T)
-        soc_total = soc_total_from_active(float(baseline.c0.sum()))
-        print(f"SOC_total = {soc_total:.10g}")
     else:
         baseline = BaselineState.from_active_soc(args.soc,
                                                  config.fym_baseline_tc_ha_yr,
                                                  rho0, mats, params)
-        print(f"P0 = {baseline.P0:.10g}")
+    soc_total = soc_total_from_active(float(baseline.c0.sum()))
+    print(f"SOC_total = {soc_total:.10g}" if args.inputs is not None
+          else f"P0 = {baseline.P0:.10g}")
     names = ("dpm", "rpm", "bio", "hum")
     for name, value in zip(names, baseline.c0):
         print(f"c0.{name} = {value:.10g}")
-    print(f"c_iom = {baseline.c_iom:.10g}")
+    print(f"c_iom = {iom_from_soc(soc_total):.10g}")
     print(f"epsilon = {baseline.epsilon:.10g}")
     residual = baseline.residual(mats, params.T)
     scale = max(1.0, float(np.max(np.abs(baseline.c0))))

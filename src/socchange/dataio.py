@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -74,28 +75,15 @@ def _parse_row(path, line_no: int, row, columns: dict[str, int],
     return values
 
 
-def _columns_whole(columns: dict[str, int], rows, fields):
-    """Each (name, kind) field's column converted in one pass to an array of
-    that kind, or None if any cell does not convert or is not finite.
-
-    Converts with the same ``int``/``float`` as ``_parse_row``, so where
-    both succeed the values are the same; on None, ``_parse_row`` over the
-    rows names the first bad cell.
-    """
+def _read_text(path, kind: str) -> str:
     try:
-        arrays = [np.fromiter(map(kind, [row[columns[name]]
-                                         for _, row in rows]), kind, len(rows))
-                  for name, kind in fields]
-    except (ValueError, OverflowError):
-        return None
-    return arrays if all(np.isfinite(a).all() for a in arrays) else None
-
-
-def _read_lines(path, kind: str) -> list[str]:
-    try:
-        return Path(path).read_text().splitlines()
+        return Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
+
+
+def _header_columns(header: list[str]) -> dict[str, int]:
+    return {name.strip(): i for i, name in enumerate(header)}
 
 
 def _read_table(path, lines, required,
@@ -116,7 +104,7 @@ def _read_table(path, lines, required,
         raise DataError(f"{path}: malformed CSV: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file")
-    columns = {name.strip(): i for i, name in enumerate(header)}
+    columns = _header_columns(header)
     if not set(required).issubset(columns):
         raise DataError(f"{path}: header must contain {list(required)}, "
                         f"got {list(columns)}")
@@ -126,33 +114,92 @@ def _read_table(path, lines, required,
     return columns, rows
 
 
-def _climate_by_columns(columns, rows, names):
-    """(start year, {name: (nyears, 12) array}) from whole-column
-    conversion and array checks, or None if any cell or check fails."""
-    arrays = _columns_whole(columns, rows, [("year", int), ("month", int)]
-                            + [(name, float) for name in names])
-    if arrays is None or not rows:
+_INT_COLUMNS = ("year", "month")
+
+
+def _fast_table(text: str, lines: list[str], required, optional=(),
+                skip: int = 0) -> Optional[dict[str, Array]]:
+    """The ``required`` columns, and those of ``optional`` in the header,
+    read by numpy's C ``loadtxt``: int64 for year and month, else float64.
+
+    Returns None wherever it and the row path (``_read_table`` and the cell
+    parsers) could disagree, for the row path to decide: a quote (loadtxt
+    splits a quoted comma), a NUL (csv rejects one before Python 3.11), a
+    line over the csv field limit, a missing column, no data row, any
+    loadtxt error or warning, or a value that is not finite.
+    """
+    limit = csv.field_size_limit()
+    if ('"' in text or "\0" in text or len(lines) <= skip
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None
-    year, month, *values = arrays
+    header = next(csv.reader(lines[skip:skip + 1]))
+    columns = _header_columns(header)
+    if not set(required).issubset(columns):
+        return None
+    names = [*required, *(name for name in optional if name in columns)]
+    usecols = [columns[name] for name in names]
+    dtype = [(name, np.int64 if name in _INT_COLUMNS else np.float64)
+             for name in names]
+    if len(header) - 1 not in usecols:   # so that a short row fails
+        usecols.append(len(header) - 1)
+        dtype.append(("", "U1"))
+    with warnings.catch_warnings():
+        # numpy < 2 reads "2000.0" into an int64 column with a warning
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines[skip + 1:], dtype=dtype, delimiter=",",
+                               comments=None, ndmin=1, usecols=usecols)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if not len(table) or not all(np.isfinite(table[name]).all()
+                                 for name, kind in dtype if kind is np.float64):
+        return None
+    return {name: table[name] for name in names}
+
+
+_CLIMATE_COLUMNS = ("year", "month", "temp_c", "rain_mm")
+_CLIMATE_OPTIONAL = ("pet_mm", "daylength_h")
+
+
+def _climate_grid(path, table):
+    """(start year, {name: (nyears, 12) array}) from a climate table in
+    file order.
+
+    Returns None if a year or month is out of range or repeated, for the
+    row path to name the row, and raises DataError at the first gap.
+    """
+    year, month = table["year"], table["month"]
     if not (np.all((year >= 1) & (year <= 9999))
             and np.all((month >= 1) & (month <= 12))):
         return None
     cells = year * 12 + month - 1     # months since year 0
     order = np.argsort(cells, kind="stable")
-    start_year = int(cells[order[0]]) // 12
-    if len(cells) % 12 or not np.array_equal(
-            cells[order], start_year * 12 + np.arange(len(cells))):
+    cells = cells[order]
+    if np.any(cells[1:] == cells[:-1]):
         return None
+    # whole contiguous years: the k-th month in calendar order is k months
+    # after January of the first year, and the count is a multiple of 12;
+    # as the cells are sorted and distinct, the first gap is the number of
+    # months in place
+    start_year = int(cells[0]) // 12
+    gap = int(np.sum(cells == start_year * 12 + np.arange(len(cells))))
+    if gap < len(cells) or gap % 12:
+        raise DataError(f"{path}: gap at {start_year + gap // 12}-"
+                        f"{gap % 12 + 1:02d}")
     return start_year, {name: column[order].reshape(-1, 12)
-                        for name, column in zip(names, values)}
+                        for name, column in table.items()
+                        if name not in _INT_COLUMNS}
 
 
-def _climate_by_rows(path, columns, rows, names):
-    """The same result as ``_climate_by_columns``, row by row, raising
-    DataError at the first bad row in file order."""
-    cells: dict[int, int] = {}   # months since year 0 -> row of values
-    values = []
-    fields = [(name, float) for name in names]
+def _climate_by_rows(path, lines) -> dict[str, Array]:
+    """The climate table of ``_fast_table``, read row by row, raising
+    DataError at the first row that is bad or repeats a month."""
+    columns, rows = _read_table(path, lines, _CLIMATE_COLUMNS)
+    names = [name for name in _CLIMATE_COLUMNS + _CLIMATE_OPTIONAL
+             if name in columns]
+    fields = [(name, float) for name in names[2:]]
+    seen = set()   # months since year 0
+    table = []
     for line_no, row in rows:
         year = _parse_int(row[columns["year"]], path, line_no, "year")
         month = _parse_int(row[columns["month"]], path, line_no, "month")
@@ -161,24 +208,15 @@ def _climate_by_rows(path, columns, rows, names):
                             "outside 1..9999")
         if not 1 <= month <= 12:
             raise DataError(f"{path}: line {line_no}: month {month} outside 1..12")
-        if year * 12 + month - 1 in cells:
+        if year * 12 + month - 1 in seen:
             raise DataError(f"{path}: line {line_no}: duplicate month "
                             f"{year}-{month:02d}")
-        cells[year * 12 + month - 1] = len(values)
-        values.append(_parse_row(path, line_no, row, columns, fields))
-    if not values:
+        seen.add(year * 12 + month - 1)
+        table.append([year, month,
+                      *_parse_row(path, line_no, row, columns, fields)])
+    if not table:
         raise DataError(f"{path}: no data rows")
-    # whole contiguous years: the k-th month in calendar order is k months
-    # after January of the first year, and the count is a multiple of 12
-    start_year = min(cells) // 12
-    order = sorted(cells)
-    gap = next((k for k, cell in enumerate(order)
-                if cell != start_year * 12 + k), len(order))
-    if gap < len(order) or gap % 12:
-        raise DataError(f"{path}: gap at {start_year + gap // 12}-"
-                        f"{gap % 12 + 1:02d}")
-    table = np.array(values)[[cells[cell] for cell in order]]
-    return start_year, dict(zip(names, table.T.reshape(len(names), -1, 12)))
+    return {name: np.array(column) for name, column in zip(names, zip(*table))}
 
 
 def load_climate(path, site: SiteMoisture,
@@ -186,16 +224,15 @@ def load_climate(path, site: SiteMoisture,
     """Load a monthly climate CSV and derive PET (if absent) and deficits.
 
     Expected header: year,month,temp_c,rain_mm[,pet_mm][,daylength_h].
-    The series must cover whole contiguous years. Columns are converted
-    whole; only a file that fails a check is read again row by row, so the
-    error names the first bad line in file order.
+    The series must cover whole contiguous years. The table is read whole;
+    only a file that ``_fast_table`` declines, or that fails a row check,
+    is read again row by row, so the error names the first bad line.
     """
-    columns, rows = _read_table(path, _read_lines(path, "climate file"),
-                                ("year", "month", "temp_c", "rain_mm"))
-    names = [name for name in ("temp_c", "rain_mm", "pet_mm", "daylength_h")
-             if name in columns]
-    start_year, grid = (_climate_by_columns(columns, rows, names)
-                        or _climate_by_rows(path, columns, rows, names))
+    text = _read_text(path, "climate file")
+    lines = text.splitlines()
+    table = _fast_table(text, lines, _CLIMATE_COLUMNS, _CLIMATE_OPTIONAL)
+    grid = None if table is None else _climate_grid(path, table)
+    start_year, grid = grid or _climate_grid(path, _climate_by_rows(path, lines))
     return ClimateSeries.build(start_year, grid["temp_c"], grid["rain_mm"],
                                site, pet=grid.get("pet_mm"),
                                latitude_deg=latitude_deg,
@@ -204,14 +241,20 @@ def load_climate(path, site: SiteMoisture,
 
 def load_npp(path, baseline_year: int) -> dict[int, float]:
     """Load annual NPP and normalize by the baseline year (ratio 1 there)."""
-    columns, rows = _read_table(path, _read_lines(path, "NPP file"),
-                                ("year", "npp"))
-    values: dict[int, float] = {}
-    for line_no, row in rows:
-        year = _parse_int(row[columns["year"]], path, line_no, "year")
-        if year in values:
-            raise DataError(f"{path}: line {line_no}: duplicate year {year}")
-        values[year] = _parse_float(row[columns["npp"]], path, line_no, "npp")
+    text = _read_text(path, "NPP file")
+    lines = text.splitlines()
+    table = _fast_table(text, lines, ("year", "npp"))
+    if table is not None:
+        values = dict(zip(table["year"].tolist(), table["npp"].tolist()))
+    if table is None or len(values) < len(table["year"]):   # a repeated year
+        columns, rows = _read_table(path, lines, ("year", "npp"))
+        values = {}
+        for line_no, row in rows:
+            year = _parse_int(row[columns["year"]], path, line_no, "year")
+            if year in values:
+                raise DataError(f"{path}: line {line_no}: duplicate year {year}")
+            values[year] = _parse_float(row[columns["npp"]], path, line_no,
+                                        "npp")
     if baseline_year not in values:
         raise DataError(f"{path}: baseline year {baseline_year} missing")
     base = values[baseline_year]
@@ -227,8 +270,8 @@ def load_density_table(path):
     columns, each cover factor in (0, 1]; rows may appear in any order
     (keyed by month). Returns (densities, covers) dicts.
     """
-    columns, rows = _read_table(path, _read_lines(path, "density table"),
-                                ("month",))
+    lines = _read_text(path, "density table").splitlines()
+    columns, rows = _read_table(path, lines, ("month",))
     classes = [c for c in LAND_CLASSES if c in columns]
     if not classes:
         raise DataError(f"{path}: no land-class columns found")
@@ -444,9 +487,8 @@ def write_trajectory(path, trajectory: Trajectory) -> None:
                trajectory.t, *trajectory.states.T, trajectory.totals)
 
 
-_TRAJECTORY_FIELDS = (("year", int), ("month", int), ("t_months", float),
-                      *((name, float) for name in ("dpm", "rpm", "bio", "hum",
-                                                   "total")))
+_TRAJECTORY_COLUMNS = ("year", "month", "t_months", "dpm", "rpm", "bio",
+                       "hum", "total")
 
 
 def read_trajectory(path) -> Trajectory:
@@ -455,22 +497,24 @@ def read_trajectory(path) -> Trajectory:
     Raises DataError naming the line and column of a short row, or of a
     cell that is not a finite number of its column's kind.
     """
-    lines = _read_lines(path, "trajectory")
+    text = _read_text(path, "trajectory")
+    lines = text.splitlines()
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise DataError(f"{path}: not a trajectory file")
     meta: dict = {}
     for token in lines[0].lstrip("# ").split():
         key, _, value = token.partition("=")
         meta[key] = value
-    columns, rows = _read_table(
-        path, lines, [name for name, _ in _TRAJECTORY_FIELDS], skip=1)
-    arrays = _columns_whole(columns, rows, _TRAJECTORY_FIELDS)
-    if arrays is None:
-        parsed = [_parse_row(path, line_no, row, columns, _TRAJECTORY_FIELDS)
+    table = _fast_table(text, lines, _TRAJECTORY_COLUMNS, skip=1)
+    if table is None:
+        columns, rows = _read_table(path, lines, _TRAJECTORY_COLUMNS, skip=1)
+        fields = [(name, int if name in _INT_COLUMNS else float)
+                  for name in _TRAJECTORY_COLUMNS]
+        parsed = [_parse_row(path, line_no, row, columns, fields)
                   for line_no, row in rows]
-        arrays = [np.array(column, dtype=kind) for column, (_, kind)
-                  in zip(zip(*parsed), _TRAJECTORY_FIELDS)]
-    year, month, t, *pools, totals = arrays
+        table = {name: np.array([row[i] for row in parsed], dtype=kind)
+                 for i, (name, kind) in enumerate(fields)}
+    year, month, t, *pools, totals = table.values()
     return Trajectory(t=t, year=year, month=month,
                       states=np.column_stack(pools),
                       totals=totals, scheme=meta.get("scheme", ""),

@@ -170,7 +170,7 @@ class Scenario:
         """N_P^(n), elementwise over delta years n; 1 in the baseline year."""
         n = np.asarray(n)
         distinct, inverse = np.unique(n, return_inverse=True)
-        ratios = np.array([self.np_ratios[self.baseline_year + int(k)] if k else 1.0
+        ratios = np.array([self.np_ratios[self.baseline_year + int(k)]
                            for k in distinct])
         return ratios[inverse.reshape(n.shape)]
 

@@ -109,6 +109,13 @@ def iom_from_soc(soc_total: float) -> float:
     return FALLOON_COEFF * soc_total**FALLOON_POWER
 
 
+# The active part s - 0.049 s^1.139 of a total SOC s peaks at
+# s = (0.049 * 1.139)^(-1/0.139), about 1.0e9 t C/ha, so no total SOC has
+# an active part above MAX_ACTIVE_SOC, about 1.3e8 t C/ha.
+_PEAK_TOTAL_SOC = (FALLOON_COEFF * FALLOON_POWER) ** (1.0 / (1.0 - FALLOON_POWER))
+MAX_ACTIVE_SOC = _PEAK_TOTAL_SOC - iom_from_soc(_PEAK_TOTAL_SOC)
+
+
 def soc_total_from_active(soc_active: float) -> float:
     """Total SOC whose Falloon IOM complement equals the active-pool sum.
 
@@ -157,10 +164,13 @@ def equilibrium_pools(P0: float, F0: float, rho0: float,
 
 @dataclass(frozen=True)
 class BaselineState:
-    """Equilibrium baseline: pools, inert carbon, inputs and their split."""
+    """Equilibrium baseline: pools, inputs and their split.
+
+    The inert carbon is ``iom_from_soc(soc_total_from_active(c0.sum()))``;
+    only the equilibrium command reports it, so no build solves for it.
+    """
 
     c0: Array
-    c_iom: float
     P0: float
     F0: float
     epsilon: float
@@ -173,9 +183,10 @@ class BaselineState:
         total_in = P0 + F0
         eps = P0 / total_in if total_in > 0 else 1.0
         soc_active = float(c0.sum())
-        soc_total = soc_total_from_active(soc_active)
-        return cls(c0=c0, c_iom=iom_from_soc(soc_total), P0=P0, F0=F0,
-                   epsilon=eps, rho0=rho0)
+        if not soc_active <= MAX_ACTIVE_SOC:   # no total SOC has it, or NaN
+            raise NumericsError(
+                f"could not bracket the SOC root for soc={soc_active}")
+        return cls(c0=c0, P0=P0, F0=F0, epsilon=eps, rho0=rho0)
 
     @classmethod
     def from_active_soc(cls, soc_active: float, F0: float, rho0: float,

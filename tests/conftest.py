@@ -7,10 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import socchange as sc
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# ``--hypothesis-profile=ci``: more examples for the tests that take their
+# count from the profile (the loader differential test), and no deadline
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # Optional third-party extracts (CRU TS / MOD17 aggregates); tests that
 # reproduce published site values skip when these are absent.

@@ -370,6 +370,22 @@ class TestEquilibriumCommand:
         assert re.search(r"P0 = 0(\.0)?\b", out)
         assert "c_iom = 0" in out
 
+    @pytest.mark.parametrize("option", [["--inputs", "1", "0"],
+                                        ["--soc", "14.9"]])
+    def test_one_root_solve(self, monkeypatch, option):
+        # the scenario build solves none; the command one, for SOC_total
+        # and c_iom together
+        calls = []
+        solve = sc.soc_total_from_active
+
+        def counted(soc_active):
+            calls.append(soc_active)
+            return solve(soc_active)
+        for module in ("socchange.equilibrium", "socchange.cli"):
+            monkeypatch.setattr(f"{module}.soc_total_from_active", counted)
+        assert main(["equilibrium", str(DEMO / "scenario.cfg"), *option]) == 0
+        assert len(calls) == 1
+
     def test_residual_always_tiny(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path)
         for argv in (["--inputs", "2.5", "0.5"], ["--soc", "35"]):

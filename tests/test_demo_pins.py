@@ -1,0 +1,150 @@
+"""Pinned outputs of the demo commands.
+
+``tests/data/demo_pins.json`` holds, for each command below, its stdout and
+for each CSV it writes: the metadata and header lines, the row count, every
+k-th data row and the last one, as written. A refactor that moves a number
+in these outputs by more than 1e-12 of its column's scale fails here. The
+tolerance, rather than a hash, lets numpy versions differ by an ulp.
+
+Regenerate the pins (only for a deliberate, explained change of output)::
+
+    PYTHONPATH=src python tests/test_demo_pins.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+import tempfile
+from decimal import Decimal
+from pathlib import Path
+
+import pytest
+
+from socchange.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "data" / "demo" / "scenario.cfg"
+PINS = Path(__file__).parent / "data" / "demo_pins.json"
+
+# the seven commands the cli_demo benchmark runs, then two more modes
+COMMANDS = (
+    ["simulate"],
+    ["simulate", "--scheme", "rothc_discrete", "--mode", "absolute"],
+    ["sensitivity", "--param", "temp1"],
+    ["sensitivity", "--param", "r"],
+    ["control", "--epsilon", "0,0.2,0.5,0.8", "--plot"],
+    ["equilibrium", "--inputs", "1", "0"],
+    ["equilibrium", "--soc", "14.9"],
+    ["sensitivity", "--param", "np1"],
+    ["simulate", "--mode", "absolute"],
+)
+ROWS_KEPT = 25          # about this many sampled rows per file, plus the last
+REL_TOL = 1e-12
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_DIGEST = re.compile(r"scenario=\w+")
+
+
+def run_command(args: list, out: Path) -> dict:
+    """Exit code, stdout and the pinned digest of each CSV written."""
+    argv = [args[0], str(CONFIG), *args[1:]]
+    if args[0] != "equilibrium":
+        argv += ["--out", str(out)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    text = stdout.getvalue().replace(str(out), "<out>")
+    return {"exit": code, "stdout": text,
+            "files": {path.name: _pin_csv(path)
+                      for path in sorted(out.glob("*.csv"))}}
+
+
+def _pin_csv(path: Path) -> dict:
+    meta, header, *rows = path.read_text().splitlines()
+    step = 1 + len(rows) // ROWS_KEPT
+    kept = sorted({*range(0, len(rows), step), len(rows) - 1})
+    return {"meta": meta, "header": header, "rows": len(rows), "step": step,
+            "kept": {str(i): rows[i] for i in kept}}
+
+
+def _all_outputs() -> dict:
+    pins = {}
+    for args in COMMANDS:
+        with tempfile.TemporaryDirectory() as out:
+            pins[" ".join(args)] = run_command(args, Path(out))
+    return pins
+
+
+def _numbers(text: str) -> list[str]:
+    return _NUMBER.findall(_DIGEST.sub("", text))
+
+
+def assert_text_close(expected: str, actual: str, scale: float) -> None:
+    """Same words; each number within one unit of its last printed digit
+    or REL_TOL * scale."""
+    expected, actual = _DIGEST.sub("", expected), _DIGEST.sub("", actual)
+    assert _NUMBER.sub("#", expected) == _NUMBER.sub("#", actual)
+    for want, got in zip(_NUMBER.findall(expected), _NUMBER.findall(actual)):
+        unit = 10.0 ** Decimal(want).as_tuple().exponent
+        assert abs(float(got) - float(want)) <= max(unit, REL_TOL * scale), \
+            (want, got)
+
+
+def assert_csv_close(pin: dict, path: Path) -> None:
+    meta, header, *rows = path.read_text().splitlines()
+    assert header == pin["header"]
+    assert len(rows) == pin["rows"]
+    assert_text_close(pin["meta"], meta, 0.0)
+    kept = {int(i): row.split(",") for i, row in pin["kept"].items()}
+    scales = [max(abs(float(row[j])) for row in kept.values())
+              for j in range(len(header.split(",")))]
+    for i, want in kept.items():
+        got = rows[i].split(",")
+        assert len(got) == len(want), i
+        for j, (w, g) in enumerate(zip(want, got)):
+            assert abs(float(g) - float(w)) <= REL_TOL * scales[j], \
+                (path.name, i, header.split(",")[j], w, g)
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS.read_text())
+
+
+def test_pins_cover_every_command(pins):
+    assert list(pins) == [" ".join(args) for args in COMMANDS]
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
+def test_demo_command_matches_pin(pins, tmp_path, args):
+    pin = pins[" ".join(args)]
+    result = run_command(args, tmp_path)
+    assert result["exit"] == pin["exit"] == 0
+    stdout_scale = max((abs(float(x)) for x in _numbers(pin["stdout"])),
+                       default=0.0)
+    assert_text_close(pin["stdout"], result["stdout"], stdout_scale)
+    assert sorted(result["files"]) == sorted(pin["files"])
+    for name, file_pin in pin["files"].items():
+        assert_csv_close(file_pin, tmp_path / name)
+
+
+def test_pin_comparison_catches_a_small_shift(pins, tmp_path):
+    """A 1e-9 relative move of one pinned value fails the comparison."""
+    pin = pins["simulate"]["files"]["trajectory.csv"]
+    run_command(["simulate"], tmp_path)
+    path = tmp_path / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    last = 2 + pin["rows"] - 1
+    cells = lines[last].split(",")
+    cells[-1] = repr(float(cells[-1]) * (1 + 1e-9))
+    lines[last] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(AssertionError):
+        assert_csv_close(pin, path)
+
+
+if __name__ == "__main__":
+    PINS.write_text(json.dumps(_all_outputs(), indent=1) + "\n")
+    print(f"wrote {PINS}")

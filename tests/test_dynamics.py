@@ -166,6 +166,17 @@ class TestDeltaSoc:
         assert arable_scenario.mats.a_g.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+class TestFymPolicy:
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_controlled_epsilon_in_closed_unit_interval(self, eps):
+        assert sc.FymPolicy(mode="controlled", epsilon=eps).epsilon == eps
+
+    @pytest.mark.parametrize("eps", [-1e-12, 1.0 + 1e-12, float("nan"), None])
+    def test_controlled_epsilon_outside_is_rejected(self, eps):
+        with pytest.raises(ConfigError, match=r"epsilon in \[0, 1\]"):
+            sc.FymPolicy(mode="controlled", epsilon=eps)
+
+
 class TestScenarioValidation:
     def test_missing_npp_year_is_error(self, site50):
         climate = constant_climate(2005, 15, site50)
@@ -213,6 +224,13 @@ class TestScenarioValidation:
                         density=sc.PlantInputDensity.standard("arable"),
                         climate=climate, reference=ref, baseline=baseline,
                         np_ratios=ratios)
+
+    def test_np_ratio_of_the_baseline_year_is_the_stored_one(
+            self, arable_scenario):
+        scen = arable_scenario
+        assert scen.np_ratios[scen.baseline_year] == 1.0
+        np.testing.assert_array_equal(scen.np_ratio([0, 1, 0]),
+                                      [1.0, scen.np_ratios[2006], 1.0])
 
 
 class TestWholeGridCalls:

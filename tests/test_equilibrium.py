@@ -285,3 +285,29 @@ class TestBaselineState:
                                                 0.5, mats, params)
         assert back.P0 == pytest.approx(1.7, rel=1e-9)
         np.testing.assert_allclose(back.c0, forward.c0, rtol=1e-9)
+
+    def test_max_active_soc_is_the_falloon_peak(self):
+        # s - iom(s) over total SOC s peaks at MAX_ACTIVE_SOC, 1.27e8 t C/ha
+        s = equilibrium._PEAK_TOTAL_SOC * np.linspace(0.9, 1.1, 2001)
+        active = s - equilibrium.FALLOON_COEFF * s**equilibrium.FALLOON_POWER
+        assert equilibrium.MAX_ACTIVE_SOC == pytest.approx(active.max(),
+                                                          rel=1e-12)
+        assert abs(s[np.argmax(active)] / equilibrium._PEAK_TOTAL_SOC - 1) \
+            < 1e-4
+        with pytest.raises(NumericsError, match="could not bracket"):
+            sc.soc_total_from_active(equilibrium.MAX_ACTIVE_SOC * 1.000001)
+
+    @pytest.mark.parametrize("P0, F0", [(1e300, 0.0), (0.0, 1e300),
+                                        (1e9, 1e9)])
+    def test_active_soc_without_a_total_is_rejected(self, setup50, P0, F0):
+        params, mats = setup50
+        with pytest.raises(NumericsError, match="could not bracket"):
+            sc.BaselineState.from_inputs(P0, F0, 0.5, mats, T)
+
+    def test_baseline_build_solves_no_root(self, setup50, monkeypatch):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root solve in a baseline build")
+        monkeypatch.setattr(equilibrium, "brentq", no_root)
+        params, mats = setup50
+        sc.BaselineState.from_inputs(1.0, 0.5, 0.5, mats, T)
+        sc.BaselineState.from_active_soc(14.9, 0.5, 0.5, mats, params)
