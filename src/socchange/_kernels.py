@@ -6,9 +6,9 @@ recurrences take k steps as one matrix power of it. The month-varying ones
 build every month's map first, then take one product per month into a
 preallocated float64 array. The product is the ndarray method ``.dot``: the
 same bits as ``np.dot`` and ``np.matmul``, without the Python-level dispatch
-of a numpy function on each call. ``controlled_recurrence`` carries its
-unclamped input factor as a sixth state entry, which row 5 of each month's map
-predicts for the next.
+of a numpy function on each call. ``controlled_recurrence`` carries the
+manure share ε and its unclamped input factor as the sixth and seventh state
+entries; row 6 of each month's map predicts the factor for the next month.
 """
 
 import numpy as np
@@ -100,26 +100,19 @@ def rk4_piecewise(amats, bvecs, dts, nsub, c0):
     return affine_recurrence(month[:, :4, :4], month[:, :4, 4], c0)
 
 
-def controlled_recurrence(fmats, gvecs, vvecs, avals, uvecs):
-    """Clamped affine loop c <- F_j c + g_j + f_j v_j, f_j = max(0, a_j + u_j·c).
+def controlled_recurrence(clamped, free, x0):
+    """Clamped affine loop on x = [c; 1; ε; f̂′], one of two maps per month.
 
-    fmats: (n, 4, 4); gvecs, vvecs, uvecs: (n, 4); avals: (n,). Starts from
-    the zero state. Returns (states (n+1, 4), f (n,)).
+    clamped, free: (n, 7, 7) month maps; x0: (7,). Month j steps x_j by
+    ``free[j]`` if its unclamped input factor x_j[6] is positive, else by
+    ``clamped[j]``. Returns all states x (n+1, 7), x0 first.
 
-    On x_j = [c_j; 1; f̂_j], f̂_j = w_j·[c_j; 1] with w_j = [u_j; a_j], month
-    j has a clamped map with c rows [F_j, g_j] and an unclamped one with
-    [F_j, g_j] + v_j w_jᵀ. Row 5 of both is w_{j+1}ᵀ times the top 5x5 block
-    (zero in the last month), giving f̂_{j+1}; the sign of f̂_j picks the map.
+    The maps are ``Scenario.control_maps``: their c rows apply the month's
+    manure-free step, plus the manure input f̂′ v̂ in the free map; row 6 of
+    both predicts the next month's f̂′.
     """
-    n = fmats.shape[0]
-    w = np.column_stack((uvecs, avals))
-    maps = np.zeros((2, n, 6, 6))   # clamped, unclamped
-    maps[:, :, :5, :5] = _augmented(fmats, gvecs)
-    maps[1, :, :4, :5] += vvecs[:, :, None] * w[:, None, :]
-    maps[:, :-1, 5, :5] = np.einsum("jb,kjbc->kjc", w[1:],
-                                    maps[:, :-1, :5, :5])
-    x = np.zeros((n + 1, 6))
-    x[0, 4:] = 1.0, avals[0]
-    for clamped, free, xj, xnext in zip(maps[0], maps[1], x, x[1:]):
-        (free if xj[5] > 0.0 else clamped).dot(xj, out=xnext)
-    return x[:, :4], np.maximum(0.0, x[:-1, 5])
+    x = np.empty((clamped.shape[0] + 1, x0.shape[0]))
+    x[0] = x0
+    for month_clamped, month_free, xj, xnext in zip(clamped, free, x, x[1:]):
+        (month_free if xj[6] > 0.0 else month_clamped).dot(xj, out=xnext)
+    return x

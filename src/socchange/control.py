@@ -36,7 +36,7 @@ class ControlSchedule:
     def annual_totals(self) -> dict[int, float]:
         """Manure applied per calendar year, t C ha^-1."""
         out: dict[int, float] = {}
-        for y in np.unique(self.year):
+        for y in sorted(set(self.year.tolist())):
             sel = self.year == y
             out[int(y)] = float((self.f[sel] * self.meta["dt"][sel]).sum())
         return out
@@ -56,23 +56,14 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
-    grid, rhos, eks, fmats, phimats = scenario.month_operators
-    mats = scenario.mats
-    n, m = grid.year_index, grid.month
-    phimats = grid.dt[:, None, None] * phimats
-    # month j steps c <- F c + g + f v, g the manure-free forcing. f zeroes
-    # the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc, and 1ᵀ(I - F) =
-    # δ(1 - e^{-τk})ᵀ, so f = a + u·c with a = -1ᵀg / 1ᵀv and
-    # u = δ(1 - e^{-τk}) / 1ᵀv; taken from e^{-τk}, u keeps the HUM entry
-    # that the column sums of F would cancel (δτk is about 1e-3)
-    gvecs = np.einsum("jab,jb->ja", phimats,
-                      _delta_forcing(m, n, scenario, epsilon, 0.0, rhos, grid.dt))
-    vvecs = (1.0 - epsilon) * (phimats @ mats.a_f)
-    sum_v = vvecs.sum(axis=1)
-    states, f0 = _kernels.controlled_recurrence(
-        fmats, gvecs, vvecs, -gvecs.sum(axis=1) / sum_v,
-        mats.delta * (1.0 - eks) / sum_v[:, None])
+    clamped, free, first = scenario.control_maps
+    x0 = np.zeros(7)
+    x0[4:] = 1.0, epsilon, first[4] + epsilon * first[5]
+    x = _kernels.controlled_recurrence(clamped, free, x0)
+    states = x[:, :4]
+    f0 = np.maximum(0.0, x[:-1, 6]) / (1.0 - epsilon)
 
+    grid = scenario.month_operators[0]
     t, year, month = grid.sample_axis(scenario.baseline_year)
     meta = {
         "scheme": "nonstandard",
@@ -93,3 +84,45 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
         month=grid.month, f0=f0, f=f0 * scenario.baseline.F0, epsilon=epsilon,
         meta={"dt": grid.dt, "F0": scenario.baseline.F0, "hold": "monthly"})
     return trajectory, schedule
+
+
+def _control_maps(scenario: Scenario):
+    """(clamped, free, first): the controlled run's month maps, for every ε.
+
+    Read through ``Scenario.control_maps``, built once per scenario from its
+    month operators; the arrays are read-only.
+
+    Month j steps c <- F c + g + f v, g the manure-free forcing, and f
+    zeroes the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc. As 1ᵀ(I - F) =
+    δ(1 - e^{-τk})ᵀ, f = (δ(1 - e^{-τk})·c - 1ᵀg) / 1ᵀv; taken from
+    e^{-τk}, it keeps the HUM entry that the column sums of F would cancel
+    (δτk is about 1e-3). g is linear in ε, g = g₀ + ε(g₁ - g₀), and
+    v = (1 - ε)v̂, so f̂′ = (1 - ε)f = ŵ·[c; 1; ε] with ŵ free of ε.
+
+    On x = [c; 1; ε; f̂′] the clamped map of month j has c rows
+    [F_j, g₀, g₁ - g₀, 0], the free one adds v̂_j ŵ_jᵀ to the first six
+    columns, and row 6 of both is ŵ_{j+1}ᵀ times the top 6x6 block (zero in
+    the last month), giving the next f̂′. ``first`` is ŵ_0, the first
+    month's f̂′ from [c; 1; ε].
+    """
+    grid, rhos, eks, fmats, phimats = scenario.month_operators
+    mats = scenario.mats
+    n, m = grid.year_index, grid.month
+    phimats = grid.dt[:, None, None] * phimats
+    g0, g1 = (np.einsum("jab,jb->ja", phimats, _delta_forcing(
+        m, n, scenario, eps, 0.0, rhos, grid.dt)) for eps in (0.0, 1.0))
+    dg = g1 - g0
+    vhat = phimats @ mats.a_f
+    w = np.column_stack((mats.delta * (1.0 - eks), -g0.sum(axis=1),
+                         -dg.sum(axis=1))) / vhat.sum(axis=1)[:, None]
+    maps = np.zeros((2, n.shape[0], 7, 7))   # clamped, free
+    maps[:, :, :4, :4] = fmats
+    maps[:, :, :4, 4] = g0
+    maps[:, :, :4, 5] = dg
+    maps[:, :, 4, 4] = maps[:, :, 5, 5] = 1.0
+    maps[1, :, :4, :6] += vhat[:, :, None] * w[:, None, :]
+    maps[:, :-1, 6, :6] = np.einsum("jb,kjbc->kjc", w[1:],
+                                    maps[:, :-1, :6, :6])
+    first = w[0].copy()
+    maps.flags.writeable = first.flags.writeable = False
+    return maps[0], maps[1], first

@@ -158,6 +158,14 @@ class Scenario:
         from . import stepping   # stepping imports this module
         return stepping._month_operators(self)
 
+    @cached_property
+    def control_maps(self):
+        """(clamped, free, first) of ``control._control_maps``, built on first
+        use and shared, read-only, by every ``simulate_controlled`` run on
+        this scenario, whatever its ε."""
+        from . import control   # control imports this module
+        return control._control_maps(self)
+
     @property
     def r(self) -> float:
         return self.params.r
@@ -169,10 +177,10 @@ class Scenario:
     def np_ratio(self, n):
         """N_P^(n), elementwise over delta years n; 1 in the baseline year."""
         n = np.asarray(n)
-        distinct, inverse = np.unique(n, return_inverse=True)
+        distinct = sorted(set(n.ravel().tolist()))
         ratios = np.array([self.np_ratios[self.baseline_year + int(k)]
                            for k in distinct])
-        return ratios[inverse.reshape(n.shape)]
+        return ratios[np.searchsorted(distinct, n)]
 
     def dt_at(self, n, month):
         """Month length in model months, T times the month's share of the

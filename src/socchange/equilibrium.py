@@ -26,6 +26,8 @@ Array = np.ndarray
 FALLOON_COEFF = 0.049
 FALLOON_POWER = 1.139
 
+# per unit of the root, at least 1e-10: the residual's rounding grows with
+# the SOC (about 1e-16 x 1e6 at an active SOC of 1e6)
 _ROOT_RESIDUAL_TOL = 1e-10
 _BRENT_RTOL_FLOOR = 4 * sys.float_info.epsilon   # scipy's floor on rtol
 
@@ -145,9 +147,9 @@ def soc_total_from_active(soc_active: float) -> float:
             f"could not bracket the SOC root for soc={soc_active}")
     root = brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     res = residual(root)
-    if abs(res) > _ROOT_RESIDUAL_TOL:
-        raise NumericsError(
-            f"SOC root residual {res:.3e} exceeds {_ROOT_RESIDUAL_TOL}")
+    tol = _ROOT_RESIDUAL_TOL * max(1.0, root)
+    if abs(res) > tol:
+        raise NumericsError(f"SOC root residual {res:.3e} exceeds {tol:.3e}")
     return float(root)
 
 

@@ -129,10 +129,10 @@ class Trajectory:
 
     def annual_means(self) -> dict[int, float]:
         """Mean of the 12 in-year monthly samples, keyed by calendar year."""
+        in_year = self.month > 0
         out: dict[int, float] = {}
-        for y in np.unique(self.year[self.month > 0]):
-            sel = (self.year == y) & (self.month > 0)
-            out[int(y)] = float(self.totals[sel].mean())
+        for y in sorted(set(self.year[in_year].tolist())):
+            out[int(y)] = float(self.totals[(self.year == y) & in_year].mean())
         return out
 
 

@@ -394,6 +394,11 @@ class TestEquilibriumCommand:
             residual = float(re.search(r"residual = (\S+)", out).group(1))
             assert residual < 1e-10
 
+    def test_large_active_soc_solves(self, capsys):
+        assert main(["equilibrium", str(DEMO / "scenario.cfg"),
+                     "--soc", "1e6"]) == 0
+        assert "c_iom = 551322.5967" in capsys.readouterr().out
+
     def test_infeasible_baseline_exits_three(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=100.0)
         assert main(["equilibrium", str(config), "--soc", "1.0"]) == 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import socchange as sc
-from socchange import stepping
+from socchange import control, stepping
 from socchange.errors import ConfigError
 from socchange.stepping import build_time_grid
 
@@ -248,6 +248,21 @@ class TestSharedMonthOperators:
         grid, *operators = _sharing_scenario().month_operators
         for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                       *operators):
+            assert not array.flags.writeable
+
+    def test_control_maps_built_once_for_every_epsilon(self, monkeypatch):
+        calls = []
+        build = control._control_maps
+        monkeypatch.setattr(control, "_control_maps",
+                            lambda scenario: calls.append(scenario)
+                            or build(scenario))
+        shared = _sharing_scenario()
+        for eps in EPS_SWEEP:
+            sc.simulate_controlled(shared, eps)
+        assert len(calls) == 1 and calls[0] is shared
+
+    def test_control_maps_are_read_only(self):
+        for array in _sharing_scenario().control_maps:
             assert not array.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(_MONTHLY_RUNS))

@@ -75,6 +75,13 @@ class TestSocTotalFromActive:
             root = sc.soc_total_from_active(soc)
             assert abs(0.049 * root**1.139 - root + soc) < 1e-10
 
+    def test_every_active_soc_below_the_peak_solves(self):
+        # the residual's rounding grows with the root, so its check scales
+        # with it; at the peak itself no bracket exists
+        for soc in np.geomspace(1e3, equilibrium.MAX_ACTIVE_SOC, 400)[:-1]:
+            root = sc.soc_total_from_active(float(soc))
+            assert abs(0.049 * root**1.139 - root + soc) <= 1e-10 * root
+
     def test_strictly_increasing(self):
         grid = np.linspace(0.5, 200.0, 400)
         roots = np.array([sc.soc_total_from_active(s) for s in grid])

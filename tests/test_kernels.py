@@ -2,10 +2,10 @@
 
 The month loops step augmented maps: ``affine_recurrence`` applies
 [[F, g], [0, 1]] to [c; 1], the same sums in the same order as c <- F c + g,
-so it equals its oracle bit for bit. ``controlled_recurrence`` carries the
-unclamped factor f̂ = a + u·c as a sixth entry that row 5 of each month's map
-predicts for the next month, so f̂ is rounded differently from the oracle's
-feedback law, written from α, β, δ, φ(-τk) and the clamp and checked through
+so it equals its oracle bit for bit. ``controlled_recurrence`` carries ε as
+a sixth entry and the unclamped factor, (1 - ε) f̂ = ŵ·[c; 1; ε], as a seventh
+that row 6 of each month's map predicts for the next month, so f̂ is rounded
+differently from the oracle's feedback law, written from α, β, δ, φ(-τk) and the clamp and checked through
 ``simulate_controlled``: states and f0 within 1e-12 × max(1, max|oracle|),
 the clamped months identical, up to 1 200 months.
 
@@ -170,7 +170,7 @@ class TestPathEquivalence:
                 scenario = make_scenario(r=r, F0=0.5, P0=0.5, warming=0.15,
                                          np_trend=0.0, seed=7,
                                          horizon=horizon)
-                for eps in (0.0, 0.2, 0.5, 0.8):
+                for eps in (0.0, 0.2, 0.5, 0.8, 0.95):
                     _assert_controlled_matches_oracle(scenario, eps)
 
 
