@@ -7,6 +7,7 @@ error. All outputs go under --out; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -19,6 +20,7 @@ from .charts import write_line_chart
 from .control import simulate_controlled
 from .dataio import (build_scenario, load_config, write_control,
                      write_sensitivity, write_trajectory)
+from .dynamics import FymPolicy
 from .equilibrium import BaselineState, iom_from_soc, soc_total_from_active
 from .errors import ConfigError, DataError, NumericsError, SocChangeError
 from .sensitivity import PARAMETERS, sensitivity
@@ -92,7 +94,7 @@ def cmd_simulate(args) -> int:
         if args.mode != "delta":
             raise ConfigError("controlled runs support delta mode only")
         trajectory, schedule = simulate_controlled(scenario,
-                                                   scenario.fym.epsilon)
+                                                   scenario.baseline.epsilon)
         write_control(args.out / "control.csv", schedule)
     else:
         trajectory = simulate(scenario, scheme=scheme, mode=args.mode)
@@ -139,14 +141,18 @@ def cmd_control(args) -> int:
         raise ConfigError(f"bad --epsilon list {args.epsilon!r}") from None
     if not eps_values:
         raise ConfigError("--epsilon needs at least one value")
+    tags = [f"{eps:g}".replace(".", "p") for eps in eps_values]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"--epsilon {args.epsilon!r}: two values agree to 6 "
+                          "digits and would write the same files")
     args.out.mkdir(parents=True, exist_ok=True)
     plot_series = []
-    for eps in eps_values:
-        tag = f"{eps:g}".replace(".", "p")
+    for eps, tag in zip(eps_values, tags):
         if eps == 1.0:
             print("epsilon=1 has no manure input; running uncontrolled "
                   "simulation instead", file=sys.stderr)
-            trajectory = simulate(scenario, scheme=config.scheme, mode="delta")
+            trajectory = simulate(dataclasses.replace(scenario, fym=FymPolicy()),
+                                  scheme=config.scheme, mode="delta")
         else:
             trajectory, schedule = simulate_controlled(scenario, eps)
             write_control(args.out / f"control_eps{tag}.csv", schedule)

@@ -50,10 +50,9 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     constant over the month (zero-order hold), choosing the value that makes
     the non-standard step's Δsoc increment exactly zero when feasible.
     """
-    if epsilon == 1.0:
-        raise ConfigError("epsilon = 1 means no manure input; use simulate()")
     if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
+        raise ConfigError(f"epsilon must be in [0, 1), got {epsilon} (1 means "
+                          "no manure input: use simulate())")
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
     clamped, free, first = scenario.control_maps
@@ -105,14 +104,13 @@ def _control_maps(scenario: Scenario):
     the last month), giving the next f̂′. ``first`` is ŵ_0, the first
     month's f̂′ from [c; 1; ε].
     """
-    grid, rhos, eks, fmats, phimats = scenario.month_operators
+    grid, rhos, eks, fmats, dt_phimats = scenario.month_operators
     mats = scenario.mats
     n, m = grid.year_index, grid.month
-    phimats = grid.dt[:, None, None] * phimats
-    g0, g1 = (np.einsum("jab,jb->ja", phimats, _delta_forcing(
+    g0, g1 = (np.einsum("jab,jb->ja", dt_phimats, _delta_forcing(
         m, n, scenario, eps, 0.0, rhos, grid.dt)) for eps in (0.0, 1.0))
     dg = g1 - g0
-    vhat = phimats @ mats.a_f
+    vhat = dt_phimats @ mats.a_f
     w = np.column_stack((mats.delta * (1.0 - eks), -g0.sum(axis=1),
                          -dg.sum(axis=1))) / vhat.sum(axis=1)[:, None]
     maps = np.zeros((2, n.shape[0], 7, 7))   # clamped, free

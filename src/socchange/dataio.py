@@ -324,7 +324,6 @@ class ScenarioConfig:
     plant_input_tc_ha_yr: Optional[float] = None
     soc_active_tc_ha: Optional[float] = None
     fym_baseline_tc_ha_yr: float = 0.0
-    epsilon: Optional[float] = None
     fym_mode: str = "none"
     fym_monthly_tc_ha: Optional[list] = None
     cover_mode: str = "timed"
@@ -343,8 +342,7 @@ _REQUIRED_KEYS = ("clay_pct", "depth_cm", "baseline_year", "horizon_years",
 
 _FLOAT_KEYS = ("clay_pct", "depth_cm", "dpm_rpm_ratio", "latitude_deg",
                "bare_months", "eta", "plant_input_tc_ha_yr",
-               "soc_active_tc_ha", "fym_baseline_tc_ha_yr", "epsilon",
-               "sensitivity_dt")
+               "soc_active_tc_ha", "fym_baseline_tc_ha_yr", "sensitivity_dt")
 _INT_KEYS = ("baseline_year", "horizon_years")
 _STR_KEYS = ("climate_csv", "npp_csv", "density_csv", "land_class",
              "fym_mode", "cover_mode", "scheme")
@@ -443,23 +441,11 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         p0 = 1.0 if config.plant_input_tc_ha_yr is None else config.plant_input_tc_ha_yr
         baseline = BaselineState.from_inputs(p0, f0_total, rho0, mats, params.T)
 
-    if config.fym_mode == "fixed":
-        if config.fym_monthly_tc_ha is None or len(config.fym_monthly_tc_ha) != 12:
-            raise ConfigError("fixed FYM mode needs fym_monthly_tc_ha with 12 values")
-        fym = FymPolicy(mode="fixed",
-                        monthly_density=np.array(config.fym_monthly_tc_ha))
-    elif config.fym_mode == "controlled":
-        eps = baseline.epsilon if config.epsilon is None else config.epsilon
-        fym = FymPolicy(mode="controlled", epsilon=eps)
-    elif config.fym_mode == "none":
-        fym = FymPolicy()
-    else:
-        raise ConfigError(f"unknown fym_mode {config.fym_mode!r}")
-
     return Scenario(baseline_year=config.baseline_year,
                     horizon=config.horizon_years, params=params, mats=mats,
                     density=density, climate=climate, reference=reference,
-                    baseline=baseline, np_ratios=np_ratios, fym=fym,
+                    baseline=baseline, np_ratios=np_ratios,
+                    fym=FymPolicy(config.fym_mode, config.fym_monthly_tc_ha),
                     cover_mode=config.cover_mode,
                     cover_schedule=cover_schedule)
 

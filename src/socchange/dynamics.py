@@ -97,24 +97,21 @@ class PlantInputDensity:
 
 @dataclass(frozen=True)
 class FymPolicy:
-    """Farmyard-manure forcing: absent, a fixed density, or feedback-controlled."""
+    """Farmyard-manure forcing: absent, a fixed density, or feedback-controlled
+    (at the plant-input share ε given to ``simulate_controlled``)."""
 
     mode: str = "none"                      # none | fixed | controlled
     monthly_density: Optional[Array] = None  # t C ha^-1 month^-1, fixed mode
-    epsilon: Optional[float] = None          # controlled mode
 
     def __post_init__(self):
         if self.mode not in ("none", "fixed", "controlled"):
             raise ConfigError(f"unknown FYM mode {self.mode!r}")
         if self.mode == "fixed":
-            if self.monthly_density is None:
-                raise ConfigError("fixed FYM mode requires monthly densities")
+            # None gives a 0-d NaN, which the shape test rejects
             d = np.asarray(self.monthly_density, dtype=float)
             if d.shape != (12,) or np.any(d < 0):
-                raise ConfigError("fixed FYM needs 12 non-negative densities")
-        if self.mode == "controlled":
-            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ConfigError("controlled FYM mode requires epsilon in [0, 1]")
+                raise ConfigError("fixed FYM mode needs 12 non-negative "
+                                  "monthly densities (fym_monthly_tc_ha)")
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class Scenario:
 
     @cached_property
     def month_operators(self):
-        """(grid, rhos, eks, fmats, phimats) of ``stepping._month_operators``,
+        """(grid, rhos, eks, fmats, dt_phimats) of ``stepping._month_operators``,
         built on first use and shared, read-only, by every monthly run on
         this scenario."""
         from . import stepping   # stepping imports this module
@@ -201,33 +198,25 @@ class Scenario:
                            self.cover_schedule)
 
 
-def delta_forcing_no_fym(month, n, scenario: Scenario, rho_m=None,
-                         dt_m=None) -> Array:
-    """Forcing of the no-manure delta equation: parallel to a_g.
+def delta_forcing(month, n, scenario: Scenario, f_value=None, rho_m=None,
+                  dt_m=None) -> Array:
+    """Forcing of the delta equation: in span{a_g, a_f}.
 
-    (N_P^(n) ghat_r(m) - rho(m) / (T rho0)) a_g with ghat the monthly
-    proportion converted to a density. Elementwise over (month, n); the
-    forcing vectors lie along the last axis.
-    """
-    if scenario.baseline.F0 != 0.0:
-        raise ConfigError("baseline has manure input; use delta_forcing_fym")
-    return _delta_forcing(month, n, scenario, 1.0, 0.0, rho_m, dt_m)
-
-
-def delta_forcing_fym(month, n, scenario: Scenario, f_value, rho_m=None,
-                      dt_m=None) -> Array:
-    """Forcing of the manure-driven delta equation: in span{a_g, a_f}.
-
-    f_value is the manure density (t C ha^-1 month^-1); the a_f share is
-    weighted by 1-eps and normalized by the baseline manure total F0.
+    f_value is the manure density (t C ha^-1 month^-1), None for none; the
+    a_f share is weighted by 1-eps and normalized by the baseline manure
+    total F0, so a density needs F0 > 0. With F0 = 0, eps = 1 and the
+    forcing is (N_P^(n) ghat_r(m) - rho(m) / (T rho0)) a_g alone.
     Elementwise over (month, n, f_value); the forcing vectors lie along the
     last axis.
     """
     baseline = scenario.baseline
-    if baseline.F0 <= 0.0:
-        raise ConfigError("delta_forcing_fym requires baseline manure F0 > 0")
-    return _delta_forcing(month, n, scenario, baseline.epsilon,
-                          f_value / baseline.F0, rho_m, dt_m)
+    if f_value is not None and baseline.F0 <= 0.0:
+        raise ConfigError("fixed manure forcing in delta mode needs a "
+                          "baseline manure total F0 > 0 (the forcing is "
+                          "normalized by it)")
+    f_ratio = 0.0 if f_value is None else f_value / baseline.F0
+    return _delta_forcing(month, n, scenario, baseline.epsilon, f_ratio,
+                          rho_m, dt_m)
 
 
 def _delta_forcing(month, n, scenario: Scenario, eps: float, f_ratio,

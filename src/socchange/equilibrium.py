@@ -175,20 +175,23 @@ class BaselineState:
     c0: Array
     P0: float
     F0: float
-    epsilon: float
     rho0: float
+
+    @property
+    def epsilon(self) -> float:
+        """Plant share of the baseline input, P0/(P0 + F0); 1 with no input."""
+        total_in = self.P0 + self.F0
+        return self.P0 / total_in if total_in > 0 else 1.0
 
     @classmethod
     def from_inputs(cls, P0: float, F0: float, rho0: float,
                     mats: CompartmentMatrices, T: float) -> "BaselineState":
         c0 = equilibrium_pools(P0, F0, rho0, mats, T)
-        total_in = P0 + F0
-        eps = P0 / total_in if total_in > 0 else 1.0
         soc_active = float(c0.sum())
         if not soc_active <= MAX_ACTIVE_SOC:   # no total SOC has it, or NaN
             raise NumericsError(
                 f"could not bracket the SOC root for soc={soc_active}")
-        return cls(c0=c0, P0=P0, F0=F0, epsilon=eps, rho0=rho0)
+        return cls(c0=c0, P0=P0, F0=F0, rho0=rho0)
 
     @classmethod
     def from_active_soc(cls, soc_active: float, F0: float, rho0: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, delta_forcing_fym, delta_forcing_no_fym
+from .dynamics import Scenario, delta_forcing
 from .errors import ConfigError
 from .pools import CompartmentMatrices
 
@@ -137,7 +137,7 @@ class Trajectory:
 
 
 def _month_operators(scenario: Scenario):
-    """Time grid, left-endpoint ρ, e^{-τk}, F(τ) and φ(τÃ) per month, τ = Δt ρ.
+    """Time grid, left-endpoint ρ, e^{-τk}, F(τ) and Δt φ(τÃ) per month, τ = Δt ρ.
 
     Read through ``Scenario.month_operators``, which builds them once per
     scenario for every monthly run on it. The arrays are read-only, so no
@@ -145,7 +145,8 @@ def _month_operators(scenario: Scenario):
     """
     grid = build_time_grid(scenario)   # the module global: tracers patch it
     rhos = scenario.rho_at(grid.year_index, grid.month)
-    operators = (rhos, *_step_operators(grid.dt * rhos, scenario.mats))
+    eks, fmats, phimats = _step_operators(grid.dt * rhos, scenario.mats)
+    operators = (rhos, eks, fmats, grid.dt[:, None, None] * phimats)
     for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                   *operators):
         array.flags.writeable = False
@@ -154,27 +155,22 @@ def _month_operators(scenario: Scenario):
 
 def _monthly_forcing(scenario: Scenario, mode: str):
     """Forcing vector b per month over the horizon, from left-endpoint ρ."""
-    baseline = scenario.baseline
     fym = scenario.fym
     if fym.mode == "controlled":
         raise ConfigError("controlled runs go through simulate_controlled")
-    if mode == "delta" and fym.mode == "fixed" and baseline.F0 == 0.0:
-        raise ConfigError("fixed manure forcing in delta mode needs a "
-                          "baseline manure total F0 > 0 (the forcing is "
-                          "normalized by it)")
     if mode not in ("delta", "absolute"):
         raise ConfigError(f"unknown mode {mode!r}")
     grid, rhos = scenario.month_operators[:2]
     n, m = grid.year_index, grid.month
     f_values = (np.asarray(fym.monthly_density, dtype=float)[m - 1]
-                if fym.mode == "fixed" else np.zeros(grid.nsteps))
-    if mode == "absolute":
-        g = baseline.P0 * scenario.np_ratio(n) * scenario.density.density(m, grid.dt)
-        return (np.multiply.outer(g, scenario.mats.a_g)
-                + np.multiply.outer(f_values, scenario.mats.a_f))
-    if baseline.F0 == 0.0:
-        return delta_forcing_no_fym(m, n, scenario, rho_m=rhos, dt_m=grid.dt)
-    return delta_forcing_fym(m, n, scenario, f_values, rho_m=rhos, dt_m=grid.dt)
+                if fym.mode == "fixed" else None)
+    if mode == "delta":
+        return delta_forcing(m, n, scenario, f_values, rho_m=rhos, dt_m=grid.dt)
+    g = (scenario.baseline.P0 * scenario.np_ratio(n)
+         * scenario.density.density(m, grid.dt))
+    f = 0.0 if f_values is None else f_values
+    return (np.multiply.outer(g, scenario.mats.a_g)
+            + np.multiply.outer(f, scenario.mats.a_f))
 
 
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
@@ -185,9 +181,9 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     from the baseline equilibrium pools (validation path).
     """
     bvecs = _monthly_forcing(scenario, mode)
-    grid, _, _, fmats, phimats = scenario.month_operators
+    grid, _, _, fmats, dt_phimats = scenario.month_operators
     if scheme == "nonstandard":
-        weights = grid.dt[:, None, None] * phimats
+        weights = dt_phimats
     elif scheme == "rothc_discrete":
         weights = grid.dt[:, None, None] * np.eye(4)
     else:

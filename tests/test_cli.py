@@ -224,6 +224,17 @@ class TestSimulateCommand:
         assert np.all(traj.states >= -1e-12)
         assert traj.meta["mode"] == "absolute"
 
+    def test_controlled_policy_runs_at_the_baseline_share(self, tmp_path):
+        config = _demo_with_key(tmp_path, "fym_mode", "controlled")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        assert (out / "control.csv").exists()
+        traj = _read_totals(out / "trajectory.csv")
+        baseline = sc.build_scenario(sc.load_config(config)).baseline
+        assert float(traj.meta["epsilon"]) == baseline.P0 / (baseline.P0
+                                                              + baseline.F0)
+        assert traj.totals.min() >= -1e-9
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
@@ -241,6 +252,28 @@ class TestConfigValues:
         assert main(["simulate", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"key {key!r}: non-finite value" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        (["fym_mode = bogus"], "unknown FYM mode 'bogus'"),
+        (["fym_mode = fixed"], "needs 12 non-negative monthly densities"),
+        (["fym_mode = fixed", "fym_monthly_tc_ha = " + ",".join(["0.1"] * 11)],
+         "needs 12 non-negative monthly densities"),
+        (["fym_mode = fixed",
+          "fym_monthly_tc_ha = " + ",".join(["0.1"] * 11 + ["-0.1"])],
+         "needs 12 non-negative monthly densities"),
+        (["fym_mode = controlled", "epsilon = 0.5"], "unknown key 'epsilon'"),
+    ], ids=["unknown-mode", "fixed-no-densities", "fixed-11-densities",
+            "fixed-negative-density", "epsilon-key"])
+    def test_bad_manure_policy_exits_one(self, tmp_path, capsys, lines,
+                                         message):
+        config = _demo_with_key(tmp_path, *lines[0].split(" = "))
+        config.write_text(config.read_text()
+                          + "".join(f"{line}\n" for line in lines[1:]))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["nan", "0", "inf", "-inf", "-1", "1.5",
@@ -344,9 +377,39 @@ class TestControlCommand:
         assert (out / "trajectory_eps1.csv").exists()
         assert not (out / "control_eps1.csv").exists()
 
+    @pytest.mark.parametrize("policy", [
+        ["fym_mode = controlled"],
+        ["fym_mode = fixed", "fym_monthly_tc_ha = " + ",".join(["0.1"] * 12)],
+    ], ids=["controlled", "fixed"])
+    def test_epsilon_one_runs_without_the_configured_manure(self, tmp_path,
+                                                            policy):
+        plain = tmp_path / "plain"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon", "1",
+                     "--out", str(plain)]) == 0
+        config = _demo_with_key(tmp_path, *policy[0].split(" = "))
+        config.write_text(config.read_text()
+                          + "".join(f"{line}\n" for line in policy[1:]))
+        out = tmp_path / "out"
+        assert main(["control", str(config), "--epsilon", "0,1",
+                     "--out", str(out)]) == 0
+        assert (out / "trajectory_eps0.csv").exists()
+        assert ((out / "trajectory_eps1.csv").read_bytes()
+                == (plain / "trajectory_eps1.csv").read_bytes())
+
     def test_bad_epsilon_list(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5)
         assert main(["control", str(config), "--epsilon", "0.2;0.5"]) == 1
+
+    @pytest.mark.parametrize("values", ["0.2,0.20", "0,0.3,1e-0,1",
+                                        "0.5,0.5000001"])
+    def test_epsilon_values_sharing_a_file_tag_exit_one(self, tmp_path,
+                                                        capsys, values):
+        out = tmp_path / "out"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     values, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "same files" in err, err
+        assert not out.exists()
 
 
 class TestEquilibriumCommand:

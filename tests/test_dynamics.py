@@ -1,4 +1,4 @@
-"""Plant-input densities, NPP ratios, and the delta forcing terms."""
+"""Plant-input densities, NPP ratios, and the delta forcing."""
 
 import numpy as np
 import pytest
@@ -62,8 +62,10 @@ class TestClassForRatio:
 
 
 class TestDeltaForcingNoFym:
+    """delta_forcing with no manure density."""
+
     def test_direction_parallel_to_plant_input(self, arable_scenario):
-        b = sc.delta_forcing_no_fym(7, 1, arable_scenario)
+        b = sc.delta_forcing(7, 1, arable_scenario)
         a_g = arable_scenario.mats.a_g
         scale = b[0] / a_g[0]
         np.testing.assert_allclose(b, scale * a_g, atol=1e-15)
@@ -79,7 +81,7 @@ class TestDeltaForcingNoFym:
         ghat = scen.density.proportion(month) / dt
         expected = (scen.np_ratio(n) * ghat
                     - rho / (scen.params.T * scen.rho0)) * scen.mats.a_g
-        got = sc.delta_forcing_no_fym(month, n, scen)
+        got = sc.delta_forcing(month, n, scen)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_annual_balance_under_stationary_forcing(self, stationary_scenario):
@@ -88,15 +90,19 @@ class TestDeltaForcingNoFym:
         grid = build_time_grid(scen)
         total = np.zeros(4)
         for j in range(12):
-            b = sc.delta_forcing_no_fym(int(grid.month[j]), 1, scen,
-                                        dt_m=grid.dt[j])
+            b = sc.delta_forcing(int(grid.month[j]), 1, scen,
+                                 dt_m=grid.dt[j])
             total += grid.dt[j] * b
         assert np.max(np.abs(total)) < 1e-10
 
-    def test_manure_baseline_rejected(self):
+    def test_no_density_on_manure_baseline_is_zero_density(self):
+        # with F0 > 0, no manure is f/F0 = 0 in the a_f share, not an error
         scen = make_scenario(F0=0.3)
-        with pytest.raises(ConfigError):
-            sc.delta_forcing_no_fym(1, 1, scen)
+        grid = build_time_grid(scen)
+        n, m = grid.year_index, grid.month
+        np.testing.assert_array_equal(
+            sc.delta_forcing(m, n, scen),
+            sc.delta_forcing(m, n, scen, np.zeros(grid.nsteps)))
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +111,12 @@ def manure_scenario():
 
 
 class TestDeltaForcingFym:
+    """delta_forcing with a manure density."""
+
     def test_epsilon_one_limit_reproduces_no_fym(self, arable_scenario):
         # evaluated formulaically: with eps = 1 the a_f share vanishes
         scen = arable_scenario
-        b_no = sc.delta_forcing_no_fym(4, 1, scen)
+        b_no = sc.delta_forcing(4, 1, scen)
         eps, f0 = 1.0, 0.0
         rho = scen.rho_at(1, 4)
         grid = build_time_grid(scen)
@@ -129,7 +137,7 @@ class TestDeltaForcingFym:
             month = int(grid.month[j])
             rho = scen.rho_at(1, month)
             f_value = scen.baseline.F0 * rho / (scen.params.T * scen.rho0)
-            b = sc.delta_forcing_fym(month, 1, scen, f_value, dt_m=grid.dt[j])
+            b = sc.delta_forcing(month, 1, scen, f_value, dt_m=grid.dt[j])
             assert np.max(np.abs(b)) < 1e-14
 
     def test_projection_identity(self, manure_scenario):
@@ -143,22 +151,23 @@ class TestDeltaForcingFym:
             rho = scen.rho_at(n, month)
             ghat = scen.density.proportion(month) / dt
             q = rho / (scen.params.T * scen.rho0)
-            b = sc.delta_forcing_fym(month, n, scen, f_value, dt_m=dt)
+            b = sc.delta_forcing(month, n, scen, f_value, dt_m=dt)
             expected = (eps * (scen.np_ratio(n) * ghat - q / eps)
                         + (1 - eps) * f_value / scen.baseline.F0)
             assert b.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_span_of_both_directions(self, manure_scenario):
         scen = manure_scenario
-        b = sc.delta_forcing_fym(7, 1, scen, 0.2)
+        b = sc.delta_forcing(7, 1, scen, 0.2)
         basis = np.column_stack([scen.mats.a_g, scen.mats.a_f])
         coeffs, residual, *_ = np.linalg.lstsq(basis, b, rcond=None)
         reconstructed = basis @ coeffs
         assert np.max(np.abs(b - reconstructed)) < 1e-12
 
     def test_zero_baseline_manure_rejected(self, arable_scenario):
-        with pytest.raises(ConfigError):
-            sc.delta_forcing_fym(1, 1, arable_scenario, 0.1)
+        # a density cannot be normalized by F0 = 0
+        with pytest.raises(ConfigError, match="F0 > 0"):
+            sc.delta_forcing(1, 1, arable_scenario, 0.1)
 
 
 class TestDeltaSoc:
@@ -167,14 +176,20 @@ class TestDeltaSoc:
 
 
 class TestFymPolicy:
-    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
-    def test_controlled_epsilon_in_closed_unit_interval(self, eps):
-        assert sc.FymPolicy(mode="controlled", epsilon=eps).epsilon == eps
+    """A controlled policy carries no ε: ``simulate_controlled`` takes it and
+    is the one place that checks it."""
 
-    @pytest.mark.parametrize("eps", [-1e-12, 1.0 + 1e-12, float("nan"), None])
-    def test_controlled_epsilon_outside_is_rejected(self, eps):
-        with pytest.raises(ConfigError, match=r"epsilon in \[0, 1\]"):
-            sc.FymPolicy(mode="controlled", epsilon=eps)
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_controlled_epsilon_in_closed_unit_interval(self, manure_scenario,
+                                                        eps):
+        _, schedule = sc.simulate_controlled(manure_scenario, eps)
+        assert schedule.epsilon == eps
+
+    @pytest.mark.parametrize("eps", [-1e-12, 1.0 + 1e-12, float("nan")])
+    def test_controlled_epsilon_outside_is_rejected(self, manure_scenario,
+                                                    eps):
+        with pytest.raises(ConfigError, match=r"epsilon must be in \[0, 1\)"):
+            sc.simulate_controlled(manure_scenario, eps)
 
 
 class TestScenarioValidation:
@@ -268,13 +283,12 @@ class TestWholeGridCalls:
         grid, n, m = self._grid(scen)
         extra = ({"rho_m": scen.rho_at(n, m), "dt_m": grid.dt} if given
                  else {})
-        whole = sc.delta_forcing_no_fym(m, n, scen, **extra)
+        whole = sc.delta_forcing(m, n, scen, **extra)
         assert whole.shape == (grid.nsteps, 4)
         for j in range(grid.nsteps):
             one = {key: value[j] for key, value in extra.items()}
             np.testing.assert_array_equal(
-                whole[j], sc.delta_forcing_no_fym(int(m[j]), int(n[j]), scen,
-                                                  **one))
+                whole[j], sc.delta_forcing(int(m[j]), int(n[j]), scen, **one))
 
     @pytest.mark.parametrize("given", [False, True])
     def test_fym_forcing(self, manure_scenario, given):
@@ -283,13 +297,13 @@ class TestWholeGridCalls:
         f_values = np.linspace(0.0, 0.3, grid.nsteps)
         extra = ({"rho_m": scen.rho_at(n, m), "dt_m": grid.dt} if given
                  else {})
-        whole = sc.delta_forcing_fym(m, n, scen, f_values, **extra)
+        whole = sc.delta_forcing(m, n, scen, f_values, **extra)
         assert whole.shape == (grid.nsteps, 4)
         for j in range(grid.nsteps):
             one = {key: value[j] for key, value in extra.items()}
             np.testing.assert_array_equal(
-                whole[j], sc.delta_forcing_fym(int(m[j]), int(n[j]), scen,
-                                               float(f_values[j]), **one))
+                whole[j], sc.delta_forcing(int(m[j]), int(n[j]), scen,
+                                           float(f_values[j]), **one))
 
     def test_month_outside_year_rejected_in_arrays(self, arable_scenario):
         with pytest.raises(ConfigError, match="13"):

@@ -337,7 +337,7 @@ class TestSimulate:
             n = int(grid.year_index[j])
             m = int(grid.month[j])
             rho = scen.rho_at(n, m)
-            b = sc.delta_forcing_no_fym(m, n, scen, rho_m=rho, dt_m=grid.dt[j])
+            b = sc.delta_forcing(m, n, scen, rho_m=rho, dt_m=grid.dt[j])
             dc = traj.states[j]
             lhs = ones @ (rho * (scen.mats.A @ dc) + b)
             rhs = -rho * scen.params.delta * (scen.params.k @ dc) + ones @ b
@@ -352,8 +352,7 @@ class TestSimulate:
         assert other.meta["cover_mode"] == "smooth"
 
     def test_controlled_policy_routed_elsewhere(self, site50):
-        scen = make_scenario(F0=0.5, fym=sc.FymPolicy(mode="controlled",
-                                                      epsilon=0.4))
+        scen = make_scenario(F0=0.5, fym=sc.FymPolicy(mode="controlled"))
         with pytest.raises(ConfigError):
             sc.simulate(scen)
 
