@@ -19,8 +19,8 @@ from .dataio import (ScenarioConfig, build_scenario, load_climate,
                      load_config, load_density_table, load_npp,
                      read_trajectory, write_control, write_sensitivity,
                      write_trajectory)
-from .dynamics import (FymPolicy, PlantInputDensity, Scenario, class_for_ratio,
-                       delta_forcing)
+from .dynamics import (FymPolicy, PlantInputDensity, Scenario, Site,
+                       class_for_ratio, delta_forcing)
 from .equilibrium import (BaselineState, equilibrium_pools, iom_from_soc,
                           soc_total_from_active)
 from .errors import (ConfigError, DataError, InfeasibleBaselineError,

@@ -107,7 +107,7 @@ def controlled_recurrence(clamped, free, x0):
     ``free[j]`` if its unclamped input factor x_j[6] is positive, else by
     ``clamped[j]``. Returns all states x (n+1, 7), x0 first.
 
-    The maps are ``Scenario.control_maps``: their c rows apply the month's
+    The maps are ``Site.control_maps``: their c rows apply the month's
     manure-free step, plus the manure input f̂′ v̂ in the free map; row 6 of
     both predicts the next month's f̂′.
     """

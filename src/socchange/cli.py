@@ -7,7 +7,6 @@ error. All outputs go under --out; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import re
 import sys
@@ -20,7 +19,7 @@ from .charts import write_line_chart
 from .control import simulate_controlled
 from .dataio import (build_scenario, load_config, write_control,
                      write_sensitivity, write_trajectory)
-from .dynamics import FymPolicy
+from .dynamics import Scenario
 from .equilibrium import BaselineState, iom_from_soc, soc_total_from_active
 from .errors import ConfigError, DataError, NumericsError, SocChangeError
 from .sensitivity import PARAMETERS, sensitivity
@@ -145,16 +144,17 @@ def cmd_control(args) -> int:
     if len(set(tags)) < len(tags):
         raise ConfigError(f"--epsilon {args.epsilon!r}: two values agree to 6 "
                           "digits and would write the same files")
+    # every run before any file, so a bad value late in the list writes none
+    runs = [(simulate(Scenario(scenario.site), scheme=config.scheme,
+                      mode="delta"), None) if eps == 1.0
+            else simulate_controlled(scenario, eps) for eps in eps_values]
     args.out.mkdir(parents=True, exist_ok=True)
     plot_series = []
-    for eps, tag in zip(eps_values, tags):
-        if eps == 1.0:
+    for eps, tag, (trajectory, schedule) in zip(eps_values, tags, runs):
+        if schedule is None:
             print("epsilon=1 has no manure input; running uncontrolled "
                   "simulation instead", file=sys.stderr)
-            trajectory = simulate(dataclasses.replace(scenario, fym=FymPolicy()),
-                                  scheme=config.scheme, mode="delta")
         else:
-            trajectory, schedule = simulate_controlled(scenario, eps)
             write_control(args.out / f"control_eps{tag}.csv", schedule)
             totals = schedule.annual_totals()
             print(f"epsilon={eps:g} annual manure totals (t C/ha):")
@@ -179,7 +179,7 @@ def cmd_equilibrium(args) -> int:
     scenario = build_scenario(config)
     mats = scenario.mats
     params = scenario.params
-    rho0 = scenario.rho0
+    rho0 = scenario.baseline.rho0
     if args.inputs is not None:
         p0, f0 = args.inputs
         baseline = BaselineState.from_inputs(p0, f0, rho0, mats, params.T)

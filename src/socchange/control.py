@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, _delta_forcing
+from .dynamics import Scenario, Site, _delta_forcing
 from .errors import ConfigError
 from .stepping import Trajectory
 
@@ -55,41 +55,33 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
                           "no manure input: use simulate())")
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
-    clamped, free, first = scenario.control_maps
+    site = scenario.site
+    clamped, free, first = site.control_maps
     x0 = np.zeros(7)
     x0[4:] = 1.0, epsilon, first[4] + epsilon * first[5]
     x = _kernels.controlled_recurrence(clamped, free, x0)
     states = x[:, :4]
     f0 = np.maximum(0.0, x[:-1, 6]) / (1.0 - epsilon)
 
-    grid = scenario.month_operators[0]
-    t, year, month = grid.sample_axis(scenario.baseline_year)
-    meta = {
-        "scheme": "nonstandard",
-        "mode": "delta",
-        "cover_mode": scenario.cover_mode,
-        "fym_mode": "controlled",
-        "control_hold": "monthly",
-        "baseline_year": scenario.baseline_year,
-        "horizon": scenario.horizon,
-        "dpm_rpm_ratio": scenario.r,
-        "epsilon": epsilon,
-    }
+    grid = site.month_operators[0]
+    t, year, month = grid.sample_axis(site.baseline_year)
+    meta = {"scheme": "nonstandard", "mode": "delta", "fym_mode": "controlled",
+            "control_hold": "monthly", "epsilon": epsilon, **site.meta}
     trajectory = Trajectory(t=t, year=year, month=month, states=states,
                             totals=states.sum(axis=1), scheme="nonstandard",
                             mode="delta", meta=meta)
     schedule = ControlSchedule(
-        t=grid.t_end - grid.dt, year=scenario.baseline_year + grid.year_index,
+        t=grid.t_end - grid.dt, year=site.baseline_year + grid.year_index,
         month=grid.month, f0=f0, f=f0 * scenario.baseline.F0, epsilon=epsilon,
         meta={"dt": grid.dt, "F0": scenario.baseline.F0, "hold": "monthly"})
     return trajectory, schedule
 
 
-def _control_maps(scenario: Scenario):
+def _control_maps(site: Site):
     """(clamped, free, first): the controlled run's month maps, for every ε.
 
-    Read through ``Scenario.control_maps``, built once per scenario from its
-    month operators; the arrays are read-only.
+    Read through ``Site.control_maps``, built once per site from its month
+    operators; the arrays are read-only.
 
     Month j steps c <- F c + g + f v, g the manure-free forcing, and f
     zeroes the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc. As 1ᵀ(I - F) =
@@ -104,11 +96,11 @@ def _control_maps(scenario: Scenario):
     the last month), giving the next f̂′. ``first`` is ŵ_0, the first
     month's f̂′ from [c; 1; ε].
     """
-    grid, rhos, eks, fmats, dt_phimats = scenario.month_operators
-    mats = scenario.mats
+    grid, rhos, eks, fmats, dt_phimats = site.month_operators
+    mats = site.mats
     n, m = grid.year_index, grid.month
     g0, g1 = (np.einsum("jab,jb->ja", dt_phimats, _delta_forcing(
-        m, n, scenario, eps, 0.0, rhos, grid.dt)) for eps in (0.0, 1.0))
+        m, n, site, eps, 0.0, rhos, grid.dt)) for eps in (0.0, 1.0))
     dg = g1 - g0
     vhat = dt_phimats @ mats.a_f
     w = np.column_stack((mats.delta * (1.0 - eks), -g0.sum(axis=1),

@@ -23,7 +23,7 @@ from .climate import (DEFAULT_BARE_MONTHS, ClimateSeries, SiteMoisture,
                       max_deficit, reference_from_climate)
 from .control import ControlSchedule
 from .dynamics import (ARABLE_COVER_SCHEDULE, LAND_CLASSES, FymPolicy,
-                       PlantInputDensity, Scenario, class_for_ratio)
+                       PlantInputDensity, Scenario, Site, class_for_ratio)
 from .equilibrium import BaselineState
 from .errors import ConfigError, DataError, NumericsError
 from .pools import DEFAULT_ETA, SoilParams, build_matrices
@@ -410,10 +410,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     params = SoilParams.for_site(config.clay_pct, config.depth_cm, r,
                                  eta=config.eta)
     mats = build_matrices(params)
-    site = max_deficit(config.clay_pct, config.depth_cm)
-    climate = load_climate(config.resolve(config.climate_csv), site,
+    moisture = max_deficit(config.clay_pct, config.depth_cm)
+    climate = load_climate(config.resolve(config.climate_csv), moisture,
                            latitude_deg=config.latitude_deg)
-    reference = reference_from_climate(climate, config.baseline_year, site,
+    reference = reference_from_climate(climate, config.baseline_year, moisture,
                                        n_bare=config.bare_months)
     np_ratios = load_npp(config.resolve(config.npp_csv), config.baseline_year)
 
@@ -441,13 +441,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         p0 = 1.0 if config.plant_input_tc_ha_yr is None else config.plant_input_tc_ha_yr
         baseline = BaselineState.from_inputs(p0, f0_total, rho0, mats, params.T)
 
-    return Scenario(baseline_year=config.baseline_year,
-                    horizon=config.horizon_years, params=params, mats=mats,
-                    density=density, climate=climate, reference=reference,
-                    baseline=baseline, np_ratios=np_ratios,
-                    fym=FymPolicy(config.fym_mode, config.fym_monthly_tc_ha),
-                    cover_mode=config.cover_mode,
-                    cover_schedule=cover_schedule)
+    site = Site(baseline_year=config.baseline_year,
+                horizon=config.horizon_years, params=params, mats=mats,
+                density=density, climate=climate, reference=reference,
+                baseline=baseline, np_ratios=np_ratios,
+                cover_mode=config.cover_mode, cover_schedule=cover_schedule)
+    return Scenario(site, FymPolicy(config.fym_mode, config.fym_monthly_tc_ha))
 
 
 def scenario_digest(meta: dict) -> str:

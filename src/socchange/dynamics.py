@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -112,11 +113,15 @@ class FymPolicy:
             if d.shape != (12,) or np.any(d < 0):
                 raise ConfigError("fixed FYM mode needs 12 non-negative "
                                   "monthly densities (fym_monthly_tc_ha)")
+        elif self.monthly_density is not None:
+            raise ConfigError("monthly FYM densities (fym_monthly_tc_ha) need "
+                              f"fym_mode = fixed, not {self.mode!r}")
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """Everything needed to run one SOC change simulation."""
+class Site:
+    """One site's soil, climate, plant inputs and horizon: everything a run
+    reads except the manure policy."""
 
     baseline_year: int
     horizon: int                       # delta years n = 1..horizon
@@ -127,7 +132,6 @@ class Scenario:
     reference: ReferenceState
     baseline: BaselineState
     np_ratios: dict[int, float]        # year -> N_P^(n); baseline year -> 1
-    fym: FymPolicy = field(default_factory=FymPolicy)
     cover_mode: str = "timed"
     cover_schedule: Array = field(default_factory=lambda: ARABLE_COVER_SCHEDULE.copy())
 
@@ -151,7 +155,7 @@ class Scenario:
     def month_operators(self):
         """(grid, rhos, eks, fmats, dt_phimats) of ``stepping._month_operators``,
         built on first use and shared, read-only, by every monthly run on
-        this scenario."""
+        this site, whatever its manure policy."""
         from . import stepping   # stepping imports this module
         return stepping._month_operators(self)
 
@@ -159,17 +163,17 @@ class Scenario:
     def control_maps(self):
         """(clamped, free, first) of ``control._control_maps``, built on first
         use and shared, read-only, by every ``simulate_controlled`` run on
-        this scenario, whatever its ε."""
+        this site, whatever its ε."""
         from . import control   # control imports this module
         return control._control_maps(self)
 
-    @property
-    def r(self) -> float:
-        return self.params.r
+    r = property(attrgetter("params.r"))
 
     @property
-    def rho0(self) -> float:
-        return self.baseline.rho0
+    def meta(self) -> dict:
+        """The run-metadata keys that describe the site."""
+        return {"cover_mode": self.cover_mode, "dpm_rpm_ratio": self.r,
+                "baseline_year": self.baseline_year, "horizon": self.horizon}
 
     def np_ratio(self, n):
         """N_P^(n), elementwise over delta years n; 1 in the baseline year."""
@@ -198,7 +202,22 @@ class Scenario:
                            self.cover_schedule)
 
 
-def delta_forcing(month, n, scenario: Scenario, f_value=None, rho_m=None,
+@dataclass(frozen=True)
+class Scenario:
+    """A site under a manure policy. A new policy on the same site shares
+    the site's month operators and control maps."""
+
+    site: Site
+    fym: FymPolicy = FymPolicy()
+
+    # the site's names that callers read off a scenario
+    baseline = property(attrgetter("site.baseline"))
+    mats = property(attrgetter("site.mats"))
+    params = property(attrgetter("site.params"))
+    r = property(attrgetter("site.r"))
+
+
+def delta_forcing(month, n, site: Site, f_value=None, rho_m=None,
                   dt_m=None) -> Array:
     """Forcing of the delta equation: in span{a_g, a_f}.
 
@@ -209,27 +228,26 @@ def delta_forcing(month, n, scenario: Scenario, f_value=None, rho_m=None,
     Elementwise over (month, n, f_value); the forcing vectors lie along the
     last axis.
     """
-    baseline = scenario.baseline
+    baseline = site.baseline
     if f_value is not None and baseline.F0 <= 0.0:
         raise ConfigError("fixed manure forcing in delta mode needs a "
                           "baseline manure total F0 > 0 (the forcing is "
                           "normalized by it)")
     f_ratio = 0.0 if f_value is None else f_value / baseline.F0
-    return _delta_forcing(month, n, scenario, baseline.epsilon, f_ratio,
-                          rho_m, dt_m)
+    return _delta_forcing(month, n, site, baseline.epsilon, f_ratio, rho_m, dt_m)
 
 
-def _delta_forcing(month, n, scenario: Scenario, eps: float, f_ratio,
+def _delta_forcing(month, n, site: Site, eps: float, f_ratio,
                    rho_m, dt_m) -> Array:
     """eps (N_P ghat - q) a_g + (1-eps) (f/F0 - q) a_f with q = rho/(T rho0).
 
     At eps = 1 the a_f term is an exact zero, so the no-manure forcing is the
     plant term alone.
     """
-    rho_m = scenario.rho_at(n, month) if rho_m is None else rho_m
-    dt_m = scenario.dt_at(n, month) if dt_m is None else dt_m
-    q = rho_m / (scenario.params.T * scenario.rho0)
-    plant = eps * (scenario.np_ratio(n) * scenario.density.density(month, dt_m) - q)
+    rho_m = site.rho_at(n, month) if rho_m is None else rho_m
+    dt_m = site.dt_at(n, month) if dt_m is None else dt_m
+    q = rho_m / (site.params.T * site.baseline.rho0)
+    plant = eps * (site.np_ratio(n) * site.density.density(month, dt_m) - q)
     manure = (1.0 - eps) * (f_ratio - q)
-    return (np.multiply.outer(plant, scenario.mats.a_g)
-            + np.multiply.outer(manure, scenario.mats.a_f))
+    return (np.multiply.outer(plant, site.mats.a_g)
+            + np.multiply.outer(manure, site.mats.a_f))

@@ -84,11 +84,11 @@ class AveragedModel:
 
 
 def build_averaged_model(scenario: Scenario) -> AveragedModel:
-    years = np.arange(1, scenario.horizon + 1)
-    temps, accs = annual_averages(scenario.climate, scenario.baseline_year + years)
-    return AveragedModel(temps=temps, accs=accs,
-                         np_ratios=scenario.np_ratio(years),
-                         reference=scenario.reference, T=scenario.params.T)
+    site = scenario.site
+    years = np.arange(1, site.horizon + 1)
+    temps, accs = annual_averages(site.climate, site.baseline_year + years)
+    return AveragedModel(temps=temps, accs=accs, np_ratios=site.np_ratio(years),
+                         reference=site.reference, T=site.params.T)
 
 
 def theta(n, averaged: AveragedModel):

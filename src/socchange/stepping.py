@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, delta_forcing
+from .dynamics import Scenario, Site, delta_forcing
 from .errors import ConfigError
 from .pools import CompartmentMatrices
 
@@ -101,12 +101,12 @@ class TimeGrid:
                 np.concatenate(([0], self.month)))
 
 
-def build_time_grid(scenario: Scenario) -> TimeGrid:
-    T = scenario.params.T
-    nyears = scenario.horizon
+def build_time_grid(site: Site) -> TimeGrid:
+    T = site.params.T
+    nyears = site.horizon
     years = np.repeat(np.arange(1, nyears + 1), 12)
     months = np.tile(np.arange(1, 13), nyears)
-    dts = scenario.dt_at(years, months)
+    dts = site.dt_at(years, months)
     # absolute time in months since t0: delta year n starts at n*T exactly,
     # and each year's row [n T, dt_1, ..., dt_12] is summed in order
     rows = np.column_stack((T * np.arange(1, nyears + 1), dts.reshape(nyears, 12)))
@@ -136,16 +136,16 @@ class Trajectory:
         return out
 
 
-def _month_operators(scenario: Scenario):
+def _month_operators(site: Site):
     """Time grid, left-endpoint ρ, e^{-τk}, F(τ) and Δt φ(τÃ) per month, τ = Δt ρ.
 
-    Read through ``Scenario.month_operators``, which builds them once per
-    scenario for every monthly run on it. The arrays are read-only, so no
-    run or caller can change what a later run reads.
+    Read through ``Site.month_operators``, which builds them once per site
+    for every monthly run on it, under any manure policy. The arrays are
+    read-only, so no run or caller can change what a later run reads.
     """
-    grid = build_time_grid(scenario)   # the module global: tracers patch it
-    rhos = scenario.rho_at(grid.year_index, grid.month)
-    eks, fmats, phimats = _step_operators(grid.dt * rhos, scenario.mats)
+    grid = build_time_grid(site)   # the module global: tracers patch it
+    rhos = site.rho_at(grid.year_index, grid.month)
+    eks, fmats, phimats = _step_operators(grid.dt * rhos, site.mats)
     operators = (rhos, eks, fmats, grid.dt[:, None, None] * phimats)
     for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                   *operators):
@@ -155,22 +155,21 @@ def _month_operators(scenario: Scenario):
 
 def _monthly_forcing(scenario: Scenario, mode: str):
     """Forcing vector b per month over the horizon, from left-endpoint ρ."""
-    fym = scenario.fym
+    fym, site = scenario.fym, scenario.site
     if fym.mode == "controlled":
         raise ConfigError("controlled runs go through simulate_controlled")
     if mode not in ("delta", "absolute"):
         raise ConfigError(f"unknown mode {mode!r}")
-    grid, rhos = scenario.month_operators[:2]
+    grid, rhos = site.month_operators[:2]
     n, m = grid.year_index, grid.month
     f_values = (np.asarray(fym.monthly_density, dtype=float)[m - 1]
                 if fym.mode == "fixed" else None)
     if mode == "delta":
-        return delta_forcing(m, n, scenario, f_values, rho_m=rhos, dt_m=grid.dt)
-    g = (scenario.baseline.P0 * scenario.np_ratio(n)
-         * scenario.density.density(m, grid.dt))
+        return delta_forcing(m, n, site, f_values, rho_m=rhos, dt_m=grid.dt)
+    g = site.baseline.P0 * site.np_ratio(n) * site.density.density(m, grid.dt)
     f = 0.0 if f_values is None else f_values
-    return (np.multiply.outer(g, scenario.mats.a_g)
-            + np.multiply.outer(f, scenario.mats.a_f))
+    return (np.multiply.outer(g, site.mats.a_g)
+            + np.multiply.outer(f, site.mats.a_f))
 
 
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
@@ -181,7 +180,7 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     from the baseline equilibrium pools (validation path).
     """
     bvecs = _monthly_forcing(scenario, mode)
-    grid, _, _, fmats, dt_phimats = scenario.month_operators
+    grid, _, _, fmats, dt_phimats = scenario.site.month_operators
     if scheme == "nonstandard":
         weights = dt_phimats
     elif scheme == "rothc_discrete":
@@ -191,17 +190,9 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     gvecs = np.einsum("jab,jb->ja", weights, bvecs)
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
     states = _kernels.affine_recurrence(fmats, gvecs, c0)
-    t, year, month = grid.sample_axis(scenario.baseline_year)
-    meta = {
-        "scheme": scheme,
-        "mode": mode,
-        "cover_mode": scenario.cover_mode,
-        "fym_mode": scenario.fym.mode,
-        "baseline_year": scenario.baseline_year,
-        "horizon": scenario.horizon,
-        "dpm_rpm_ratio": scenario.r,
-        "epsilon": scenario.baseline.epsilon,
-    }
+    t, year, month = grid.sample_axis(scenario.site.baseline_year)
+    meta = {"scheme": scheme, "mode": mode, "fym_mode": scenario.fym.mode,
+            "epsilon": scenario.baseline.epsilon, **scenario.site.meta}
     return Trajectory(t=t, year=year, month=month, states=states,
                       totals=states.sum(axis=1), scheme=scheme, mode=mode,
                       meta=meta)
@@ -215,11 +206,11 @@ def rk4_reference(scenario: Scenario, mode: str = "delta",
     the exact flow that the monthly one-step schemes approximate.
     """
     bvecs = _monthly_forcing(scenario, mode)
-    grid, rhos = scenario.month_operators[:2]
+    grid, rhos = scenario.site.month_operators[:2]
     amats = rhos[:, None, None] * scenario.mats.A[None, :, :]
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
     states = _kernels.rk4_piecewise(amats, bvecs, grid.dt, refine, c0)
-    t, year, month = grid.sample_axis(scenario.baseline_year)
+    t, year, month = grid.sample_axis(scenario.site.baseline_year)
     return Trajectory(t=t, year=year, month=month, states=states,
                       totals=states.sum(axis=1), scheme=f"rk4x{refine}",
                       mode=mode, meta={"scheme": f"rk4x{refine}", "mode": mode})

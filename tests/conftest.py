@@ -71,11 +71,12 @@ def make_scenario(r: float = 1.44, cly: float = 50.0, depth: float = 23.0,
                  for n in range(horizon + 1)}
     density = sc.PlantInputDensity.standard(
         land_class or sc.class_for_ratio(r))
-    return sc.Scenario(baseline_year=baseline_year, horizon=horizon,
-                       params=params, mats=mats, density=density,
-                       climate=climate, reference=reference,
-                       baseline=baseline, np_ratios=np_ratios,
-                       fym=fym or sc.FymPolicy(), cover_mode=cover_mode)
+    site = sc.Site(baseline_year=baseline_year, horizon=horizon,
+                   params=params, mats=mats, density=density,
+                   climate=climate, reference=reference,
+                   baseline=baseline, np_ratios=np_ratios,
+                   cover_mode=cover_mode)
+    return sc.Scenario(site, fym or sc.FymPolicy())
 
 
 @pytest.fixture(scope="session")
@@ -106,10 +107,11 @@ def zero_forcing_scenario(site50):
     scen = make_scenario(r=1.44, climate=climate, baseline_year=2005,
                          horizon=2, warming=0.0, np_trend=0.0,
                          cover_mode="smooth")
-    return sc.Scenario(baseline_year=2005, horizon=2, params=scen.params,
-                       mats=scen.mats, density=density, climate=climate,
-                       reference=scen.reference, baseline=scen.baseline,
-                       np_ratios=scen.np_ratios, cover_mode="smooth")
+    return sc.Scenario(sc.Site(
+        baseline_year=2005, horizon=2, params=scen.params, mats=scen.mats,
+        density=density, climate=climate, reference=scen.site.reference,
+        baseline=scen.baseline, np_ratios=scen.site.np_ratios,
+        cover_mode="smooth"))
 
 
 def write_climate_csv(path: Path, climate: sc.ClimateSeries,
@@ -178,7 +180,8 @@ def alta_murgia_scenario(r: float, horizon: int = 14, **kwargs) -> sc.Scenario:
         kwargs.pop("P0", 1.0), kwargs.pop("F0", 0.0),
         reference.rho0(r) if r > 0 else reference.kb0 * 0.6, mats, params.T)
     density = sc.PlantInputDensity.standard(sc.class_for_ratio(r))
-    return sc.Scenario(baseline_year=2005, horizon=horizon, params=params,
-                       mats=mats, density=density, climate=climate,
-                       reference=reference, baseline=baseline,
-                       np_ratios=np_ratios, **kwargs)
+    return sc.Scenario(sc.Site(baseline_year=2005, horizon=horizon,
+                               params=params, mats=mats, density=density,
+                               climate=climate, reference=reference,
+                               baseline=baseline, np_ratios=np_ratios,
+                               **kwargs))

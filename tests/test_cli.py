@@ -56,7 +56,7 @@ def _demo_climate_with(column):
     """The demo climate CSV with a pet_mm or daylength_h column added, filled
     with the values the demo derives from its latitude."""
     config = sc.load_config(DEMO / "scenario.cfg")
-    series = sc.build_scenario(config).climate
+    series = sc.build_scenario(config).site.climate
     extra = (series.pet if column == "pet_mm"
              else sc.climate.day_lengths(config.latitude_deg, series.years))
     lines = (DEMO / "climate.csv").read_text().splitlines()
@@ -263,8 +263,14 @@ class TestConfigValues:
           "fym_monthly_tc_ha = " + ",".join(["0.1"] * 11 + ["-0.1"])],
          "needs 12 non-negative monthly densities"),
         (["fym_mode = controlled", "epsilon = 0.5"], "unknown key 'epsilon'"),
+        (["fym_monthly_tc_ha = " + ",".join(["0.1"] * 12)],
+         "need fym_mode = fixed, not 'none'"),
+        (["fym_mode = controlled",
+          "fym_monthly_tc_ha = " + ",".join(["0.1"] * 12)],
+         "need fym_mode = fixed, not 'controlled'"),
     ], ids=["unknown-mode", "fixed-no-densities", "fixed-11-densities",
-            "fixed-negative-density", "epsilon-key"])
+            "fixed-negative-density", "epsilon-key", "densities-without-mode",
+            "controlled-densities"])
     def test_bad_manure_policy_exits_one(self, tmp_path, capsys, lines,
                                          message):
         config = _demo_with_key(tmp_path, *lines[0].split(" = "))
@@ -395,6 +401,16 @@ class TestControlCommand:
         assert (out / "trajectory_eps0.csv").exists()
         assert ((out / "trajectory_eps1.csv").read_bytes()
                 == (plain / "trajectory_eps1.csv").read_bytes())
+
+    def test_bad_value_late_in_the_list_writes_no_file(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     "0.5,2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "epsilon must be in [0, 1)" in err
+        assert not out.exists()
 
     def test_bad_epsilon_list(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5)

@@ -34,7 +34,7 @@ class TestMaintenanceRate:
     def test_stationary_zero_state_gives_one_over_T(self, arable_scenario):
         k = arable_scenario.params.k
         delta = arable_scenario.params.delta
-        rho0 = arable_scenario.rho0
+        rho0 = arable_scenario.baseline.rho0
         rate = maintenance_rate(np.zeros(4), rho0, 0.0, 1.0, 0.0, T,
                                 rho0, delta, k)
         assert rate == pytest.approx(1.0 / T, rel=1e-14)
@@ -120,16 +120,17 @@ class TestSimulateControlled:
         scen = declining_scenario
         traj, schedule = controlled_runs[0.2]
         eps = 0.2
-        grid = build_time_grid(scen)
+        grid = build_time_grid(scen.site)
         mats = scen.mats
         params = scen.params
         for j in (0, 7, 50, 120):
             c = traj.states[j]
             n, m = int(grid.year_index[j]), int(grid.month[j])
             dt = grid.dt[j]
-            rho = scen.rho_at(n, m)
-            q = rho / (T * scen.rho0)
-            g_term = eps * (scen.np_ratio(n) * scen.density.proportion(m) / dt - q)
+            rho = scen.site.rho_at(n, m)
+            q = rho / (T * scen.baseline.rho0)
+            g_term = eps * (scen.site.np_ratio(n)
+                            * scen.site.density.proportion(m) / dt - q)
             phiv = sc.phi1_scalar(-dt * rho * params.k)
             w = params.delta * phiv + (params.alpha * phiv[2]
                                        + params.beta * phiv[3])
@@ -147,12 +148,12 @@ class TestSimulateControlled:
         rng = np.random.default_rng(3)
         dc = rng.standard_normal(4) * 0.05
         rho, eps, n, m = 0.6, 0.3, 1, 7
-        ghat_prop = scen.density.proportion(m)
+        ghat_prop = scen.site.density.proportion(m)
         gaps = []
         for dt in (1.0, 0.1, 0.01, 0.001):
             ghat = ghat_prop / 1.0   # density per month, dt-independent here
-            q = rho / (T * scen.rho0)
-            g_term = eps * (scen.np_ratio(n) * ghat - q)
+            q = rho / (T * scen.baseline.rho0)
+            g_term = eps * (scen.site.np_ratio(n) * ghat - q)
             phiv = sc.phi1_scalar(-dt * rho * params.k)
             w = params.delta * phiv + (params.alpha * phiv[2]
                                        + params.beta * phiv[3])
@@ -160,9 +161,9 @@ class TestSimulateControlled:
                 (1 - np.exp(-dt * rho * params.k)) @ dc)
             discrete = q + (decay - g_term * float(w @ mats.a_g)) \
                 / ((1 - eps) * float(w @ mats.a_f))
-            continuous = maintenance_rate(dc, rho, ghat, scen.np_ratio(n),
-                                          eps, T, scen.rho0, params.delta,
-                                          params.k)
+            continuous = maintenance_rate(dc, rho, ghat, scen.site.np_ratio(n),
+                                          eps, T, scen.baseline.rho0,
+                                          params.delta, params.k)
             gaps.append(abs(discrete - continuous))
         assert gaps[-1] < 1e-3 * max(1.0, abs(continuous))
         assert gaps[0] > gaps[-1]
@@ -181,7 +182,7 @@ class TestSimulateControlled:
         # wherever manure is the only input and both runs apply manure, a
         # larger plant share needs a (pointwise) larger modifying factor
         scen = declining_scenario
-        props = np.array([scen.density.proportion(int(m))
+        props = np.array([scen.site.density.proportion(int(m))
                           for m in controlled_runs[0.0][1].month])
         for lo, hi in zip(EPS_SWEEP[:-1], EPS_SWEEP[1:]):
             a = controlled_runs[lo][1].f0
@@ -229,8 +230,7 @@ class TestSharedMonthOperators:
         calls = []
         build = stepping.build_time_grid
         monkeypatch.setattr(stepping, "build_time_grid",
-                            lambda scenario: calls.append(scenario)
-                            or build(scenario))
+                            lambda site: calls.append(site) or build(site))
         shared = _sharing_scenario()
         for name, run in _MONTHLY_RUNS.items():
             fresh = run(_sharing_scenario())
@@ -238,14 +238,41 @@ class TestSharedMonthOperators:
                 assert array.dtype == fresh[key].dtype, (name, key)
                 np.testing.assert_array_equal(array, fresh[key],
                                               err_msg=f"{name} {key}")
-        assert sum(s is shared for s in calls) == 1
-        shorter = dataclasses.replace(shared, horizon=shared.horizon - 1)
-        assert shorter.month_operators[0].nsteps == 12 * shorter.horizon
-        assert sum(s is shorter for s in calls) == 1
-        assert shared.month_operators[0].nsteps == 12 * shared.horizon
+        assert sum(s is shared.site for s in calls) == 1
+        shorter = sc.Scenario(dataclasses.replace(
+            shared.site, horizon=shared.site.horizon - 1))
+        assert (shorter.site.month_operators[0].nsteps
+                == 12 * shorter.site.horizon)
+        assert sum(s is shorter.site for s in calls) == 1
+        assert (shared.site.month_operators[0].nsteps
+                == 12 * shared.site.horizon)
+
+    def test_a_policy_change_shares_the_site_operators(self, monkeypatch):
+        grids, maps = [], []
+        build_grid = stepping.build_time_grid
+        build_maps = control._control_maps
+        monkeypatch.setattr(stepping, "build_time_grid", lambda site:
+                            grids.append(site) or build_grid(site))
+        monkeypatch.setattr(control, "_control_maps", lambda site:
+                            maps.append(site) or build_maps(site))
+        shared = _sharing_scenario()
+        plain = sc.simulate(shared)
+        sc.simulate_controlled(shared, 0.2)
+        assert len(grids) == len(maps) == 1
+        fixed = dataclasses.replace(
+            shared, fym=sc.FymPolicy("fixed", np.full(12, 0.05)))
+        bare = sc.Scenario(shared.site)
+        for other in (fixed, bare):
+            sc.simulate_controlled(other, 0.2)
+            assert other.site.month_operators is shared.site.month_operators
+            assert other.site.control_maps is shared.site.control_maps
+        # the policy is read per run, not cached with the operators
+        assert not np.array_equal(sc.simulate(fixed).states, plain.states)
+        np.testing.assert_array_equal(sc.simulate(bare).states, plain.states)
+        assert len(grids) == len(maps) == 1
 
     def test_operators_are_read_only(self):
-        grid, *operators = _sharing_scenario().month_operators
+        grid, *operators = _sharing_scenario().site.month_operators
         for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                       *operators):
             assert not array.flags.writeable
@@ -254,15 +281,14 @@ class TestSharedMonthOperators:
         calls = []
         build = control._control_maps
         monkeypatch.setattr(control, "_control_maps",
-                            lambda scenario: calls.append(scenario)
-                            or build(scenario))
+                            lambda site: calls.append(site) or build(site))
         shared = _sharing_scenario()
         for eps in EPS_SWEEP:
             sc.simulate_controlled(shared, eps)
-        assert len(calls) == 1 and calls[0] is shared
+        assert len(calls) == 1 and calls[0] is shared.site
 
     def test_control_maps_are_read_only(self):
-        for array in _sharing_scenario().control_maps:
+        for array in _sharing_scenario().site.control_maps:
             assert not array.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(_MONTHLY_RUNS))

@@ -296,7 +296,7 @@ class TestConfig:
         config_path = write_scenario_inputs(tmp_path)
         config = sc.load_config(config_path)
         scenario = sc.build_scenario(config)
-        assert scenario.horizon == 14
+        assert scenario.site.horizon == 14
         assert scenario.r == 1.44
         assert scenario.baseline.epsilon == 1.0
         traj = sc.simulate(scenario)
@@ -306,7 +306,7 @@ class TestConfig:
         config_path = write_scenario_inputs(
             tmp_path, density_csv=str(DATA / "density_table1.csv"))
         scenario = sc.build_scenario(sc.load_config(config_path))
-        assert scenario.density.proportion(7) == 0.5
+        assert scenario.site.density.proportion(7) == 0.5
 
     def test_fixed_manure_config_runs(self, tmp_path):
         monthly = ",".join(["0.02"] * 12)
@@ -322,10 +322,10 @@ class TestConfig:
     def test_bare_months_propagates_to_reference(self, tmp_path):
         config_path = write_scenario_inputs(tmp_path, bare_months=6.0)
         scenario = sc.build_scenario(sc.load_config(config_path))
-        assert scenario.reference.n_bare == 6.0
+        assert scenario.site.reference.n_bare == 6.0
         # smooth cover factor for high ratios approaches 0.6 + 6/30
-        assert scenario.reference.rho0(1e6) == pytest.approx(
-            scenario.reference.kb0 * 0.8, rel=1e-9)
+        assert scenario.site.reference.rho0(1e6) == pytest.approx(
+            scenario.site.reference.kb0 * 0.8, rel=1e-9)
 
     def test_unknown_key_rejected(self, tmp_path):
         config_path = write_scenario_inputs(tmp_path)

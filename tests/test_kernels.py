@@ -47,13 +47,14 @@ def _random_setup(seed, nsteps=24):
 def _controlled_oracle(scenario, eps):
     """The oracle's feedback law, written from α, β, δ, φ(-τk) and the clamp,
     on the scenario's months with the scalar operator builders."""
-    grid = build_time_grid(scenario)
+    grid = build_time_grid(scenario.site)
     mats, params = scenario.mats, scenario.params
     n, m, dts = grid.year_index, grid.month, grid.dt
-    rhos = scenario.rho_at(n, m)
+    rhos = scenario.site.rho_at(n, m)
     taus = np.outer(dts * rhos, mats.k)
-    qs = rhos / (params.T * scenario.rho0)
-    epsg = eps * (scenario.np_ratio(n) * scenario.density.density(m, dts) - qs)
+    qs = rhos / (params.T * scenario.baseline.rho0)
+    epsg = eps * (scenario.site.np_ratio(n)
+                  * scenario.site.density.density(m, dts) - qs)
     fmats = np.stack([oracle.transition_matrix(dt, rho, mats)
                       for dt, rho in zip(dts, rhos)])
     phimats = np.stack([dt * oracle.phi_matrix(dt, rho, mats)

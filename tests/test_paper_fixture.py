@@ -23,11 +23,11 @@ def site_scenario():
 
 class TestSiteValues:
     def test_mean_2006_temperature(self, site_scenario):
-        temp1, _ = sc.annual_averages(site_scenario.climate, 2006)
+        temp1, _ = sc.annual_averages(site_scenario.site.climate, 2006)
         assert round(temp1, 2) == 14.27
 
     def test_npp_ratio_2006(self, site_scenario):
-        assert site_scenario.np_ratio(1) == pytest.approx(1.08, rel=5e-3)
+        assert site_scenario.site.np_ratio(1) == pytest.approx(1.08, rel=5e-3)
 
     def test_first_year_forcing_imbalance(self, site_scenario):
         avg = build_averaged_model(site_scenario)
@@ -88,7 +88,7 @@ class TestSiteControl:
         for eps in (0.0, 0.2, 0.5, 0.8):
             _, schedule = sc.simulate_controlled(scen, eps)
             schedules[eps] = schedule
-        props = np.array([scen.density.proportion(int(m))
+        props = np.array([scen.site.density.proportion(int(m))
                           for m in schedules[0.0].month])
         for lo, hi in ((0.0, 0.2), (0.2, 0.5), (0.5, 0.8)):
             a, b = schedules[lo].f0, schedules[hi].f0

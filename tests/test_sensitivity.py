@@ -216,7 +216,7 @@ class TestSensitivitySeries:
 
     def test_r_series_spans_horizon(self, scen):
         series = sc.sensitivity("r", scen, dt=0.05)
-        assert series.t[-1] == pytest.approx(12.0 * (scen.horizon + 1))
+        assert series.t[-1] == pytest.approx(12.0 * (scen.site.horizon + 1))
 
     def test_unknown_parameter_rejected(self, scen):
         with pytest.raises(ConfigError):
@@ -257,10 +257,10 @@ class TestSensitivitySeries:
         h, dt = 1e-4, 0.01
         series = sc.sensitivity("r", scen, dt=dt)
         up = _solve_dsoc_end(avg, 0.67 + h, scen.params.with_ratio(0.67 + h),
-                             scen.horizon, dt)
+                             scen.site.horizon, dt)
         down = _solve_dsoc_end(avg, 0.67 - h, scen.params.with_ratio(0.67 - h),
-                               scen.horizon, dt)
-        for n in (1, 3, scen.horizon):
+                               scen.site.horizon, dt)
+        for n in (1, 3, scen.site.horizon):
             idx = _end_of_year_index(series, n)
             fd = (up[12 * n] - down[12 * n]) / (2 * h)
             assert series.s_dsoc[idx] == pytest.approx(fd, rel=1e-3)

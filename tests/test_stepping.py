@@ -238,22 +238,22 @@ class TestPhiDense:
 
 class TestTimeGrid:
     def test_months_sum_to_year_length(self, arable_scenario):
-        grid = build_time_grid(arable_scenario)
-        for n in range(1, arable_scenario.horizon + 1):
+        grid = build_time_grid(arable_scenario.site)
+        for n in range(1, arable_scenario.site.horizon + 1):
             assert grid.dt[grid.year_index == n].sum() == pytest.approx(
                 12.0, abs=1e-12)
 
     def test_leap_year_weighting(self, site50):
         climate = constant_climate(2007, 3, site50)   # 2008 is a leap year
         scen = make_scenario(baseline_year=2007, horizon=2, climate=climate)
-        grid = build_time_grid(scen)
+        grid = build_time_grid(scen.site)
         feb_leap = grid.dt[(grid.year_index == 1) & (grid.month == 2)][0]
         feb_norm = grid.dt[(grid.year_index == 2) & (grid.month == 2)][0]
         assert feb_leap == pytest.approx(12.0 * 29 / 366, rel=1e-14)
         assert feb_norm == pytest.approx(12.0 * 28 / 365, rel=1e-14)
 
     def test_positive_steps_and_increasing_times(self, arable_scenario):
-        grid = build_time_grid(arable_scenario)
+        grid = build_time_grid(arable_scenario.site)
         assert np.all(grid.dt > 0)
         assert np.all(np.diff(grid.t_end) > 0)
         assert grid.t_start == pytest.approx(12.0, abs=1e-12)
@@ -264,7 +264,7 @@ class TestTimeGrid:
         climate = synthetic_climate(baseline_year, 21, site50, seed=3)
         scen = make_scenario(baseline_year=baseline_year, horizon=20,
                              climate=climate)
-        grid = build_time_grid(scen)
+        grid = build_time_grid(scen.site)
         years, months, dts, t_end = _time_grid_loop(scen)
         np.testing.assert_array_equal(grid.year_index, years)
         np.testing.assert_array_equal(grid.month, months)
@@ -274,11 +274,12 @@ class TestTimeGrid:
 
 def _time_grid_loop(scenario):
     """Reference: the month-by-month time grid with a running year sum."""
-    T = scenario.params.T
+    site = scenario.site
+    T = site.params.T
     years, months, dts = [], [], []
-    for n in range(1, scenario.horizon + 1):
-        ndays = scenario.climate.month_days[n + scenario.baseline_year
-                                            - scenario.climate.start_year]
+    for n in range(1, site.horizon + 1):
+        ndays = site.climate.month_days[n + site.baseline_year
+                                        - site.climate.start_year]
         for m in range(1, 13):
             years.append(n)
             months.append(m)
@@ -301,7 +302,7 @@ class TestSimulate:
         traj = sc.simulate(arable_scenario)
         assert traj.totals[0] == 0.0
         assert np.all(np.diff(traj.t) > 0)
-        assert traj.t.shape[0] == 12 * arable_scenario.horizon + 1
+        assert traj.t.shape[0] == 12 * arable_scenario.site.horizon + 1
 
     def test_matches_fine_step_fourth_order_reference(self, arable_scenario):
         traj = sc.simulate(arable_scenario)
@@ -331,13 +332,13 @@ class TestSimulate:
         # at every monthly sample
         scen = arable_scenario
         traj = sc.simulate(scen)
-        grid = build_time_grid(scen)
+        grid = build_time_grid(scen.site)
         ones = np.ones(4)
         for j in range(grid.nsteps):
             n = int(grid.year_index[j])
             m = int(grid.month[j])
-            rho = scen.rho_at(n, m)
-            b = sc.delta_forcing(m, n, scen, rho_m=rho, dt_m=grid.dt[j])
+            rho = scen.site.rho_at(n, m)
+            b = sc.delta_forcing(m, n, scen.site, rho_m=rho, dt_m=grid.dt[j])
             dc = traj.states[j]
             lhs = ones @ (rho * (scen.mats.A @ dc) + b)
             rhs = -rho * scen.params.delta * (scen.params.k @ dc) + ones @ b
