@@ -4,9 +4,10 @@ An affine step c <- F c + g is the linear step of the augmented matrix
 [[F, g], [0, 1]] on [c; 1] (Van Loan, IEEE TAC 1978). The constant-coefficient
 recurrences take k steps as one matrix power of it. The month-varying ones
 build every month's map first, then take one product per month into a
-preallocated float64 array. The product is the ndarray method ``.dot``: the
-same bits as ``np.dot`` and ``np.matmul``, without the Python-level dispatch
-of a numpy function on each call. ``controlled_recurrence`` carries the
+preallocated float64 array, each from the row view the month before
+returned. The product is the ndarray method ``.dot``: the same bits as
+``np.dot`` and ``np.matmul``, without the Python-level dispatch of a numpy
+function on each call. ``controlled_recurrence`` carries the
 manure share ε and its unclamped input factor as the sixth and seventh state
 entries; row 6 of each month's map predicts the factor for the next month.
 """
@@ -30,9 +31,9 @@ def affine_recurrence(fmats, gvecs, c0):
     fmats: (n, 4, 4), gvecs: (n, 4), c0: (4,). Returns (n+1, 4).
     """
     x = np.empty((fmats.shape[0] + 1, c0.shape[0] + 1))
-    x[0] = np.append(c0, 1.0)
-    for step, xj, xnext in zip(_augmented(fmats, gvecs), x, x[1:]):
-        step.dot(xj, out=xnext)
+    x[0] = xj = np.append(c0, 1.0)
+    for step, xnext in zip(_augmented(fmats, gvecs), x[1:]):
+        xj = step.dot(xj, out=xnext)
     return x[:, :-1]
 
 
@@ -112,7 +113,7 @@ def controlled_recurrence(clamped, free, x0):
     both predicts the next month's f̂′.
     """
     x = np.empty((clamped.shape[0] + 1, x0.shape[0]))
-    x[0] = x0
-    for month_clamped, month_free, xj, xnext in zip(clamped, free, x, x[1:]):
-        (month_free if xj[6] > 0.0 else month_clamped).dot(xj, out=xnext)
+    x[0] = xj = x0
+    for month_clamped, month_free, xnext in zip(clamped, free, x[1:]):
+        xj = (month_free if xj[6] > 0.0 else month_clamped).dot(xj, out=xnext)
     return x

@@ -88,15 +88,16 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     scenario = build_scenario(config)
     scheme = args.scheme or config.scheme
-    args.out.mkdir(parents=True, exist_ok=True)
     if scenario.fym.mode == "controlled":
         if args.mode != "delta":
             raise ConfigError("controlled runs support delta mode only")
         trajectory, schedule = simulate_controlled(scenario,
                                                    scenario.baseline.epsilon)
-        write_control(args.out / "control.csv", schedule)
     else:
-        trajectory = simulate(scenario, scheme=scheme, mode=args.mode)
+        trajectory, schedule = simulate(scenario, scheme, args.mode), None
+    args.out.mkdir(parents=True, exist_ok=True)
+    if schedule is not None:
+        write_control(args.out / "control.csv", schedule)
     out_csv = args.out / "trajectory.csv"
     write_trajectory(out_csv, trajectory)
     label = "dsoc" if args.mode == "delta" else "active soc"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, Site, _delta_forcing
+from .dynamics import Scenario, Site, _forcing_rates
 from .errors import ConfigError
 from .stepping import Trajectory
 
@@ -87,32 +87,37 @@ def _control_maps(site: Site):
     zeroes the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc. As 1ᵀ(I - F) =
     δ(1 - e^{-τk})ᵀ, f = (δ(1 - e^{-τk})·c - 1ᵀg) / 1ᵀv; taken from
     e^{-τk}, it keeps the HUM entry that the column sums of F would cancel
-    (δτk is about 1e-3). g is linear in ε, g = g₀ + ε(g₁ - g₀), and
-    v = (1 - ε)v̂, so f̂′ = (1 - ε)f = ŵ·[c; 1; ε] with ŵ free of ε.
+    (δτk is about 1e-3). g is linear in ε, g = g₀ + ε(g₁ - g₀) with
+    g₀ = -q d_f and g₁ = (N_P ĝ - q) d_g on the month directions
+    d = Δt φ(τÃ) a, and v = (1 - ε)v̂ with v̂ = d_f, so f̂′ = (1 - ε)f =
+    ŵ·[c; 1; ε] with ŵ free of ε.
 
     On x = [c; 1; ε; f̂′] the clamped map of month j has c rows
     [F_j, g₀, g₁ - g₀, 0], the free one adds v̂_j ŵ_jᵀ to the first six
     columns, and row 6 of both is ŵ_{j+1}ᵀ times the top 6x6 block (zero in
-    the last month), giving the next f̂′. ``first`` is ŵ_0, the first
-    month's f̂′ from [c; 1; ε].
+    the last month), giving the next f̂′. As F = diag(e) + u(1 - e)ᵀ, with
+    e = e^{-τk} and u = [0, 0, α, β], its c part is w ⊙ e + (w·u)(1 - e) for
+    w the c part of ŵ_{j+1}, plus (w·v̂_j)ŵ_j in the free map. ``first`` is
+    ŵ_0, the first month's f̂′ from [c; 1; ε].
     """
-    grid, rhos, eks, fmats, dt_phimats = site.month_operators
-    mats = site.mats
-    n, m = grid.year_index, grid.month
-    g0, g1 = (np.einsum("jab,jb->ja", dt_phimats, _delta_forcing(
-        m, n, site, eps, 0.0, rhos, grid.dt)) for eps in (0.0, 1.0))
-    dg = g1 - g0
-    vhat = dt_phimats @ mats.a_f
-    w = np.column_stack((mats.delta * (1.0 - eks), -g0.sum(axis=1),
-                         -dg.sum(axis=1))) / vhat.sum(axis=1)[:, None]
-    maps = np.zeros((2, n.shape[0], 7, 7))   # clamped, free
+    grid, rhos, eks, fmats, dir_g, dir_f = site.month_operators
+    supply, q = _forcing_rates(grid.month, grid.year_index, site, rhos,
+                               grid.dt)
+    g0 = -q[:, None] * dir_f
+    dg = (supply - q)[:, None] * dir_g - g0
+    w = np.column_stack((site.mats.delta * (1.0 - eks), -g0.sum(axis=1),
+                         -dg.sum(axis=1))) / dir_f.sum(axis=1)[:, None]
+    maps = np.zeros((2, grid.nsteps, 7, 7))   # clamped, free
     maps[:, :, :4, :4] = fmats
     maps[:, :, :4, 4] = g0
     maps[:, :, :4, 5] = dg
     maps[:, :, 4, 4] = maps[:, :, 5, 5] = 1.0
-    maps[1, :, :4, :6] += vhat[:, :, None] * w[:, None, :]
-    maps[:, :-1, 6, :6] = np.einsum("jb,kjbc->kjc", w[1:],
-                                    maps[:, :-1, :6, :6])
+    maps[1, :, :4, :6] += dir_f[:, :, None] * w[:, None, :]
+    wc, e, row = w[1:, :4], eks[:-1], maps[:, :-1, 6]
+    row[:, :, :4] = wc * e + (wc @ site.mats.Lambda[:, 0])[:, None] * (1.0 - e)
+    row[:, :, 4] = (wc * g0[:-1]).sum(axis=1) + w[1:, 4]
+    row[:, :, 5] = (wc * dg[:-1]).sum(axis=1) + w[1:, 5]
+    row[1, :, :6] += (wc * dir_f[:-1]).sum(axis=1)[:, None] * w[:-1]
     first = w[0].copy()
     maps.flags.writeable = first.flags.writeable = False
     return maps[0], maps[1], first

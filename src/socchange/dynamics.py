@@ -134,6 +134,8 @@ class Site:
     np_ratios: dict[int, float]        # year -> N_P^(n); baseline year -> 1
     cover_mode: str = "timed"
     cover_schedule: Array = field(default_factory=lambda: ARABLE_COVER_SCHEDULE.copy())
+    # N_P^(n) by delta year n = 0..horizon, from np_ratios
+    _np_by_year: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -148,14 +150,18 @@ class Site:
                 raise DataError(
                     f"NPP ratio for {year} must be positive and finite, "
                     f"got {self.np_ratios[year]}")
+        object.__setattr__(self, "_np_by_year", np.array(
+            [self.np_ratios.get(self.baseline_year + n, 1.0)
+             for n in range(self.horizon + 1)], dtype=float))
         self.climate.index(self.baseline_year)
         self.climate.index(self.baseline_year + self.horizon)
 
     @cached_property
     def month_operators(self):
-        """(grid, rhos, eks, fmats, dt_phimats) of ``stepping._month_operators``,
-        built on first use and shared, read-only, by every monthly run on
-        this site, whatever its manure policy."""
+        """(grid, rhos, eks, fmats, dir_g, dir_f) of
+        ``stepping._month_operators``: the directions are Δt φ(τÃ) a_g and
+        Δt φ(τÃ) a_f per month. Built on first use and shared, read-only, by
+        every monthly run on this site, whatever its manure policy."""
         from . import stepping   # stepping imports this module
         return stepping._month_operators(self)
 
@@ -176,12 +182,13 @@ class Site:
                 "baseline_year": self.baseline_year, "horizon": self.horizon}
 
     def np_ratio(self, n):
-        """N_P^(n), elementwise over delta years n; 1 in the baseline year."""
+        """N_P^(n), elementwise over delta years n in 0..horizon; 1 at n = 0."""
         n = np.asarray(n)
-        distinct = sorted(set(n.ravel().tolist()))
-        ratios = np.array([self.np_ratios[self.baseline_year + int(k)]
-                           for k in distinct])
-        return ratios[np.searchsorted(distinct, n)]
+        outside = (n < 0) | (n > self.horizon)
+        if outside.any():
+            raise ConfigError(f"delta year {n[outside][0]} outside "
+                              f"0..{self.horizon}")
+        return self._np_by_year[n]
 
     def dt_at(self, n, month):
         """Month length in model months, T times the month's share of the
@@ -228,26 +235,28 @@ def delta_forcing(month, n, site: Site, f_value=None, rho_m=None,
     Elementwise over (month, n, f_value); the forcing vectors lie along the
     last axis.
     """
+    plant, manure = _delta_coefficients(month, n, site, f_value, rho_m, dt_m)
+    return (np.multiply.outer(plant, site.mats.a_g)
+            + np.multiply.outer(manure, site.mats.a_f))
+
+
+def _delta_coefficients(month, n, site: Site, f_value, rho_m, dt_m):
+    """The a_g and a_f coefficients of ``delta_forcing``, eps (N_P ghat - q)
+    and (1-eps) (f/F0 - q); at eps = 1 the second is an exact zero."""
     baseline = site.baseline
     if f_value is not None and baseline.F0 <= 0.0:
         raise ConfigError("fixed manure forcing in delta mode needs a "
                           "baseline manure total F0 > 0 (the forcing is "
                           "normalized by it)")
     f_ratio = 0.0 if f_value is None else f_value / baseline.F0
-    return _delta_forcing(month, n, site, baseline.epsilon, f_ratio, rho_m, dt_m)
+    supply, q = _forcing_rates(month, n, site, rho_m, dt_m)
+    return (baseline.epsilon * (supply - q),
+            (1.0 - baseline.epsilon) * (f_ratio - q))
 
 
-def _delta_forcing(month, n, site: Site, eps: float, f_ratio,
-                   rho_m, dt_m) -> Array:
-    """eps (N_P ghat - q) a_g + (1-eps) (f/F0 - q) a_f with q = rho/(T rho0).
-
-    At eps = 1 the a_f term is an exact zero, so the no-manure forcing is the
-    plant term alone.
-    """
+def _forcing_rates(month, n, site: Site, rho_m, dt_m):
+    """N_P ghat and q = rho/(T rho0), elementwise over (month, n)."""
     rho_m = site.rho_at(n, month) if rho_m is None else rho_m
     dt_m = site.dt_at(n, month) if dt_m is None else dt_m
-    q = rho_m / (site.params.T * site.baseline.rho0)
-    plant = eps * (site.np_ratio(n) * site.density.density(month, dt_m) - q)
-    manure = (1.0 - eps) * (f_ratio - q)
-    return (np.multiply.outer(plant, site.mats.a_g)
-            + np.multiply.outer(manure, site.mats.a_f))
+    return (site.np_ratio(n) * site.density.density(month, dt_m),
+            rho_m / (site.params.T * site.baseline.rho0))

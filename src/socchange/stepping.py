@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, Site, delta_forcing
+from .dynamics import Scenario, Site, _delta_coefficients
 from .errors import ConfigError
 from .pools import CompartmentMatrices
 
@@ -32,16 +32,19 @@ def phi1_scalar(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _step_operators(taus, mats: CompartmentMatrices):
-    """e^{-τk}, F(τ) and φ(τÃ) for τ = Δt ρ of any shape.
-
-    The one place the step's matrix functions are built; every result carries
-    the shape of ``taus`` ahead of its vector or matrix axes.
-    """
+def _step_factors(taus, mats: CompartmentMatrices):
+    """e^{-τk}, F(τ) and φ(-τk) for τ = Δt ρ of any shape, ahead of their
+    vector or matrix axes: the one place the step's matrix functions are
+    built, as φ(τÃ) = (I-Λ) diag(φ(-τk)) (I-Λ)^{-1}."""
     z = -np.asarray(taus, dtype=float)[..., None] * mats.k
     eks = np.exp(z)
-    phivs = phi1_scalar(z)
     fmats = mats.Lambda + mats.i_minus_lambda * eks[..., None, :]
+    return eks, fmats, phi1_scalar(z)
+
+
+def _step_operators(taus, mats: CompartmentMatrices):
+    """e^{-τk}, F(τ) and the matrix φ(τÃ) for τ = Δt ρ of any shape."""
+    eks, fmats, phivs = _step_factors(taus, mats)
     phimats = (mats.i_minus_lambda * phivs[..., None, :]) @ mats.i_minus_lambda_inv
     return eks, fmats, phimats
 
@@ -137,39 +140,51 @@ class Trajectory:
 
 
 def _month_operators(site: Site):
-    """Time grid, left-endpoint ρ, e^{-τk}, F(τ) and Δt φ(τÃ) per month, τ = Δt ρ.
+    """Time grid, left-endpoint ρ, e^{-τk}, F(τ), and the directions
+    Δt φ(τÃ) a_g and Δt φ(τÃ) a_f per month, τ = Δt ρ.
 
+    Every monthly forcing lies in span{a_g, a_f}, so its Δt φ(τÃ) b is a
+    combination of the two directions, each Δt (I-Λ)(φ(-τk) ⊙ (I-Λ)^{-1} a).
     Read through ``Site.month_operators``, which builds them once per site
     for every monthly run on it, under any manure policy. The arrays are
     read-only, so no run or caller can change what a later run reads.
     """
     grid = build_time_grid(site)   # the module global: tracers patch it
     rhos = site.rho_at(grid.year_index, grid.month)
-    eks, fmats, phimats = _step_operators(grid.dt * rhos, site.mats)
-    operators = (rhos, eks, fmats, grid.dt[:, None, None] * phimats)
+    mats = site.mats
+    eks, fmats, phivs = _step_factors(grid.dt * rhos, mats)
+    dt_phivs = grid.dt[:, None] * phivs
+    operators = (rhos, eks, fmats, *(
+        (dt_phivs * (mats.i_minus_lambda_inv @ a)) @ mats.i_minus_lambda.T
+        for a in (mats.a_g, mats.a_f)))
     for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                   *operators):
         array.flags.writeable = False
     return (grid, *operators)
 
 
-def _monthly_forcing(scenario: Scenario, mode: str):
-    """Forcing vector b per month over the horizon, from left-endpoint ρ."""
+def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
+    """Per month over the horizon, from left-endpoint ρ: the forcing b, or
+    the input of a one-step ``scheme``, Δt φ(τÃ) b for "nonstandard" (from
+    the month directions) and Δt b for "rothc_discrete"."""
     fym, site = scenario.fym, scenario.site
     if fym.mode == "controlled":
         raise ConfigError("controlled runs go through simulate_controlled")
     if mode not in ("delta", "absolute"):
         raise ConfigError(f"unknown mode {mode!r}")
-    grid, rhos = site.month_operators[:2]
+    grid, rhos, _, _, dir_g, dir_f = site.month_operators
     n, m = grid.year_index, grid.month
     f_values = (np.asarray(fym.monthly_density, dtype=float)[m - 1]
                 if fym.mode == "fixed" else None)
     if mode == "delta":
-        return delta_forcing(m, n, site, f_values, rho_m=rhos, dt_m=grid.dt)
-    g = site.baseline.P0 * site.np_ratio(n) * site.density.density(m, grid.dt)
-    f = 0.0 if f_values is None else f_values
-    return (np.multiply.outer(g, site.mats.a_g)
-            + np.multiply.outer(f, site.mats.a_f))
+        g, f = _delta_coefficients(m, n, site, f_values, rhos, grid.dt)
+    else:
+        g = site.baseline.P0 * site.np_ratio(n) * site.density.density(m, grid.dt)
+        f = np.zeros_like(g) if f_values is None else f_values
+    if scheme == "nonstandard":
+        return g[:, None] * dir_g + f[:, None] * dir_f
+    b = g[:, None] * site.mats.a_g + f[:, None] * site.mats.a_f
+    return grid.dt[:, None] * b if scheme == "rothc_discrete" else b
 
 
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
@@ -179,15 +194,10 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     Delta mode starts from the zero state at t0 + T; absolute mode starts
     from the baseline equilibrium pools (validation path).
     """
-    bvecs = _monthly_forcing(scenario, mode)
-    grid, _, _, fmats, dt_phimats = scenario.site.month_operators
-    if scheme == "nonstandard":
-        weights = dt_phimats
-    elif scheme == "rothc_discrete":
-        weights = grid.dt[:, None, None] * np.eye(4)
-    else:
+    if scheme not in ("nonstandard", "rothc_discrete"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    gvecs = np.einsum("jab,jb->ja", weights, bvecs)
+    gvecs = _monthly_forcing(scenario, mode, scheme)
+    grid, _, _, fmats = scenario.site.month_operators[:4]
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
     states = _kernels.affine_recurrence(fmats, gvecs, c0)
     t, year, month = grid.sample_axis(scenario.site.baseline_year)

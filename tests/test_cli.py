@@ -235,6 +235,15 @@ class TestSimulateCommand:
                                                               + baseline.F0)
         assert traj.totals.min() >= -1e-9
 
+    def test_controlled_policy_in_absolute_mode_writes_nothing(self, tmp_path,
+                                                                capsys):
+        config = _demo_with_key(tmp_path, "fym_mode", "controlled")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--mode", "absolute",
+                     "--out", str(out)]) == 1
+        assert "delta mode only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("key, value", [

@@ -6,6 +6,11 @@ k-th data row and the last one, as written. A refactor that moves a number
 in these outputs by more than 1e-12 of its column's scale fails here. The
 tolerance, rather than a hash, lets numpy versions differ by an ulp.
 
+The state columns of ``control``'s trajectory files share one scale, the
+largest state magnitude across those files: at ε = 0 the manure replaces
+the loss, so that file's states are round-off (under 1e-16), and their own
+scale would compare round-off bit for bit.
+
 Regenerate the pins (only for a deliberate, explained change of output)::
 
     PYTHONPATH=src python tests/test_demo_pins.py
@@ -43,6 +48,8 @@ COMMANDS = (
 )
 ROWS_KEPT = 25          # about this many sampled rows per file, plus the last
 REL_TOL = 1e-12
+STATE_COLUMNS = ("dpm", "rpm", "bio", "hum", "total")
+ZERO_CONTROL_TOL = 1e-15   # ε = 0 controlled states, relative to the scale
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _DIGEST = re.compile(r"scenario=\w+")
 
@@ -92,14 +99,31 @@ def assert_text_close(expected: str, actual: str, scale: float) -> None:
             (want, got)
 
 
-def assert_csv_close(pin: dict, path: Path) -> None:
+def _state_cells(header: str, rows) -> list[float]:
+    names = header.split(",")
+    return [abs(float(row.split(",")[names.index(name)]))
+            for row in rows for name in STATE_COLUMNS]
+
+
+def control_state_scale(files: dict) -> float:
+    """Largest state magnitude over the kept rows of control's trajectory
+    files (its schedule files have no state columns)."""
+    return max(max(_state_cells(pin["header"], pin["kept"].values()))
+               for name, pin in files.items()
+               if name.startswith("trajectory_"))
+
+
+def assert_csv_close(pin: dict, path: Path, state_scale=None) -> None:
+    """Rows within REL_TOL of their column's scale: the largest kept
+    magnitude in the column, or ``state_scale`` for the state columns."""
     meta, header, *rows = path.read_text().splitlines()
     assert header == pin["header"]
     assert len(rows) == pin["rows"]
     assert_text_close(pin["meta"], meta, 0.0)
     kept = {int(i): row.split(",") for i, row in pin["kept"].items()}
-    scales = [max(abs(float(row[j])) for row in kept.values())
-              for j in range(len(header.split(",")))]
+    scales = [state_scale if state_scale is not None and name in STATE_COLUMNS
+              else max(abs(float(row[j])) for row in kept.values())
+              for j, name in enumerate(header.split(","))]
     for i, want in kept.items():
         got = rows[i].split(",")
         assert len(got) == len(want), i
@@ -126,8 +150,14 @@ def test_demo_command_matches_pin(pins, tmp_path, args):
                        default=0.0)
     assert_text_close(pin["stdout"], result["stdout"], stdout_scale)
     assert sorted(result["files"]) == sorted(pin["files"])
+    state_scale = None
+    if args[0] == "control":
+        state_scale = control_state_scale(pin["files"])
+        _, header, *rows = (tmp_path / "trajectory_eps0.csv").read_text() \
+            .splitlines()
+        assert max(_state_cells(header, rows)) <= ZERO_CONTROL_TOL * state_scale
     for name, file_pin in pin["files"].items():
-        assert_csv_close(file_pin, tmp_path / name)
+        assert_csv_close(file_pin, tmp_path / name, state_scale)
 
 
 def test_pin_comparison_catches_a_small_shift(pins, tmp_path):

@@ -252,8 +252,15 @@ class TestScenarioValidation:
             self, arable_scenario):
         scen = arable_scenario
         assert scen.site.np_ratios[scen.site.baseline_year] == 1.0
-        np.testing.assert_array_equal(scen.site.np_ratio([0, 1, 0]),
-                                      [1.0, scen.site.np_ratios[2006], 1.0])
+        np.testing.assert_array_equal(
+            scen.site.np_ratio([0, 1, 14, 0]),
+            [1.0, scen.site.np_ratios[2006], scen.site.np_ratios[2019], 1.0])
+
+    @pytest.mark.parametrize("n", [-1, [1, -2], 15, [[0, 1], [15, 2]]])
+    def test_np_ratio_outside_the_horizon_rejected(self, arable_scenario, n):
+        # a negative year would otherwise index from the end
+        with pytest.raises(ConfigError, match=r"outside 0\.\.14"):
+            arable_scenario.site.np_ratio(n)
 
 
 class TestWholeGridCalls:

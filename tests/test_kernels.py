@@ -16,6 +16,7 @@ the bounds are 1e-12 and 1e-10.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import socchange as sc
@@ -173,6 +174,50 @@ class TestPathEquivalence:
                                          horizon=horizon)
                 for eps in (0.0, 0.2, 0.5, 0.8, 0.95):
                     _assert_controlled_matches_oracle(scenario, eps)
+
+
+def _century_site(r):
+    return make_scenario(r=r, F0=0.5, P0=0.5, warming=0.15, np_trend=0.01,
+                         seed=7, horizon=100).site
+
+
+class TestMonthOperators:
+    """The per-site month operators and control maps on a 100-year site
+    against the oracle's φ matrices and a looped product."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
+    def test_directions_are_dt_phi_of_the_input_vectors(self, r):
+        site = _century_site(r)
+        grid, rhos, _, _, dir_g, dir_f = site.month_operators
+        mats = site.mats
+        for got, a in ((dir_g, mats.a_g), (dir_f, mats.a_f)):
+            want = np.stack([dt * oracle.phi_matrix(dt, rho, mats) @ a
+                             for dt, rho in zip(grid.dt, rhos)])
+            _assert_close(got, want, 1e-15)
+
+    @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
+    def test_prediction_row_is_the_next_weights_times_the_map(self, r):
+        site = _century_site(r)
+        eks, dir_f = site.month_operators[2], site.month_operators[5]
+        clamped, free, first = site.control_maps
+        # ŵ_j = [δ(1 - e_j), -1ᵀg₀_j, -1ᵀ(g₁ - g₀)_j] / 1ᵀv̂_j
+        w = np.column_stack((site.mats.delta * (1.0 - eks),
+                             -clamped[:, :4, 4].sum(axis=1),
+                             -clamped[:, :4, 5].sum(axis=1)))
+        w /= dir_f.sum(axis=1)[:, None]
+        np.testing.assert_array_equal(first, w[0])
+        for maps in (clamped, free):
+            for j in range(maps.shape[0] - 1):
+                _assert_close(maps[j, 6, :6], w[j + 1] @ maps[j, :6, :6],
+                              1e-14)
+            assert not maps[-1, 6].any()
+
+    @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
+    def test_zero_epsilon_control_holds_the_state_at_zero(self, r):
+        scenario = sc.Scenario(_century_site(r))
+        scale = np.abs(sc.simulate(scenario).states).max()
+        states = sc.simulate_controlled(scenario, 0.0)[0].states
+        assert np.abs(states).max() <= 1e-15 * scale
 
 
 def test_fewer_steps_than_one_stride_records_nothing():
