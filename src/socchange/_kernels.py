@@ -10,6 +10,7 @@ returned. The product is the ndarray method ``.dot``: the same bits as
 function on each call. ``controlled_recurrence`` carries the
 manure share ε and its unclamped input factor as the sixth and seventh state
 entries; row 6 of each month's map predicts the factor for the next month.
+No kernel takes a φ matrix: callers apply φ(τÃ) to a kernel's inputs.
 """
 
 import numpy as np
@@ -62,18 +63,22 @@ def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
     return out[:, :n]
 
 
-def sensitivity_recurrence(fmat, phimat, coup, w, bc, c0, s0, nsteps, record_every):
+def sensitivity_recurrence(fmat, dt, coup, w, bc, c0, s0, nsteps, record_every):
     """Co-integrate state and sensitivity with frozen left-endpoint coupling.
 
-    Per step (state c, sensitivity s):
-        s <- F s + Phi (coup @ c + w)
-        c <- F c + Phi bc
+    Per step of length dt (state c, sensitivity s):
+        s <- F s + dt (coup @ c + w)
+        c <- F c + dt bc
     which is one constant affine step of [s; c] with the block matrix
-    [[F, Phi coup], [0, F]] and forcing [Phi w; Phi bc].
-    Samples every ``record_every`` steps. Returns (c_samples, s_samples).
+    [[F, dt coup], [0, F]] and forcing dt [w; bc], coup, w and bc carrying
+    φ(τÃ). Samples every ``record_every`` steps. Returns (c_samples,
+    s_samples).
+
+    ``nsteps`` and ``record_every`` stay at positions 7 and 8: perfbench's
+    span tracer reads the step count as the eighth positional argument.
     """
-    block = np.block([[fmat, phimat @ coup], [np.zeros((4, 4)), fmat]])
-    forcing = np.concatenate((phimat @ w, phimat @ bc))
+    block = np.block([[fmat, dt * coup], [np.zeros((4, 4)), fmat]])
+    forcing = dt * np.concatenate((w, bc))
     samples = affine_recurrence_const(block, forcing, np.concatenate((s0, c0)),
                                       nsteps, record_every)
     return samples[:, 4:], samples[:, :4]

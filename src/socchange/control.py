@@ -34,12 +34,10 @@ class ControlSchedule:
     meta: dict
 
     def annual_totals(self) -> dict[int, float]:
-        """Manure applied per calendar year, t C ha^-1."""
-        out: dict[int, float] = {}
-        for y in sorted(set(self.year.tolist())):
-            sel = self.year == y
-            out[int(y)] = float((self.f[sel] * self.meta["dt"][sel]).sum())
-        return out
+        """Manure applied per calendar year, t C ha^-1; the months are
+        whole years, as the time grid builds them."""
+        totals = (self.f * self.meta["dt"]).reshape(-1, 12).sum(axis=1)
+        return dict(zip(self.year[::12].tolist(), totals.tolist()))
 
 
 def simulate_controlled(scenario: Scenario, epsilon: float):

@@ -4,7 +4,8 @@ The non-autonomous delta dynamics is replaced year by year with its
 autonomous counterpart (annually averaged temperature and deficit, smooth
 soil-cover factor); the sensitivity to a parameter then solves a second
 linear system sharing the homogeneous matrix, co-integrated on a sub-monthly
-grid with the same non-standard step.
+grid with the same non-standard step, φ(τÃ) applied from the per-τ factors
+of ``stepping._step_factors`` as on the monthly paths.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
 from .dynamics import Scenario
 from .errors import ConfigError, NumericsError
 from .pools import DPM_RPM_SHIFT, CompartmentMatrices
-from .stepping import _step_operators, phi1_dense
+from .stepping import _phi_times, _phi_times_a, _step_factors, phi1_dense
 
 Array = np.ndarray
 
 PARAMETERS = ("temp1", "np1", "r")
 
 DEFAULT_SENSITIVITY_DT = 0.01
+
+# samples a record_all run keeps over its horizon (the demo: 16 800 at dt 0.01)
+MAX_RECORDED_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -100,45 +104,52 @@ def theta(n, averaged: AveragedModel):
             - averaged.climate_factor(n) / averaged.reference.kb0) / averaged.T
 
 
-def _grids(T: float, dt: float, record_all: bool):
+def _grids(T: float, dt: float, record_all: bool, nyears: int):
     """Per-year substep count and recording stride; dt in (0, T/12] snaps to
     divide a month."""
     month = T / 12.0
     if not 0.0 < dt <= month:
         raise ConfigError(f"sensitivity step must be in (0, {month:g}] "
                           f"months, got {dt}")
-    per_month = max(1, round(month / dt))
+    try:
+        per_month = round(month / dt)
+    except OverflowError:   # month / dt is inf for a subnormal dt
+        raise ConfigError(f"sensitivity step {dt} is too small") from None
+    if record_all and 12 * per_month * nyears > MAX_RECORDED_SAMPLES:
+        raise ConfigError(f"sensitivity step {dt} would record more than "
+                          f"{MAX_RECORDED_SAMPLES} samples over {nyears} years")
     dt_eff = month / per_month
     record_every = 1 if record_all else per_month
     return 12 * per_month, dt_eff, record_every
 
 
 def _co_integrate(avg: AveragedModel, r: float, mats: CompartmentMatrices,
-                  dt: float, record_all: bool, coups: Array, ws: Array):
+                  dt: float, record_all: bool, kappa: Array, omega: Array,
+                  v: Array):
     """Co-integrate the averaged delta state c and a sensitivity s.
 
-    Year n (1..len(ws)) steps s <- F s + Φ(coups[n-1] c + ws[n-1]) beside
-    c <- F c + Φ θ^n a_g, both from zero at t0+T. The c half never reads s.
-    Returns (times, c, s), the zero initial sample included.
+    Year n (1..len(omega)) steps s <- F s + Δt φ(τÃ)(κ_n A c + ω_n v) beside
+    c <- F c + Δt φ(τÃ) θ^n a_g, both from zero at t0+T, τ = Δt ρ^n. The c
+    half never reads s. Returns (times, c, s), the zero initial sample
+    included.
     """
-    years = np.arange(1, ws.shape[0] + 1)
-    nsub, dt_eff, record_every = _grids(avg.T, dt, record_all)
-    _, fmats, phimats = _step_operators(dt_eff * avg.rho_n(years, r), mats)
-    phimats = dt_eff * phimats
-    bcs = np.multiply.outer(theta(years, avg), mats.a_g)
+    years = np.arange(1, omega.shape[0] + 1)
+    nsub, dt_eff, record_every = _grids(avg.T, dt, record_all, years.shape[0])
+    _, fmats, phivs = _step_factors(dt_eff * avg.rho_n(years, r), mats)
+    coups = kappa[:, None, None] * _phi_times_a(phivs, mats)
+    ws = omega[:, None] * _phi_times(phivs, mats, v)
+    bcs = theta(years, avg)[:, None] * _phi_times(phivs, mats, mats.a_g)
     cs = [np.zeros((1, 4))]
     ss = [np.zeros((1, 4))]
     for j in range(years.shape[0]):
         c, s = _kernels.sensitivity_recurrence(
-            fmats[j], phimats[j], coups[j], ws[j], bcs[j], cs[-1][-1],
+            fmats[j], dt_eff, coups[j], ws[j], bcs[j], cs[-1][-1],
             ss[-1][-1], nsub, record_every)
         cs.append(c)
         ss.append(s)
-    per_year = nsub // record_every
-    times = (avg.T * np.repeat(years, per_year)
-             + np.tile(dt_eff * record_every * np.arange(1, per_year + 1),
-                       years.shape[0]))
-    return np.concatenate(([avg.T], times)), np.vstack(cs), np.vstack(ss)
+    times = (avg.T * years[:, None]
+             + dt_eff * record_every * np.arange(1, nsub // record_every + 1))
+    return np.append(avg.T, times), np.vstack(cs), np.vstack(ss)
 
 
 def averaged_delta_solve(averaged: AveragedModel, r: float,
@@ -151,9 +162,9 @@ def averaged_delta_solve(averaged: AveragedModel, r: float,
     the zero initial sample included.
     """
     n_years = averaged.horizon if n_years is None else n_years
+    zeros = np.zeros(n_years)
     times, states, _ = _co_integrate(averaged, r, mats, dt, record_all,
-                                     np.zeros((n_years, 4, 4)),
-                                     np.zeros((n_years, 4)))
+                                     zeros, zeros, mats.a_g)
     return times, states
 
 
@@ -227,25 +238,26 @@ def sensitivity(parameter: str, scenario: Scenario,
     mats = scenario.mats
     r = scenario.r
     ref = avg.reference
+    v = mats.a_g
     if parameter == "temp1":
-        dr = drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0], ref.site,
-                        r, ref.n_bare)
-        coups = (dr * mats.A)[None]
-        ws = (-dr * mats.a_g / (avg.T * avg.rho0(r)))[None]
+        kappa = np.array([drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0],
+                                     ref.site, r, ref.n_bare)])
+        omega = -kappa / (avg.T * avg.rho0(r))
     elif parameter == "np1":
-        coups = np.zeros((1, 4, 4))
-        ws = (mats.a_g / avg.T)[None]
+        kappa, omega = np.zeros(1), np.array([1.0 / avg.T])
     else:
-        dr = drho_dr(avg.temps, ref.temp0, avg.accs, ref.site, r, ref.n_bare)
-        coups = dr[:, None, None] * mats.A
+        kappa = drho_dr(avg.temps, ref.temp0, avg.accs, ref.site, r,
+                        ref.n_bare)
         try:
             scale = (r + 1.0) ** 2   # dγ/dr = 1/(r + 1)²
         except OverflowError:
             raise NumericsError(f"(r + 1)^2 overflows for r={r}") from None
-        ws = (np.outer(theta(np.arange(1, avg.horizon + 1), avg), DPM_RPM_SHIFT)
-              / scale)
-    t, c_arr, s_arr = _co_integrate(avg, r, mats, dt, record_all, coups, ws)
-    meta = {"parameter": parameter, "dt": _grids(avg.T, dt, record_all)[1],
-            "years": ws.shape[0], "dpm_rpm_ratio": r}
+        omega = theta(np.arange(1, avg.horizon + 1), avg) / scale
+        v = DPM_RPM_SHIFT
+    t, c_arr, s_arr = _co_integrate(avg, r, mats, dt, record_all, kappa,
+                                    omega, v)
+    meta = {"parameter": parameter,
+            "dt": _grids(avg.T, dt, record_all, omega.shape[0])[1],
+            "years": omega.shape[0], "dpm_rpm_ratio": r}
     return SensitivitySeries(parameter=parameter, t=t, s=s_arr,
                              s_dsoc=s_arr.sum(axis=1), delta=c_arr, meta=meta)

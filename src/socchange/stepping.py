@@ -42,11 +42,15 @@ def _step_factors(taus, mats: CompartmentMatrices):
     return eks, fmats, phi1_scalar(z)
 
 
-def _step_operators(taus, mats: CompartmentMatrices):
-    """e^{-τk}, F(τ) and the matrix φ(τÃ) for τ = Δt ρ of any shape."""
-    eks, fmats, phivs = _step_factors(taus, mats)
-    phimats = (mats.i_minus_lambda * phivs[..., None, :]) @ mats.i_minus_lambda_inv
-    return eks, fmats, phimats
+def _phi_times(phivs, mats: CompartmentMatrices, v):
+    """φ(τÃ) v = (I-Λ)(φ(-τk) ⊙ (I-Λ)^{-1} v) for each row of φ(-τk)."""
+    return (phivs * (mats.i_minus_lambda_inv @ v)) @ mats.i_minus_lambda.T
+
+
+def _phi_times_a(phivs, mats: CompartmentMatrices):
+    """φ(τÃ) A = -(I-Λ) diag(φ(-τk) ⊙ k) for each row of φ(-τk), since
+    (I-Λ)^{-1} A = -D. Not (F - I)/τ: e^{-τk} - 1 cancels for small τ."""
+    return -mats.i_minus_lambda * (phivs * mats.k)[..., None, :]
 
 
 def phi1_dense(z: Array, tol: float = 1e-12) -> Array:
@@ -154,9 +158,8 @@ def _month_operators(site: Site):
     mats = site.mats
     eks, fmats, phivs = _step_factors(grid.dt * rhos, mats)
     dt_phivs = grid.dt[:, None] * phivs
-    operators = (rhos, eks, fmats, *(
-        (dt_phivs * (mats.i_minus_lambda_inv @ a)) @ mats.i_minus_lambda.T
-        for a in (mats.a_g, mats.a_f)))
+    operators = (rhos, eks, fmats, *(_phi_times(dt_phivs, mats, a)
+                                     for a in (mats.a_g, mats.a_f)))
     for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                   *operators):
         array.flags.writeable = False

@@ -5,8 +5,9 @@ map per month; the loops take one plain step at a time and are the reference
 the kernel tests compare against.
 The control loop here writes the feedback law from α, β, δ, φ(-τk) and the
 clamp; the engine steps the same law as a clamped affine input.
-The one-step maps take F and φ from the production builder
-``socchange.stepping._step_operators``; ``nonstandard_step_incremental`` is
+The one-step maps take F and φ(-τk) from the production code in
+``socchange.stepping._step_factors``, and ``phi_matrix`` forms the matrix
+φ(τÃ) from them, which no run path builds; ``nonstandard_step_incremental`` is
 the scheme's other algebraic form, the reference for the transition form the
 engine steps with. ``maintenance_rate`` is the continuous manure law that the
 discrete control law tends to as Δt → 0.
@@ -15,17 +16,18 @@ discrete control law tends to as Δt → 0.
 import numpy as np
 
 from socchange.errors import ConfigError
-from socchange.stepping import _step_operators
+from socchange.stepping import _step_factors
 
 
 def transition_matrix(dt, rho, mats):
     """F(Δt rho) = Λ + (I-Λ) diag(e^{-Δt rho k})."""
-    return _step_operators(dt * rho, mats)[1]
+    return _step_factors(dt * rho, mats)[1]
 
 
 def phi_matrix(dt, rho, mats):
-    """φ(Δt rho Ã)."""
-    return _step_operators(dt * rho, mats)[2]
+    """φ(Δt rho Ã) = (I-Λ) diag(φ(-Δt rho k)) (I-Λ)^{-1}, as a matrix."""
+    phiv = _step_factors(dt * rho, mats)[2]
+    return (mats.i_minus_lambda * phiv[..., None, :]) @ mats.i_minus_lambda_inv
 
 
 def nonstandard_step(state, dt, rho, b, mats):
@@ -76,7 +78,7 @@ def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
     return out
 
 
-def sensitivity_recurrence(fmat, phimat, coup, w, bc, c0, s0, nsteps, record_every):
+def sensitivity_recurrence(fmat, dt, coup, w, bc, c0, s0, nsteps, record_every):
     nsamples = nsteps // record_every
     cs = np.empty((nsamples, 4))
     ss = np.empty((nsamples, 4))
@@ -84,8 +86,8 @@ def sensitivity_recurrence(fmat, phimat, coup, w, bc, c0, s0, nsteps, record_eve
     s = s0.copy()
     idx = 0
     for j in range(nsteps):
-        s = fmat @ s + phimat @ (coup @ c + w)
-        c = fmat @ c + phimat @ bc
+        s = fmat @ s + dt * (coup @ c + w)
+        c = fmat @ c + dt * bc
         if (j + 1) % record_every == 0:
             cs[idx] = c
             ss[idx] = s

@@ -304,6 +304,16 @@ class TestConfigValues:
                                   "must be in (0, 1]"), err
             assert not out.exists()
 
+    def test_sensitivity_step_recording_too_many_samples_exits_one(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
+                     "r", "--dt", "1e-300", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sensitivity step 1e-300 "
+                              "would record"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["plant_input_tc_ha_yr",
                                      "fym_baseline_tc_ha_yr",
                                      "soc_active_tc_ha"])

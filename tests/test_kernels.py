@@ -21,7 +21,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import socchange as sc
 from socchange import _kernels
-from socchange.stepping import build_time_grid
+from socchange.pools import DPM_RPM_SHIFT
+from socchange.stepping import (_phi_times, _phi_times_a, _step_factors,
+                                build_time_grid)
 
 import kernel_oracles as oracle
 from conftest import make_scenario
@@ -80,11 +82,10 @@ def _assert_controlled_matches_oracle(scenario, eps):
 
 
 def _sub_monthly_step(dt, rho=0.9, r=0.67):
-    """F and Δt φ of the non-standard step at a sub-monthly dt, as the
-    averaged solves build them."""
+    """F and φ(τÃ) of the non-standard step at a sub-monthly dt, τ = dt ρ."""
     mats = sc.build_matrices(sc.SoilParams.for_site(50.0, 23.0, r))
     fmat = oracle.transition_matrix(dt, rho, mats)
-    phimat = dt * oracle.phi_matrix(dt, rho, mats)
+    phimat = oracle.phi_matrix(dt, rho, mats)
     return mats, fmat, phimat
 
 
@@ -131,22 +132,24 @@ class TestPathEquivalence:
     def test_affine_recurrence_const_long_horizon(self):
         # criterion 3's first year: dt = 5e-5, 240 000 steps, monthly samples
         mats, fmat, phimat = _sub_monthly_step(5e-5)
-        args = (fmat, phimat @ (0.03 * mats.a_g), np.zeros(4), 240_000, 20_000)
+        args = (fmat, 5e-5 * phimat @ (0.03 * mats.a_g), np.zeros(4), 240_000,
+                20_000)
         _assert_close(_kernels.affine_recurrence_const(*args),
                       oracle.affine_recurrence_const(*args), TOL_LONG)
 
     def test_sensitivity_recurrence(self):
         rng = np.random.default_rng(2)
         fmat = np.eye(4) - 0.04 * rng.uniform(0, 1, (4, 4))
-        phimat = 0.01 * (np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
-        coup = 0.1 * rng.standard_normal((4, 4))
-        w = rng.standard_normal(4)
-        bc = rng.standard_normal(4)
+        phimat = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        coup = phimat @ (0.1 * rng.standard_normal((4, 4)))
+        w = phimat @ rng.standard_normal(4)
+        bc = phimat @ rng.standard_normal(4)
         z = np.zeros(4)
         mats, fmat_d, phimat_d = _sub_monthly_step(0.01)
-        cases = [(fmat, phimat, coup, w, bc, z, z, 60, 5),
-                 (fmat_d, phimat_d, 0.7 * mats.A, 0.2 * mats.a_g,
-                  0.3 * mats.a_g, z, z, 1200, 1)]
+        cases = [(fmat, 0.01, coup, w, bc, z, z, 60, 5),
+                 (fmat_d, 0.01, phimat_d @ (0.7 * mats.A),
+                  phimat_d @ (0.2 * mats.a_g), phimat_d @ (0.3 * mats.a_g),
+                  z, z, 1200, 1)]
         for args in cases:
             got = _kernels.sensitivity_recurrence(*args)
             want = oracle.sensitivity_recurrence(*args)
@@ -220,10 +223,27 @@ class TestMonthOperators:
         assert np.abs(states).max() <= 1e-15 * scale
 
 
+class TestPhiClosedForms:
+    """φ(τÃ) applied from φ(-τk) without forming it, against the oracle's
+    φ matrix: within 1e-15 of the largest entry at each τ in (0, 3]."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
+    def test_phi_times_a_and_vectors(self, r):
+        mats = sc.build_matrices(sc.SoilParams.for_site(50.0, 23.0, r))
+        taus = np.linspace(0.06, 3.0, 50)
+        phivs = _step_factors(taus, mats)[2]
+        phimats = [oracle.phi_matrix(tau, 1.0, mats) for tau in taus]
+        cases = [(_phi_times_a(phivs, mats), mats.A)] + [
+            (_phi_times(phivs, mats, v), v) for v in (mats.a_g, DPM_RPM_SHIFT)]
+        for got, x in cases:
+            for got_tau, phimat in zip(got, phimats):
+                _assert_close(got_tau, phimat @ x, 1e-15)
+
+
 def test_fewer_steps_than_one_stride_records_nothing():
     z = np.zeros(4)
     assert _kernels.affine_recurrence_const(np.eye(4), z, z, 4, 5).shape == (0, 4)
-    cs, ss = _kernels.sensitivity_recurrence(np.eye(4), np.eye(4), np.eye(4),
+    cs, ss = _kernels.sensitivity_recurrence(np.eye(4), 1.0, np.eye(4),
                                              z, z, z, z, 0, 1)
     assert cs.shape == ss.shape == (0, 4)
 
@@ -263,12 +283,12 @@ class TestClosedFormProperties:
                       oracle.affine_recurrence_const(*args))
 
     @settings(max_examples=25, deadline=None)
-    @given(_contractive(), _vector(16), _vector(16), _vector(), _vector(),
-           _vector(), _schedule())
-    def test_sensitivity_recurrence(self, fmat, phimat, coup, w, bc, c0,
+    @given(_contractive(), st.floats(1e-3, 0.1), _vector(16), _vector(),
+           _vector(), _vector(), _schedule())
+    def test_sensitivity_recurrence(self, fmat, dt, coup, w, bc, c0,
                                     schedule):
-        args = (fmat, 0.1 * phimat.reshape(4, 4), coup.reshape(4, 4), w, bc,
-                c0, np.zeros(4), *schedule)
+        args = (fmat, dt, coup.reshape(4, 4), w, bc, c0, np.zeros(4),
+                *schedule)
         got = _kernels.sensitivity_recurrence(*args)
         want = oracle.sensitivity_recurrence(*args)
         _assert_close(got[0], want[0])

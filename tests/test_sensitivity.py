@@ -1,14 +1,17 @@
 """Averaged model, closed-form first year, and direct-method sensitivities."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import socchange as sc
+from socchange import _kernels
 from socchange.climate import KA_OFFSET
 from socchange.errors import ConfigError
-from socchange.sensitivity import build_averaged_model
+from socchange.sensitivity import (MAX_RECORDED_SAMPLES, _grids,
+                                   build_averaged_model)
 
 from conftest import make_scenario
 
@@ -228,6 +231,36 @@ class TestSensitivitySeries:
             sc.sensitivity("np1", scen, dt=dt)
         with pytest.raises(ConfigError, match="sensitivity step"):
             sc.averaged_delta_solve(avg, 0.67, scen.mats, dt=dt)
+
+    @pytest.mark.parametrize("dt", ["tiny", "past-cap", "subnormal"])
+    def test_recorded_step_past_the_cap_rejected_before_allocating(
+            self, scen, dt, monkeypatch):
+        # one month is 1 (T = 12): the smallest per-month count past the cap
+        nyears = scen.site.horizon
+        past_cap = MAX_RECORDED_SAMPLES // (12 * nyears) + 1
+        dt = {"tiny": 1e-300, "past-cap": 1.0 / past_cap,
+              "subnormal": 5e-324}[dt]
+
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(_kernels, "sensitivity_recurrence", kernel)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"sensitivity step {dt}"):
+                sc.sensitivity("r", scen, dt=dt, record_all=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_cap_counts_recorded_samples_only(self, scen):
+        nyears = scen.site.horizon
+        at_cap = MAX_RECORDED_SAMPLES // (12 * nyears)
+        assert _grids(12.0, 1.0 / at_cap, True, nyears)[0] * nyears \
+            <= MAX_RECORDED_SAMPLES
+        nsub, _, record_every = _grids(12.0, 1e-300, False, nyears)
+        assert nsub // record_every == 12
 
     def test_sub_monthly_step_snaps_to_divide_a_month(self, scen):
         assert sc.sensitivity("np1", scen, dt=0.3).meta["dt"] == 1.0 / 3.0
