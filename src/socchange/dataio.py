@@ -33,46 +33,8 @@ from .stepping import Trajectory
 Array = np.ndarray
 
 
-def _parse_float(text: str, path, line_no: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(
-            f"{path}: line {line_no}: non-numeric {column!r} value {text!r}") from None
-    if not math.isfinite(value):
-        raise DataError(
-            f"{path}: line {line_no}: non-finite {column!r} value {text!r}")
-    return value
-
-
-def _parse_int(text: str, path, line_no: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(
-            f"{path}: line {line_no}: non-integer {column!r} value {text!r}") from None
-
-
 _INT64 = np.iinfo(np.int64)
-
-
-def _parse_row(path, line_no: int, row, columns: dict[str, int],
-               fields) -> list:
-    """One row's (name, kind) fields parsed cell by cell, kind ``int`` or
-    ``float``. Raises DataError naming the line and column of the first
-    cell that is not a finite float or an int64 integer."""
-    values = []
-    for name, kind in fields:
-        text = row[columns[name]]
-        if kind is float:
-            values.append(_parse_float(text, path, line_no, name))
-            continue
-        value = _parse_int(text, path, line_no, name)
-        if not _INT64.min <= value <= _INT64.max:
-            raise DataError(f"{path}: line {line_no}: {name!r} value {value} "
-                            "outside the int64 range")
-        values.append(value)
-    return values
+_INT_COLUMNS = ("year", "month")
 
 
 def _read_text(path, kind: str) -> str:
@@ -86,47 +48,16 @@ def _header_columns(header: list[str]) -> dict[str, int]:
     return {name.strip(): i for i, name in enumerate(header)}
 
 
-def _read_table(path, lines, required,
-                skip: int = 0) -> tuple[dict[str, int], list]:
-    """Parse CSV ``lines`` of ``path`` with a header row after ``skip``
-    leading lines.
-
-    Returns the column index of each stripped header name, and the data
-    rows as (physical line number, cells) pairs, blank rows skipped. Raises
-    DataError for an empty file, malformed CSV, a header without a
-    ``required`` column, or a row shorter than the header.
-    """
-    reader = csv.reader(lines[skip:])
-    try:
-        header = next(reader, None)
-        rows = [(reader.line_num + skip, row) for row in reader if row]
-    except csv.Error as exc:
-        raise DataError(f"{path}: malformed CSV: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    columns = _header_columns(header)
-    if not set(required).issubset(columns):
-        raise DataError(f"{path}: header must contain {list(required)}, "
-                        f"got {list(columns)}")
-    for line_no, row in rows:
-        if len(row) < len(header):
-            raise DataError(f"{path}: line {line_no}: too few columns")
-    return columns, rows
-
-
-_INT_COLUMNS = ("year", "month")
-
-
 def _fast_table(text: str, lines: list[str], required, optional=(),
                 skip: int = 0) -> Optional[dict[str, Array]]:
     """The ``required`` columns, and those of ``optional`` in the header,
     read by numpy's C ``loadtxt``: int64 for year and month, else float64.
 
-    Returns None wherever it and the row path (``_read_table`` and the cell
-    parsers) could disagree, for the row path to decide: a quote (loadtxt
-    splits a quoted comma), a NUL (csv rejects one before Python 3.11), a
-    line over the csv field limit, a missing column, no data row, any
-    loadtxt error or warning, or a value that is not finite.
+    Returns None wherever it and the row parser (``_parse_rows``) could
+    disagree, for the row parser to decide: a quote (loadtxt splits a quoted
+    comma), a NUL (csv rejects one before Python 3.11), a line over the csv
+    field limit, a missing column, no data row, any loadtxt error or
+    warning, or a value that is not finite.
     """
     limit = csv.field_size_limit()
     if ('"' in text or "\0" in text or len(lines) <= skip
@@ -157,66 +88,112 @@ def _fast_table(text: str, lines: list[str], required, optional=(),
     return {name: table[name] for name in names}
 
 
+def _cell(name: str, text: str):
+    """A year or month cell as an int, any other as a finite float; raises
+    ValueError naming the column and the text."""
+    kind = "integer" if name in _INT_COLUMNS else "numeric"
+    try:
+        value = int(text) if name in _INT_COLUMNS else float(text)
+    except ValueError:
+        raise ValueError(f"non-{kind} {name!r} value {text!r}") from None
+    if kind == "numeric" and not math.isfinite(value):
+        raise ValueError(f"non-finite {name!r} value {text!r}")
+    return value
+
+
+def _parse_rows(path, lines: list[str], required, optional=(), skip: int = 0):
+    """``_read_columns`` by csv and Python's ``int`` and ``float``, row by
+    row up to the first bad cell; an integer column that overflows int64
+    holds Python ints. Raises DataError for an empty file, malformed CSV, a
+    header without a ``required`` column, or a row shorter than the header.
+    """
+    reader = csv.reader(lines[skip:])
+    try:
+        header = next(reader, None)
+        rows = [(reader.line_num + skip, row) for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    columns = _header_columns(header)
+    if not set(required).issubset(columns):
+        raise DataError(f"{path}: header must contain {list(required)}, "
+                        f"got {list(columns)}")
+    for line_no, row in rows:
+        if len(row) < len(header):
+            raise DataError(f"{path}: line {line_no}: too few columns")
+    names = [*required, *(name for name in optional if name in columns)]
+    parsed, error = [], None
+    for line_no, row in rows:
+        try:
+            parsed.append([_cell(name, row[columns[name]]) for name in names])
+        except ValueError as exc:
+            error = DataError(f"{path}: line {line_no}: {exc}")
+            break
+    table = {}
+    for i, name in enumerate(names):
+        values = [row[i] for row in parsed]
+        try:
+            table[name] = np.array(values, dtype=np.int64 if name in
+                                   _INT_COLUMNS else np.float64)
+        except OverflowError:   # Python ints, for a row rule to name
+            table[name] = np.array(values, dtype=object)
+    return table, [line_no for line_no, _ in rows[:len(parsed)]], error
+
+
+def _read_columns(path, text: str, required, optional=(), skip: int = 0):
+    """The ``required`` columns of the CSV ``text`` of ``path``, whose
+    header row follows ``skip`` leading lines, and those of ``optional`` in
+    the header: int64 for year and month (or ints past int64), else float64.
+
+    Returns (columns, line_nos, error): the physical line of each data row,
+    and the DataError of the first cell that is not a number of its
+    column's kind, or None; the columns stop before that cell's row. Only a
+    text that ``_fast_table`` declines is parsed row by row.
+    """
+    lines = text.splitlines()
+    table = _fast_table(text, lines, required, optional, skip)
+    if table is None:
+        return _parse_rows(path, lines, required, optional, skip)
+    count = len(lines) - skip - 1
+    if len(table[required[0]]) == count:   # no line was empty
+        return table, range(skip + 2, skip + 2 + count), None
+    # loadtxt skips the empty lines, as csv does
+    return table, [n for n, line in enumerate(lines[skip + 1:], skip + 2)
+                   if line], None
+
+
+def _check_rows(path, line_nos, rules, error=None) -> None:
+    """Raise DataError at the first line, in file order, that a rule
+    rejects, else the reader's pending cell ``error``. A rule is (mask of
+    the rejected rows, message template, the columns that fill it on that
+    row); on a line that several rules reject, the first one is named."""
+    faults = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(rules)
+              if bad.any()]
+    if faults:
+        i, k = min(faults)
+        _, message, columns = rules[k]
+        raise DataError(f"{path}: line {line_nos[i]}: "
+                        + message.format(*(c.tolist()[i] for c in columns)))
+    if error is not None:
+        raise error
+
+
+def _repeated(keys: Array) -> Array:
+    """Mask of the rows whose key is on an earlier row."""
+    order = np.argsort(keys, kind="stable")   # equal keys in file order
+    ranked = keys[order]
+    repeated = np.zeros(len(keys), dtype=bool)
+    repeated[order[1:][ranked[1:] == ranked[:-1]]] = True
+    return repeated
+
+
+def _month_rule(month: Array):
+    return (month < 1) | (month > 12), "month {} outside 1..12", (month,)
+
+
 _CLIMATE_COLUMNS = ("year", "month", "temp_c", "rain_mm")
 _CLIMATE_OPTIONAL = ("pet_mm", "daylength_h")
-
-
-def _climate_grid(path, table):
-    """(start year, {name: (nyears, 12) array}) from a climate table in
-    file order.
-
-    Returns None if a year or month is out of range or repeated, for the
-    row path to name the row, and raises DataError at the first gap.
-    """
-    year, month = table["year"], table["month"]
-    if not (np.all((year >= 1) & (year <= 9999))
-            and np.all((month >= 1) & (month <= 12))):
-        return None
-    cells = year * 12 + month - 1     # months since year 0
-    order = np.argsort(cells, kind="stable")
-    cells = cells[order]
-    if np.any(cells[1:] == cells[:-1]):
-        return None
-    # whole contiguous years: the k-th month in calendar order is k months
-    # after January of the first year, and the count is a multiple of 12;
-    # as the cells are sorted and distinct, the first gap is the number of
-    # months in place
-    start_year = int(cells[0]) // 12
-    gap = int(np.sum(cells == start_year * 12 + np.arange(len(cells))))
-    if gap < len(cells) or gap % 12:
-        raise DataError(f"{path}: gap at {start_year + gap // 12}-"
-                        f"{gap % 12 + 1:02d}")
-    return start_year, {name: column[order].reshape(-1, 12)
-                        for name, column in table.items()
-                        if name not in _INT_COLUMNS}
-
-
-def _climate_by_rows(path, lines) -> dict[str, Array]:
-    """The climate table of ``_fast_table``, read row by row, raising
-    DataError at the first row that is bad or repeats a month."""
-    columns, rows = _read_table(path, lines, _CLIMATE_COLUMNS)
-    names = [name for name in _CLIMATE_COLUMNS + _CLIMATE_OPTIONAL
-             if name in columns]
-    fields = [(name, float) for name in names[2:]]
-    seen = set()   # months since year 0
-    table = []
-    for line_no, row in rows:
-        year = _parse_int(row[columns["year"]], path, line_no, "year")
-        month = _parse_int(row[columns["month"]], path, line_no, "month")
-        if not 1 <= year <= 9999:   # the datetime range
-            raise DataError(f"{path}: line {line_no}: 'year' value {year} "
-                            "outside 1..9999")
-        if not 1 <= month <= 12:
-            raise DataError(f"{path}: line {line_no}: month {month} outside 1..12")
-        if year * 12 + month - 1 in seen:
-            raise DataError(f"{path}: line {line_no}: duplicate month "
-                            f"{year}-{month:02d}")
-        seen.add(year * 12 + month - 1)
-        table.append([year, month,
-                      *_parse_row(path, line_no, row, columns, fields)])
-    if not table:
-        raise DataError(f"{path}: no data rows")
-    return {name: np.array(column) for name, column in zip(names, zip(*table))}
 
 
 def load_climate(path, site: SiteMoisture,
@@ -224,15 +201,34 @@ def load_climate(path, site: SiteMoisture,
     """Load a monthly climate CSV and derive PET (if absent) and deficits.
 
     Expected header: year,month,temp_c,rain_mm[,pet_mm][,daylength_h].
-    The series must cover whole contiguous years. The table is read whole;
-    only a file that ``_fast_table`` declines, or that fails a row check,
-    is read again row by row, so the error names the first bad line.
+    The rows may come in any order, and must cover whole contiguous years.
     """
-    text = _read_text(path, "climate file")
-    lines = text.splitlines()
-    table = _fast_table(text, lines, _CLIMATE_COLUMNS, _CLIMATE_OPTIONAL)
-    grid = None if table is None else _climate_grid(path, table)
-    start_year, grid = grid or _climate_grid(path, _climate_by_rows(path, lines))
+    table, line_nos, error = _read_columns(
+        path, _read_text(path, "climate file"), _CLIMATE_COLUMNS,
+        _CLIMATE_OPTIONAL)
+    year, month = table["year"], table["month"]
+    cells = year * 12 + month - 1     # months since year 0
+    _check_rows(path, line_nos, [
+        ((year < 1) | (year > 9999),   # the datetime range
+         "'year' value {} outside 1..9999", (year,)),
+        _month_rule(month),
+        (_repeated(cells), "duplicate month {}-{:02d}", (year, month)),
+    ], error)
+    if not len(cells):
+        raise DataError(f"{path}: no data rows")
+    # whole contiguous years: the k-th month in calendar order is k months
+    # after January of the first year, and the count is a multiple of 12;
+    # as the cells are sorted and distinct, the first gap is the number of
+    # months in place
+    order = np.argsort(cells)
+    cells = cells[order]
+    start_year = int(cells[0]) // 12
+    gap = int(np.sum(cells == start_year * 12 + np.arange(len(cells))))
+    if gap < len(cells) or gap % 12:
+        raise DataError(f"{path}: gap at {start_year + gap // 12}-"
+                        f"{gap % 12 + 1:02d}")
+    grid = {name: column[order].reshape(-1, 12)
+            for name, column in table.items() if name not in _INT_COLUMNS}
     return ClimateSeries.build(start_year, grid["temp_c"], grid["rain_mm"],
                                site, pet=grid.get("pet_mm"),
                                latitude_deg=latitude_deg,
@@ -241,20 +237,12 @@ def load_climate(path, site: SiteMoisture,
 
 def load_npp(path, baseline_year: int) -> dict[int, float]:
     """Load annual NPP and normalize by the baseline year (ratio 1 there)."""
-    text = _read_text(path, "NPP file")
-    lines = text.splitlines()
-    table = _fast_table(text, lines, ("year", "npp"))
-    if table is not None:
-        values = dict(zip(table["year"].tolist(), table["npp"].tolist()))
-    if table is None or len(values) < len(table["year"]):   # a repeated year
-        columns, rows = _read_table(path, lines, ("year", "npp"))
-        values = {}
-        for line_no, row in rows:
-            year = _parse_int(row[columns["year"]], path, line_no, "year")
-            if year in values:
-                raise DataError(f"{path}: line {line_no}: duplicate year {year}")
-            values[year] = _parse_float(row[columns["npp"]], path, line_no,
-                                        "npp")
+    table, line_nos, error = _read_columns(path, _read_text(path, "NPP file"),
+                                           ("year", "npp"))
+    year = table["year"]
+    _check_rows(path, line_nos,
+                [(_repeated(year), "duplicate year {}", (year,))], error)
+    values = dict(zip(year.tolist(), table["npp"].tolist()))
     if baseline_year not in values:
         raise DataError(f"{path}: baseline year {baseline_year} missing")
     base = values[baseline_year]
@@ -263,47 +251,44 @@ def load_npp(path, baseline_year: int) -> dict[int, float]:
     return {year: v / base for year, v in values.items()}
 
 
+_COVER_COLUMNS = tuple(f"cover_{c}" for c in LAND_CLASSES)
+
+
 def load_density_table(path):
     """Load plant-input densities and cover schedules keyed by land class.
 
-    Expected header: month,forest,grassland,arable plus optional cover_<class>
-    columns, each cover factor in (0, 1]; rows may appear in any order
-    (keyed by month). Returns (densities, covers) dicts.
+    Expected header: month plus any of forest,grassland,arable and of the
+    cover_<class> columns of those classes, each cover factor in (0, 1];
+    other columns are ignored. Rows may appear in any order (keyed by
+    month). Returns (densities, covers) dicts.
     """
-    lines = _read_text(path, "density table").splitlines()
-    columns, rows = _read_table(path, lines, ("month",))
-    classes = [c for c in LAND_CLASSES if c in columns]
+    table, line_nos, error = _read_columns(
+        path, _read_text(path, "density table"), ("month",),
+        LAND_CLASSES + _COVER_COLUMNS)
+    classes = [c for c in LAND_CLASSES if c in table]
     if not classes:
         raise DataError(f"{path}: no land-class columns found")
-    cover_cols = [name for name in columns if name.startswith("cover_")]
-    dens = {c: np.full(12, np.nan) for c in classes}
-    covers = {c.removeprefix("cover_"): np.full(12, np.nan) for c in cover_cols}
-    seen = set()
-    for line_no, row in rows:
-        m = _parse_int(row[columns["month"]], path, line_no, "month")
-        if not 1 <= m <= 12:
-            raise DataError(f"{path}: line {line_no}: month {m} outside 1..12")
-        if m in seen:
-            raise DataError(f"{path}: line {line_no}: duplicate month {m}")
-        seen.add(m)
-        for c in classes:
-            dens[c][m - 1] = _parse_float(row[columns[c]], path, line_no, c)
-        for col in cover_cols:
-            cover = _parse_float(row[columns[col]], path, line_no, col)
-            if not 0.0 < cover <= 1.0:
-                raise DataError(f"{path}: line {line_no}: {col!r} value "
-                                f"{cover!r} outside (0, 1]")
-            covers[col.removeprefix("cover_")][m - 1] = cover
-    if len(seen) != 12:
-        missing = sorted(set(range(1, 13)) - seen)
-        raise DataError(f"{path}: missing month {missing[0]}")
+    month = table["month"]
+    covers = {name: table[name] for name in _COVER_COLUMNS if name in table}
+    _check_rows(path, line_nos, [
+        _month_rule(month),
+        (_repeated(month), "duplicate month {}", (month,)),
+        *(((cover <= 0.0) | (cover > 1.0),
+           f"{name!r} value {{!r}} outside (0, 1]", (cover,))
+          for name, cover in covers.items()),
+    ], error)
+    if len(month) < 12:
+        missing = set(range(1, 13)) - set(month.tolist())
+        raise DataError(f"{path}: missing month {min(missing)}")
+    order = np.argsort(month)
     densities = {}
     for c in classes:
         try:
-            densities[c] = PlantInputDensity(dens[c], c)
+            densities[c] = PlantInputDensity(table[c][order], c)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-    return densities, covers
+    return densities, {name.removeprefix("cover_"): cover[order]
+                       for name, cover in covers.items()}
 
 
 @dataclass
@@ -486,19 +471,14 @@ def read_trajectory(path) -> Trajectory:
     lines = text.splitlines()
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise DataError(f"{path}: not a trajectory file")
-    meta: dict = {}
-    for token in lines[0].lstrip("# ").split():
-        key, _, value = token.partition("=")
-        meta[key] = value
-    table = _fast_table(text, lines, _TRAJECTORY_COLUMNS, skip=1)
-    if table is None:
-        columns, rows = _read_table(path, lines, _TRAJECTORY_COLUMNS, skip=1)
-        fields = [(name, int if name in _INT_COLUMNS else float)
-                  for name in _TRAJECTORY_COLUMNS]
-        parsed = [_parse_row(path, line_no, row, columns, fields)
-                  for line_no, row in rows]
-        table = {name: np.array([row[i] for row in parsed], dtype=kind)
-                 for i, (name, kind) in enumerate(fields)}
+    meta = dict(token.partition("=")[::2]
+                for token in lines[0].lstrip("# ").split())
+    table, line_nos, error = _read_columns(path, text, _TRAJECTORY_COLUMNS,
+                                           skip=1)
+    _check_rows(path, line_nos, [
+        ((table[name] < _INT64.min) | (table[name] > _INT64.max),
+         f"{name!r} value {{}} outside the int64 range", (table[name],))
+        for name in _INT_COLUMNS], error)
     year, month, t, *pools, totals = table.values()
     return Trajectory(t=t, year=year, month=month,
                       states=np.column_stack(pools),

@@ -32,6 +32,10 @@ DEFAULT_SENSITIVITY_DT = 0.01
 # samples a record_all run keeps over its horizon (the demo: 16 800 at dt 0.01)
 MAX_RECORDED_SAMPLES = 1_000_000
 
+# below about 1e-10 months e^{-τk} rounds to 1 and the ~1e12 substeps of a
+# year drift without an error
+MIN_SENSITIVITY_DT = 1e-6
+
 
 @dataclass(frozen=True)
 class AveragedModel:
@@ -105,8 +109,8 @@ def theta(n, averaged: AveragedModel):
 
 
 def _grids(T: float, dt: float, record_all: bool, nyears: int):
-    """Per-year substep count and recording stride; dt in (0, T/12] snaps to
-    divide a month."""
+    """Per-year substep count and recording stride; dt in
+    [MIN_SENSITIVITY_DT, T/12] snaps to divide a month."""
     month = T / 12.0
     if not 0.0 < dt <= month:
         raise ConfigError(f"sensitivity step must be in (0, {month:g}] "
@@ -118,6 +122,9 @@ def _grids(T: float, dt: float, record_all: bool, nyears: int):
     if record_all and 12 * per_month * nyears > MAX_RECORDED_SAMPLES:
         raise ConfigError(f"sensitivity step {dt} would record more than "
                           f"{MAX_RECORDED_SAMPLES} samples over {nyears} years")
+    if dt < MIN_SENSITIVITY_DT:
+        raise ConfigError(f"sensitivity step {dt} is below "
+                          f"{MIN_SENSITIVITY_DT:g} months")
     dt_eff = month / per_month
     record_every = 1 if record_all else per_month
     return 12 * per_month, dt_eff, record_every

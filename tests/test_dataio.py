@@ -1,17 +1,28 @@
 """Loaders, config parsing, and deterministic writers."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import socchange as sc
+from socchange import dataio
 from socchange.errors import ConfigError, DataError, NumericsError
 
 from conftest import (make_scenario, synthetic_climate, write_climate_csv,
                       write_scenario_inputs)
 
 DATA = Path(__file__).parent / "data"
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+
+
+@pytest.fixture
+def row_parser():
+    """A spy on the loaders' row parser, which no valid table needs."""
+    with mock.patch.object(dataio, "_parse_rows",
+                           wraps=dataio._parse_rows) as spy:
+        yield spy
 
 
 class TestLoadClimate:
@@ -37,8 +48,36 @@ class TestLoadClimate:
         write_climate_csv(tmp_path / "c.csv", climate)
         text = (tmp_path / "c.csv").read_text()
         (tmp_path / "dup.csv").write_text(text + "2006,5,10.0,40.0\n")
-        with pytest.raises(DataError, match="duplicate month 2006-05"):
+        with pytest.raises(DataError, match="line 14: duplicate month 2006-05$"):
             sc.load_climate(tmp_path / "dup.csv", site50, latitude_deg=41.0)
+
+    def test_repeat_in_a_long_file_names_the_later_line(self, tmp_path,
+                                                        site50):
+        climate = synthetic_climate(2006, 100, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[-1] = lines[600]   # 2055-12 again, on line 1201
+        (tmp_path / "dup.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match="line 1201: duplicate month 2055-12$"):
+            sc.load_climate(tmp_path / "dup.csv", site50, latitude_deg=41.0)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,13,", "'year' value 0 outside 1..9999"),
+        ("2005,14,", "month 14 outside 1..12"),   # 2005-14 is 2006-02
+        ("2006,2,", "duplicate month 2006-02"),
+    ])
+    def test_first_row_check_named_on_a_line(self, tmp_path, site50, row,
+                                             message):
+        # a line that fails several checks is named by the first of year,
+        # month, repeat
+        climate = synthetic_climate(2006, 2, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[13] = row + lines[13].split(",", 2)[2]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"line 14: {message}$"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
 
     def test_non_numeric_cell_names_line(self, tmp_path, site50):
         climate = synthetic_climate(2006, 1, site50)
@@ -129,6 +168,18 @@ class TestLoadClimate:
         with pytest.raises(DataError, match="line 6: non-numeric"):
             sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
 
+    def test_rule_fault_read_whole_counts_blank_lines(self, tmp_path, site50,
+                                                      row_parser):
+        climate = synthetic_climate(2006, 2, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[5] = lines[5].replace("2006,5,", "2006,13,")
+        lines[1:1] = ["", ""]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 8: month 13 outside 1..12$"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
+        assert row_parser.call_count == 0
+
     @pytest.mark.parametrize("first, second, message", [
         ((2, "n/a"), (1, "13"), "line 4: non-numeric 'temp_c' value 'n/a'"),
         ((1, "13"), (2, "n/a"), "line 4: month 13 outside 1..12"),
@@ -145,6 +196,18 @@ class TestLoadClimate:
             lines[line_no - 1] = ",".join(cells)
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"bad.csv: {message}$"):
+            sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
+
+    def test_bad_cell_named_before_a_rule_fault_on_its_line(self, tmp_path,
+                                                            site50):
+        # the row parser stops at the bad cell, so its row meets no rule
+        climate = synthetic_climate(2006, 2, site50)
+        write_climate_csv(tmp_path / "c.csv", climate)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[3] = "2006,13," + lines[3].split(",")[2] + ",x"
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match="line 4: non-numeric 'rain_mm' value 'x'$"):
             sc.load_climate(tmp_path / "bad.csv", site50, latitude_deg=41.0)
 
     @pytest.mark.parametrize("column, value, message", [
@@ -209,6 +272,23 @@ def test_table_reader_errors_shared_by_loaders(tmp_path, loader, body,
     (tmp_path / "t.csv").write_text(body.format(header=_HEADERS[loader]))
     with pytest.raises(DataError, match=message):
         _LOADERS[loader](tmp_path / "t.csv")
+
+
+def test_valid_tables_take_the_fast_path(tmp_path, row_parser, site50,
+                                         arable_scenario):
+    # loadtxt reads a 100-year file about five times as fast as the row
+    # parser, so a valid table that fell back to it would cost every run
+    write_climate_csv(tmp_path / "century.csv",
+                      synthetic_climate(2000, 100, site50, seed=4))
+    assert sc.load_climate(tmp_path / "century.csv", site50,
+                           latitude_deg=41.0).nyears == 100
+    assert sc.load_climate(DEMO / "climate.csv", site50,
+                           latitude_deg=41.0).nyears > 0
+    assert sc.load_npp(DEMO / "npp.csv", 2005)[2005] == 1.0
+    assert "arable" in sc.load_density_table(DATA / "density_table1.csv")[1]
+    sc.write_trajectory(tmp_path / "traj.csv", sc.simulate(arable_scenario))
+    assert len(sc.read_trajectory(tmp_path / "traj.csv").t) > 0
+    assert row_parser.call_count == 0
 
 
 class TestLoadNpp:
@@ -279,6 +359,14 @@ class TestLoadDensityTable:
                                           density.proportions)
         np.testing.assert_array_equal(covers["arable"],
                                       shipped_covers["arable"])
+
+    def test_cover_of_an_unknown_class_ignored(self, tmp_path):
+        lines = (DATA / "density_table1.csv").read_text().splitlines()
+        lines = [line + (",cover_orchard" if n == 0 else ",7")
+                 for n, line in enumerate(lines)]
+        (tmp_path / "extra.csv").write_text("\n".join(lines) + "\n")
+        _, covers = sc.load_density_table(tmp_path / "extra.csv")
+        assert list(covers) == ["arable"]
 
     @pytest.mark.parametrize("cover", ["-5", "0", "0.0", "1.0000001", "2"])
     def test_cover_outside_unit_interval_names_line_and_column(self, tmp_path,

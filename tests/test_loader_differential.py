@@ -1,11 +1,13 @@
 """Differential test of the loaders' two readers.
 
-Each example is the demo's climate, NPP or trajectory CSV text after a few
-random edits. ``dataio._fast_table`` (numpy's C loadtxt) must either decline
-the text or return exactly the arrays the row path (csv plus ``int`` and
-``float``) reads from it, and each public loader must give the same result,
-or raise the same DataError text, as it does with the fast reader turned
-off. CI runs this file with ``--hypothesis-profile=ci`` for more examples.
+Each example is the demo's climate, NPP or trajectory CSV text, or the
+shipped density table, after a few random edits. ``dataio._fast_table``
+(numpy's C loadtxt) must either decline the text or return exactly the
+arrays and line numbers that the row parser (csv plus ``int`` and
+``float``) reads from it, and each public loader must give the same
+result, or raise the same DataError text, as it does with the fast reader
+turned off. CI runs this file with ``--hypothesis-profile=ci`` for more
+examples.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from socchange import dataio
 from socchange.errors import DataError
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+DENSITY = Path(__file__).resolve().parent / "data" / "density_table1.csv"
 SITE = sc.max_deficit(50.0, 23.0)
 
 # cell texts on which csv + int/float and loadtxt could read differently
@@ -88,9 +91,13 @@ def outcome(load):
         return "error", str(exc)
 
 
+def without_fast_table():
+    return mock.patch.object(dataio, "_fast_table", lambda *a, **k: None)
+
+
 def assert_same_outcome(load, compare):
     fast = outcome(load)
-    with mock.patch.object(dataio, "_fast_table", lambda *a, **k: None):
+    with without_fast_table():
         rows = outcome(load)
     assert fast[0] == rows[0], (fast, rows)
     if fast[0] == "error":
@@ -115,6 +122,17 @@ def assert_same_series(a, b):
 def assert_same_npp(a, b):
     assert list(a.items()) == list(b.items())
     assert all(type(year) is int for year in a)
+
+
+def assert_same_density(a, b):
+    (densities_a, covers_a), (densities_b, covers_b) = a, b
+    assert list(densities_a) == list(densities_b)
+    for name, density in densities_a.items():
+        assert np.array_equal(density.proportions,
+                              densities_b[name].proportions), name
+    assert list(covers_a) == list(covers_b)
+    for name, cover in covers_a.items():
+        assert np.array_equal(cover, covers_b[name]), name
 
 
 def assert_same_trajectory(a, b):
@@ -172,14 +190,18 @@ def test_climate_readers_agree(workdir, unused, edits, crlf):
                      crlf)
     path.write_text(text, newline="")
     text = path.read_text()
-    lines = text.splitlines()
-    fast = dataio._fast_table(text, lines, dataio._CLIMATE_COLUMNS,
-                              dataio._CLIMATE_OPTIONAL)
-    rows = outcome(lambda: dataio._climate_by_rows(path, lines))
+    columns = dataio._CLIMATE_COLUMNS, dataio._CLIMATE_OPTIONAL
+    fast = dataio._fast_table(text, text.splitlines(), *columns)
+    with without_fast_table():
+        rows = outcome(lambda: dataio._read_columns(path, text, *columns))
     event(f"fast reader {'declined' if fast is None else 'read'}, "
-          f"row path {rows[0]}")
-    if fast is not None and rows[0] == "ok":
-        assert_fast_matches_rows(fast, rows[1])
+          f"row parser {rows[0]}"
+          + (", bad cell" if rows[0] == "ok" and rows[1][2] else ""))
+    if fast is not None:
+        assert rows[0] == "ok" and rows[1][2] is None, rows
+        assert_fast_matches_rows(fast, rows[1][0])
+        assert list(dataio._read_columns(path, text, *columns)[1]) \
+            == rows[1][1]
     assert_same_outcome(lambda: sc.load_climate(path, SITE, latitude_deg=41.0),
                         assert_same_series)
 
@@ -207,6 +229,19 @@ def test_trajectory_readers_agree(workdir, trajectory_text, edits, crlf):
                     newline="")
     assert_same_outcome(lambda: sc.read_trajectory(path),
                         assert_same_trajectory)
+
+
+@_SETTINGS
+@given(**_EDITED)
+@example(edits=[], crlf=False)
+@example(edits=[("set", 1, 4, "0")], crlf=False)
+@example(edits=[("duplicate", 6), ("insert", 2, "")], crlf=False)
+@example(edits=[("set", 2, 0, "13"), ("set", 5, 4, "x")], crlf=False)
+def test_density_readers_agree(workdir, edits, crlf):
+    path = workdir / "density.csv"
+    path.write_text(edit_text(DENSITY.read_text(), edits, crlf), newline="")
+    assert_same_outcome(lambda: sc.load_density_table(path),
+                        assert_same_density)
 
 
 def test_edits_reach_both_readers(workdir):

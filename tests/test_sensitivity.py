@@ -10,8 +10,8 @@ import socchange as sc
 from socchange import _kernels
 from socchange.climate import KA_OFFSET
 from socchange.errors import ConfigError
-from socchange.sensitivity import (MAX_RECORDED_SAMPLES, _grids,
-                                   build_averaged_model)
+from socchange.sensitivity import (MAX_RECORDED_SAMPLES, MIN_SENSITIVITY_DT,
+                                   _grids, build_averaged_model)
 
 from conftest import make_scenario
 
@@ -232,6 +232,23 @@ class TestSensitivitySeries:
         with pytest.raises(ConfigError, match="sensitivity step"):
             sc.averaged_delta_solve(avg, 0.67, scen.mats, dt=dt)
 
+    @pytest.mark.parametrize("dt", [1e-12, 1e-300])
+    def test_unrecorded_step_below_the_floor_rejected(self, scen, avg, dt):
+        # unchecked, 1e-12 drifts in the sixth digit and 1e-300 in the
+        # first, both without an error
+        with pytest.raises(ConfigError, match=f"sensitivity step {dt} is "
+                                              "below 1e-06 months"):
+            sc.averaged_delta_solve(avg, 0.67, scen.mats, dt=dt, n_years=1)
+        with pytest.raises(ConfigError, match=f"sensitivity step {dt}"):
+            sc.sensitivity("np1", scen, dt=dt)
+
+    def test_step_at_the_floor_runs(self, scen, avg):
+        _, fine = sc.averaged_delta_solve(avg, 0.67, scen.mats,
+                                          dt=MIN_SENSITIVITY_DT, n_years=1)
+        _, coarse = sc.averaged_delta_solve(avg, 0.67, scen.mats, dt=1e-4,
+                                            n_years=1)
+        np.testing.assert_allclose(fine[-1], coarse[-1], rtol=1e-5)
+
     @pytest.mark.parametrize("dt", ["tiny", "past-cap", "subnormal"])
     def test_recorded_step_past_the_cap_rejected_before_allocating(
             self, scen, dt, monkeypatch):
@@ -259,7 +276,10 @@ class TestSensitivitySeries:
         at_cap = MAX_RECORDED_SAMPLES // (12 * nyears)
         assert _grids(12.0, 1.0 / at_cap, True, nyears)[0] * nyears \
             <= MAX_RECORDED_SAMPLES
-        nsub, _, record_every = _grids(12.0, 1e-300, False, nyears)
+        # the floor step records past the cap, but not in an unrecorded run
+        with pytest.raises(ConfigError, match="would record"):
+            _grids(12.0, MIN_SENSITIVITY_DT, True, nyears)
+        nsub, _, record_every = _grids(12.0, MIN_SENSITIVITY_DT, False, nyears)
         assert nsub // record_every == 12
 
     def test_sub_monthly_step_snaps_to_divide_a_month(self, scen):
