@@ -3,13 +3,13 @@
 An affine step c <- F c + g is the linear step of the augmented matrix
 [[F, g], [0, 1]] on [c; 1] (Van Loan, IEEE TAC 1978). The constant-coefficient
 recurrences take k steps as one matrix power of it. The month-varying ones
-build every month's map first, then take one product per month into a
-preallocated float64 array, each from the row view the month before
-returned. The product is the ndarray method ``.dot``: the same bits as
-``np.dot`` and ``np.matmul``, without the Python-level dispatch of a numpy
-function on each call. ``controlled_recurrence`` carries the
-manure share ε and its unclamped input factor as the sixth and seventh state
-entries; row 6 of each month's map predicts the factor for the next month.
+build every month's map first. ``affine_recurrence`` and ``rk4_piecewise``
+chain them in blocks of about √(n/3) months, summing in another order than
+a step-by-step loop; ``controlled_recurrence``, whose clamp reads each
+month's state, takes one ``.dot`` per month (the ndarray method skips
+``np.dot``'s Python-level dispatch). It carries the manure share ε and its
+unclamped input factor as the sixth and seventh state entries; row 6 of
+each month's map predicts the factor for the next month.
 No kernel takes a φ matrix: callers apply φ(τÃ) to a kernel's inputs.
 """
 
@@ -31,11 +31,33 @@ def affine_recurrence(fmats, gvecs, c0):
 
     fmats: (n, 4, 4), gvecs: (n, 4), c0: (4,). Returns (n+1, 4).
     """
-    x = np.empty((fmats.shape[0] + 1, c0.shape[0] + 1))
-    x[0] = xj = np.append(c0, 1.0)
-    for step, xnext in zip(_augmented(fmats, gvecs), x[1:]):
-        xj = step.dot(xj, out=xnext)
-    return x[:, :-1]
+    return _chained(_augmented(fmats, gvecs), np.append(c0, 1.0))[:, :-1]
+
+
+def _chained(steps, x0):
+    """All states of x_{j+1} = steps[j] x_j, x0 first: (n+1, m), in about
+    4√(n/3) numpy calls: the prefix products within blocks of round(√(n/3))
+    maps (the last padded with identities), for all blocks at once; then the
+    block starts; then each state from its prefix and block start. ``steps``
+    may be overwritten."""
+    n, m = steps.shape[0], x0.shape[0]
+    size = max(1, round((n / 3) ** 0.5))
+    nblocks = -(-n // size)
+    if nblocks * size > n:
+        pad = np.broadcast_to(np.eye(m), (nblocks * size - n, m, m))
+        steps = np.concatenate((steps, pad))
+    prefix = steps.reshape(nblocks, size, m, m)
+    for i in range(1, size):
+        prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
+    starts = np.empty((nblocks + 1, m))
+    starts[0] = xj = x0
+    for block, xnext in zip(prefix[:, -1], starts[1:]):
+        xj = block.dot(xj, out=xnext)
+    x = np.empty((nblocks * size + 1, m))
+    x[0] = x0
+    np.matmul(prefix.reshape(nblocks, size * m, m), starts[:-1, :, None],
+              out=x[1:].reshape(nblocks, size * m, 1))
+    return x[:n + 1]
 
 
 def affine_recurrence_const(fmat, gvec, c0, nsteps, record_every):
@@ -103,7 +125,7 @@ def rk4_piecewise(amats, bvecs, dts, nsub, c0):
     for k in (3.0, 2.0, 1.0):
         poly = eye + (z / k) @ poly
     month = np.linalg.matrix_power(poly, nsub)
-    return affine_recurrence(month[:, :4, :4], month[:, :4, 4], c0)
+    return _chained(month, np.append(c0, 1.0))[:, :-1]
 
 
 def controlled_recurrence(clamped, free, x0):

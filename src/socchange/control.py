@@ -15,10 +15,12 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import Scenario, Site, _forcing_rates
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .stepping import Trajectory
 
 Array = np.ndarray
+
+DSOC_FLOOR = -1e-9   # the lowest Δsoc a controlled run may reach
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     Returns (Trajectory, ControlSchedule). The manure modifying factor is
     evaluated once per month from the state at the month's start and held
     constant over the month (zero-order hold), choosing the value that makes
-    the non-standard step's Δsoc increment exactly zero when feasible.
+    the non-standard step's Δsoc increment exactly zero when feasible. A
+    Δsoc below ``DSOC_FLOOR`` is a NumericsError.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon} (1 means "
@@ -59,6 +62,11 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     x0[4:] = 1.0, epsilon, first[4] + epsilon * first[5]
     x = _kernels.controlled_recurrence(clamped, free, x0)
     states = x[:, :4]
+    totals = states.sum(axis=1)
+    if totals.min() < DSOC_FLOOR:
+        raise NumericsError(f"epsilon={epsilon:g}: dsoc {totals.min():.3e} at "
+                            f"month {totals.argmin()} is below the floor "
+                            f"{DSOC_FLOOR:g}")
     f0 = np.maximum(0.0, x[:-1, 6]) / (1.0 - epsilon)
 
     grid = site.month_operators[0]
@@ -66,7 +74,7 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     meta = {"scheme": "nonstandard", "mode": "delta", "fym_mode": "controlled",
             "control_hold": "monthly", "epsilon": epsilon, **site.meta}
     trajectory = Trajectory(t=t, year=year, month=month, states=states,
-                            totals=states.sum(axis=1), scheme="nonstandard",
+                            totals=totals, scheme="nonstandard",
                             mode="delta", meta=meta)
     schedule = ControlSchedule(
         t=grid.t_end - grid.dt, year=site.baseline_year + grid.year_index,

@@ -188,6 +188,11 @@ def _repeated(keys: Array) -> Array:
     return repeated
 
 
+def _year_rule(year: Array):
+    return ((year < 1) | (year > 9999),   # the datetime range
+            "'year' value {} outside 1..9999", (year,))
+
+
 def _month_rule(month: Array):
     return (month < 1) | (month > 12), "month {} outside 1..12", (month,)
 
@@ -209,8 +214,7 @@ def load_climate(path, site: SiteMoisture,
     year, month = table["year"], table["month"]
     cells = year * 12 + month - 1     # months since year 0
     _check_rows(path, line_nos, [
-        ((year < 1) | (year > 9999),   # the datetime range
-         "'year' value {} outside 1..9999", (year,)),
+        _year_rule(year),
         _month_rule(month),
         (_repeated(cells), "duplicate month {}-{:02d}", (year, month)),
     ], error)
@@ -240,8 +244,10 @@ def load_npp(path, baseline_year: int) -> dict[int, float]:
     table, line_nos, error = _read_columns(path, _read_text(path, "NPP file"),
                                            ("year", "npp"))
     year = table["year"]
-    _check_rows(path, line_nos,
-                [(_repeated(year), "duplicate year {}", (year,))], error)
+    _check_rows(path, line_nos, [
+        _year_rule(year),
+        (_repeated(year), "duplicate year {}", (year,)),
+    ], error)
     values = dict(zip(year.tolist(), table["npp"].tolist()))
     if baseline_year not in values:
         raise DataError(f"{path}: baseline year {baseline_year} missing")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 import socchange as sc
+from socchange import _kernels
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +40,18 @@ def synthetic_climate(start_year: int, nyears: int, site, seed: int = 0,
             + 5.0 * rng.standard_normal(12)
     return sc.ClimateSeries.build(start_year, temps, np.clip(rains, 0.0, None),
                                   site, latitude_deg=latitude)
+
+
+def below_floor(dsoc, month=30):
+    """``controlled_recurrence`` with the Δsoc of state ``month`` moved to
+    ``dsoc``, to patch over ``socchange._kernels.controlled_recurrence``."""
+    kernel = _kernels.controlled_recurrence
+
+    def shifted(*args):
+        x = kernel(*args)
+        x[month, 0] += dsoc - x[month, :4].sum()
+        return x
+    return shifted
 
 
 def constant_climate(start_year: int, nyears: int, site,

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import socchange as sc
+from socchange import _kernels
 from socchange.climate import KA_OFFSET
 from socchange.cli import main
 
-from conftest import write_scenario_inputs
+from conftest import below_floor, write_scenario_inputs
 
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
@@ -429,6 +430,17 @@ class TestControlCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert "epsilon must be in [0, 1)" in err
+        assert not out.exists()
+
+    def test_a_run_below_the_floor_exits_three_with_no_file(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(_kernels, "controlled_recurrence",
+                            below_floor(-1e-6))
+        out = tmp_path / "out"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     "0,0.5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "below the floor" in err, err
         assert not out.exists()
 
     def test_bad_epsilon_list(self, tmp_path, capsys):

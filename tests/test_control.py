@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import socchange as sc
-from socchange import control, stepping
-from socchange.errors import ConfigError
+from socchange import _kernels, control, stepping
+from socchange.errors import ConfigError, NumericsError
 from socchange.stepping import build_time_grid
 
-from conftest import make_scenario
+from conftest import below_floor, make_scenario
 from kernel_oracles import maintenance_rate
 
 T = 12.0
@@ -75,6 +75,21 @@ class TestSimulateControlled:
     def test_floor_enforced_at_every_sample(self, controlled_runs):
         for eps, (traj, _) in controlled_runs.items():
             assert traj.totals.min() >= -1e-9, f"floor violated at eps={eps}"
+
+    @pytest.mark.parametrize("dsoc", [-2e-9, -1e-6])
+    def test_a_state_below_the_floor_is_a_numerics_error(
+            self, declining_scenario, monkeypatch, dsoc):
+        monkeypatch.setattr(_kernels, "controlled_recurrence",
+                            below_floor(dsoc))
+        with pytest.raises(NumericsError, match="below the floor -1e-09"):
+            sc.simulate_controlled(declining_scenario, 0.5)
+
+    def test_a_state_within_the_floor_passes(self, declining_scenario,
+                                             monkeypatch):
+        monkeypatch.setattr(_kernels, "controlled_recurrence",
+                            below_floor(-0.5e-9))
+        traj, _ = sc.simulate_controlled(declining_scenario, 0.5)
+        assert -1e-9 <= traj.totals.min() < 0.0
 
     def test_zero_epsilon_is_pure_maintenance(self, controlled_runs):
         traj, schedule = controlled_runs[0.0]

@@ -315,6 +315,15 @@ class TestLoadNpp:
         with pytest.raises(DataError, match="zero"):
             sc.load_npp(tmp_path / "npp.csv", 2005)
 
+    @pytest.mark.parametrize("year", ["0", "-5", "10000",
+                                      "99999999999999999999"])
+    def test_year_outside_the_datetime_range(self, tmp_path, year):
+        (tmp_path / "npp.csv").write_text(
+            f"year,npp\n2005,500\n{year},510\n2006,520\n")
+        with pytest.raises(DataError, match=f"line 3: 'year' value {year} "
+                           "outside 1..9999"):
+            sc.load_npp(tmp_path / "npp.csv", 2005)
+
 
 class TestLoadDensityTable:
     def test_shipped_table(self):
