@@ -8,8 +8,8 @@ chain them in blocks of about √(n/3) months, summing in another order than
 a step-by-step loop; ``controlled_recurrence``, whose clamp reads each
 month's state, takes one ``.dot`` per month (the ndarray method skips
 ``np.dot``'s Python-level dispatch). It carries the manure share ε and its
-unclamped input factor as the sixth and seventh state entries; row 6 of
-each month's map predicts the factor for the next month.
+input factor as the sixth and seventh state entries, clamping the factor at
+0 before each month's step; row 6 of each month's map predicts the next one.
 No kernel takes a φ matrix: callers apply φ(τÃ) to a kernel's inputs.
 """
 
@@ -128,19 +128,19 @@ def rk4_piecewise(amats, bvecs, dts, nsub, c0):
     return _chained(month, np.append(c0, 1.0))[:, :-1]
 
 
-def controlled_recurrence(clamped, free, x0):
-    """Clamped affine loop on x = [c; 1; ε; f̂′], one of two maps per month.
+def controlled_recurrence(maps, x0):
+    """Clamped affine loop on x = [c; 1; ε; f̂′], one map per month.
 
-    clamped, free: (n, 7, 7) month maps; x0: (7,). Month j steps x_j by
-    ``free[j]`` if its unclamped input factor x_j[6] is positive, else by
-    ``clamped[j]``. Returns all states x (n+1, 7), x0 first.
-
-    The maps are ``Site.control_maps``: their c rows apply the month's
-    manure-free step, plus the manure input f̂′ v̂ in the free map; row 6 of
-    both predicts the next month's f̂′.
+    maps: (n, 7, 7) month maps, ``Site.control_maps``; x0: (7,), not
+    written. Month j sets the factor x_j[6] to +0.0 unless it is positive,
+    then steps x_j by ``maps[j]``, whose c rows take the manure input f̂′ v̂
+    and whose row 6 predicts the next f̂′. Returns all states x (n+1, 7).
     """
-    x = np.empty((clamped.shape[0] + 1, x0.shape[0]))
-    x[0] = xj = x0
-    for month_clamped, month_free, xnext in zip(clamped, free, x[1:]):
-        xj = (month_free if xj[6] > 0.0 else month_clamped).dot(xj, out=xnext)
+    x = np.empty((maps.shape[0] + 1, x0.shape[0]))
+    x[0] = x0
+    xj = x[0]
+    for month_map, xnext in zip(maps, x[1:]):
+        if not xj[6] > 0.0:
+            xj[6] = 0.0
+        xj = month_map.dot(xj, out=xnext)
     return x

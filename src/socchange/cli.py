@@ -23,7 +23,7 @@ from .dynamics import Scenario
 from .equilibrium import BaselineState, iom_from_soc, soc_total_from_active
 from .errors import ConfigError, DataError, NumericsError, SocChangeError
 from .sensitivity import PARAMETERS, sensitivity
-from .stepping import simulate
+from .stepping import SCHEMES, simulate
 
 _SCHEME_IDS = "nonstandard(F,phi) rothc_discrete(F,dt)"
 
@@ -51,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a monthly trajectory")
     p_sim.add_argument("config", type=Path)
-    p_sim.add_argument("--scheme", choices=("nonstandard", "rothc_discrete"),
+    p_sim.add_argument("--scheme", choices=SCHEMES,
                        default=None, help="override the config scheme")
     p_sim.add_argument("--mode", choices=("delta", "absolute"), default="delta")
     p_sim.add_argument("--out", type=Path, default=Path("."))

@@ -57,17 +57,16 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
     site = scenario.site
-    clamped, free, first = site.control_maps
-    x0 = np.zeros(7)
-    x0[4:] = 1.0, epsilon, first[4] + epsilon * first[5]
-    x = _kernels.controlled_recurrence(clamped, free, x0)
+    maps, first = site.control_maps
+    x0 = np.array((0, 0, 0, 0, 1, epsilon, first[4] + epsilon * first[5]))
+    x = _kernels.controlled_recurrence(maps, x0)
     states = x[:, :4]
     totals = states.sum(axis=1)
     if totals.min() < DSOC_FLOOR:
         raise NumericsError(f"epsilon={epsilon:g}: dsoc {totals.min():.3e} at "
                             f"month {totals.argmin()} is below the floor "
                             f"{DSOC_FLOOR:g}")
-    f0 = np.maximum(0.0, x[:-1, 6]) / (1.0 - epsilon)
+    f0 = x[:-1, 6] / (1.0 - epsilon)
 
     grid = site.month_operators[0]
     t, year, month = grid.sample_axis(site.baseline_year)
@@ -84,7 +83,7 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
 
 
 def _control_maps(site: Site):
-    """(clamped, free, first): the controlled run's month maps, for every ε.
+    """(maps, first): the controlled run's month maps, for every ε.
 
     Read through ``Site.control_maps``, built once per site from its month
     operators; the arrays are read-only.
@@ -98,13 +97,12 @@ def _control_maps(site: Site):
     d = Δt φ(τÃ) a, and v = (1 - ε)v̂ with v̂ = d_f, so f̂′ = (1 - ε)f =
     ŵ·[c; 1; ε] with ŵ free of ε.
 
-    On x = [c; 1; ε; f̂′] the clamped map of month j has c rows
-    [F_j, g₀, g₁ - g₀, 0], the free one adds v̂_j ŵ_jᵀ to the first six
-    columns, and row 6 of both is ŵ_{j+1}ᵀ times the top 6x6 block (zero in
-    the last month), giving the next f̂′. As F = diag(e) + u(1 - e)ᵀ, with
-    e = e^{-τk} and u = [0, 0, α, β], its c part is w ⊙ e + (w·u)(1 - e) for
-    w the c part of ŵ_{j+1}, plus (w·v̂_j)ŵ_j in the free map. ``first`` is
-    ŵ_0, the first month's f̂′ from [c; 1; ε].
+    On x = [c; 1; ε; f̂′] the map of month j has c rows [F_j, g₀, g₁ - g₀,
+    v̂_j], the manure input read from f̂′, which the kernel clamps at 0. Row
+    6 is ŵ_{j+1}ᵀ times the top six rows (zero in the last month), the next
+    f̂′. As F = diag(e) + u(1 - e)ᵀ, with e = e^{-τk} and u = [0, 0, α, β],
+    its c part is w ⊙ e + (w·u)(1 - e) for w the c part of ŵ_{j+1}.
+    ``first`` is ŵ_0, the first month's f̂′ from [c; 1; ε].
     """
     grid, rhos, eks, fmats, dir_g, dir_f = site.month_operators
     supply, q = _forcing_rates(grid.month, grid.year_index, site, rhos,
@@ -113,17 +111,15 @@ def _control_maps(site: Site):
     dg = (supply - q)[:, None] * dir_g - g0
     w = np.column_stack((site.mats.delta * (1.0 - eks), -g0.sum(axis=1),
                          -dg.sum(axis=1))) / dir_f.sum(axis=1)[:, None]
-    maps = np.zeros((2, grid.nsteps, 7, 7))   # clamped, free
-    maps[:, :, :4, :4] = fmats
-    maps[:, :, :4, 4] = g0
-    maps[:, :, :4, 5] = dg
-    maps[:, :, 4, 4] = maps[:, :, 5, 5] = 1.0
-    maps[1, :, :4, :6] += dir_f[:, :, None] * w[:, None, :]
-    wc, e, row = w[1:, :4], eks[:-1], maps[:, :-1, 6]
-    row[:, :, :4] = wc * e + (wc @ site.mats.Lambda[:, 0])[:, None] * (1.0 - e)
-    row[:, :, 4] = (wc * g0[:-1]).sum(axis=1) + w[1:, 4]
-    row[:, :, 5] = (wc * dg[:-1]).sum(axis=1) + w[1:, 5]
-    row[1, :, :6] += (wc * dir_f[:-1]).sum(axis=1)[:, None] * w[:-1]
+    maps = np.zeros((grid.nsteps, 7, 7))
+    maps[:, :4, :4] = fmats
+    maps[:, :4, 4:] = np.stack((g0, dg, dir_f), axis=2)
+    maps[:, 4, 4] = maps[:, 5, 5] = 1.0
+    wc, e, row = w[1:, :4], eks[:-1], maps[:-1, 6]
+    row[:, :4] = wc * e + (wc @ site.mats.Lambda[:, 0])[:, None] * (1.0 - e)
+    row[:, 4] = (wc * g0[:-1]).sum(axis=1) + w[1:, 4]
+    row[:, 5] = (wc * dg[:-1]).sum(axis=1) + w[1:, 5]
+    row[:, 6] = (wc * dir_f[:-1]).sum(axis=1)
     first = w[0].copy()
     maps.flags.writeable = first.flags.writeable = False
-    return maps[0], maps[1], first
+    return maps, first

@@ -27,8 +27,8 @@ from .dynamics import (ARABLE_COVER_SCHEDULE, LAND_CLASSES, FymPolicy,
 from .equilibrium import BaselineState
 from .errors import ConfigError, DataError, NumericsError
 from .pools import DEFAULT_ETA, SoilParams, build_matrices
-from .sensitivity import DEFAULT_SENSITIVITY_DT, SensitivitySeries
-from .stepping import Trajectory
+from .sensitivity import DEFAULT_SENSITIVITY_DT, SensitivitySeries, _grids
+from .stepping import Trajectory, check_scheme
 
 Array = np.ndarray
 
@@ -396,10 +396,10 @@ def load_config(path) -> ScenarioConfig:
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Assemble a full Scenario from a parsed configuration."""
     r = config.dpm_rpm_ratio
-    if r < 0:
-        raise ConfigError(f"dpm_rpm_ratio must be >= 0, got {r}")
     params = SoilParams.for_site(config.clay_pct, config.depth_cm, r,
                                  eta=config.eta)
+    check_scheme(config.scheme)
+    _grids(params.T, config.sensitivity_dt, False, 0)   # domain and floor
     mats = build_matrices(params)
     moisture = max_deficit(config.clay_pct, config.depth_cm)
     climate = load_climate(config.resolve(config.climate_csv), moisture,

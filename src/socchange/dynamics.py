@@ -167,9 +167,8 @@ class Site:
 
     @cached_property
     def control_maps(self):
-        """(clamped, free, first) of ``control._control_maps``, built on first
-        use and shared, read-only, by every ``simulate_controlled`` run on
-        this site, whatever its ε."""
+        """(maps, first) of ``control._control_maps``, built on first use
+        and shared, read-only, by every controlled run on this site."""
         from . import control   # control imports this module
         return control._control_maps(self)
 

@@ -21,6 +21,7 @@ from .pools import CompartmentMatrices
 Array = np.ndarray
 
 _PHI_SERIES_CUTOFF = 1e-6
+SCHEMES = ("nonstandard", "rothc_discrete")
 
 
 def phi1_scalar(z):
@@ -190,6 +191,11 @@ def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
     return grid.dt[:, None] * b if scheme == "rothc_discrete" else b
 
 
+def check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+
+
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
              mode: str = "delta") -> Trajectory:
     """Run the monthly stepping over the horizon.
@@ -197,8 +203,7 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     Delta mode starts from the zero state at t0 + T; absolute mode starts
     from the baseline equilibrium pools (validation path).
     """
-    if scheme not in ("nonstandard", "rothc_discrete"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
+    check_scheme(scheme)
     gvecs = _monthly_forcing(scenario, mode, scheme)
     grid, _, _, fmats = scenario.site.month_operators[:4]
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)

@@ -1,5 +1,5 @@
 """Properties of the blocked month chain behind ``simulate`` and the RK4
-reference.
+reference, and of the controlled month loop behind ``simulate_controlled``.
 
 ``affine_recurrence`` cuts its n month maps into blocks of about √(n/3)
 months, so the tests draw n across the block boundaries, from fewer months
@@ -9,6 +9,15 @@ than a century's block (20) to 1 500, and check that:
 - month-varying maps that share a fixed point keep it within 1e-14 of its
   largest entry;
 - absolute-mode pools stay non-negative on random sites, for both schemes.
+
+``controlled_recurrence`` clamps the manure factor in its state, so on
+random sites (r, clay, climate seed, 1-30 years, ε) the tests check that:
+- states and f0 stay within 1e-12 × max(1, max|oracle|) of the feedback
+  law's loop, with the same clamped months;
+- at ε = 0 the control holds Δc at 0 within 1e-15 of ``simulate``'s state
+  scale, with f0 = q = ρ/(T ρ0) within 1e-15 relative (the scheme keeps
+  the baseline equilibrium, Anguelov & Lubuma 2001);
+- the annual means do not decrease as ε grows.
 
 The example count comes from the Hypothesis profile (``--hypothesis-profile
 =ci`` runs 1 000 per test).
@@ -22,6 +31,7 @@ from socchange import _kernels
 
 import kernel_oracles as oracle
 from conftest import make_scenario
+from test_kernels import _assert_controlled_matches_oracle
 
 TOL = 1e-12
 _SETTINGS = settings(deadline=None)  # the example count comes from the profile
@@ -71,3 +81,46 @@ def test_absolute_pools_stay_non_negative(r, cly, horizon, seed, warming,
     states = sc.simulate(scenario, scheme, "absolute").states
     assert states.shape == (12 * horizon + 1, 4)
     assert states.min() >= 0.0
+
+
+@st.composite
+def _controlled_site(draw):
+    """A site with a baseline manure input F0, for controlled runs."""
+    return make_scenario(r=draw(st.sampled_from([0.25, 0.67, 1.44])),
+                         cly=draw(st.floats(5.0, 80.0)),
+                         horizon=draw(st.integers(1, 30)),
+                         seed=draw(st.integers(0, 2**16)), F0=0.5, P0=0.5,
+                         warming=0.15)
+
+
+_EPSILON = st.floats(0.0, 1.0 - 1e-12)
+
+
+@_SETTINGS
+@given(scenario=_controlled_site(), eps=_EPSILON)
+def test_controlled_loop_matches_the_feedback_law(scenario, eps):
+    _assert_controlled_matches_oracle(scenario, eps)
+
+
+@_SETTINGS
+@given(scenario=_controlled_site())
+def test_zero_share_holds_the_index_at_its_floor(scenario):
+    scale = float(np.abs(sc.simulate(sc.Scenario(scenario.site)).states).max())
+    traj, schedule = sc.simulate_controlled(scenario, 0.0)
+    assert np.abs(traj.states).max() <= 1e-15 * scale
+    site = scenario.site
+    rhos = site.month_operators[1]
+    q = rhos / (site.params.T * site.baseline.rho0)
+    gap = np.abs(schedule.f0 - q)
+    assert np.all(gap <= 1e-15 * q), float((gap / q).max())
+
+
+@_SETTINGS
+@given(scenario=_controlled_site(),
+       shares=st.lists(_EPSILON, min_size=2, max_size=3, unique=True))
+def test_annual_means_do_not_decrease_with_the_share(scenario, shares):
+    means = [np.array(list(sc.simulate_controlled(scenario, eps)[0]
+                           .annual_means().values()))
+             for eps in sorted(shares)]
+    for lo, hi in zip(means, means[1:]):
+        assert np.all(hi >= lo - 1e-12), float((lo - hi).max())

@@ -292,6 +292,30 @@ class TestConfigValues:
         assert len(err.splitlines()) == 1 and message in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sensitivity", "--param", "temp1"],
+        ["sensitivity", "--param", "r", "--dt", "0.05"],
+        ["control", "--epsilon", "0.5"], ["equilibrium", "--inputs", "1", "0"],
+    ], ids=["simulate", "sensitivity", "sensitivity-dt-option", "control",
+            "equilibrium"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("scheme", "bogus", "unknown scheme 'bogus'"),
+        ("sensitivity_dt", "5", "sensitivity step must be in (0, 1] months"),
+        ("sensitivity_dt", "1e-7", "sensitivity step 1e-07 is below 1e-06"),
+    ], ids=["scheme", "dt-over-a-month", "dt-below-the-floor"])
+    def test_a_bad_value_exits_one_whatever_the_command(
+            self, tmp_path, capsys, command, key, value, message):
+        # every command rejects it, not only the one that reads the key
+        config = _demo_with_key(tmp_path, key, value)
+        out = tmp_path / "out"
+        argv = [command[0], str(config), *command[1:]]
+        if command[0] != "equilibrium":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt", ["nan", "0", "inf", "-inf", "-1", "1.5",
                                     "-1e-3"])
     def test_sensitivity_step_outside_one_month_exits_one(self, tmp_path,

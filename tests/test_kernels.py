@@ -4,12 +4,14 @@ The month kernels step augmented maps [[F, g], [0, 1]] on [c; 1].
 ``affine_recurrence`` chains them in blocks, so it sums in another order
 than its oracle's c <- F c + g and is checked like the closed-form kernels
 below; month-varying maps that share a fixed point keep it within 1e-14.
-``controlled_recurrence`` steps month by month and carries ε as
-a sixth entry and the unclamped factor, (1 - ε) f̂ = ŵ·[c; 1; ε], as a seventh
-that row 6 of each month's map predicts for the next month, so f̂ is rounded
-differently from the oracle's feedback law, written from α, β, δ, φ(-τk) and the clamp and checked through
-``simulate_controlled``: states and f0 within 1e-12 × max(1, max|oracle|),
-the clamped months identical, up to 1 200 months.
+``controlled_recurrence`` steps month by month with one map per month. It
+carries ε as a sixth entry and the factor (1 - ε) f̂ = ŵ·[c; 1; ε] as a
+seventh, which row 6 of each month's map predicts for the next month and
+the loop clamps at 0 before the step; so f̂ is rounded differently from the
+oracle's feedback law, written from α, β, δ, φ(-τk) and the clamp, and is
+checked through ``simulate_controlled``: states and f0 within
+1e-12 × max(1, max|oracle|), the clamped months identical, up to 1 200
+months.
 
 The chained and closed-form kernels are checked relative to the largest
 oracle value. Block chains and matrix powers sum in a different order than
@@ -202,18 +204,21 @@ class TestMonthOperators:
     def test_prediction_row_is_the_next_weights_times_the_map(self, r):
         site = _century_site(r)
         eks, dir_f = site.month_operators[2], site.month_operators[5]
-        clamped, free, first = site.control_maps
+        maps, first = site.control_maps
+        assert maps.shape == (site.month_operators[0].nsteps, 7, 7)
+        # the manure input is v̂ = d_f times the state's factor
+        np.testing.assert_array_equal(maps[:, :4, 6], dir_f)
         # ŵ_j = [δ(1 - e_j), -1ᵀg₀_j, -1ᵀ(g₁ - g₀)_j] / 1ᵀv̂_j
         w = np.column_stack((site.mats.delta * (1.0 - eks),
-                             -clamped[:, :4, 4].sum(axis=1),
-                             -clamped[:, :4, 5].sum(axis=1)))
+                             -maps[:, :4, 4].sum(axis=1),
+                             -maps[:, :4, 5].sum(axis=1)))
         w /= dir_f.sum(axis=1)[:, None]
         np.testing.assert_array_equal(first, w[0])
-        for maps in (clamped, free):
-            for j in range(maps.shape[0] - 1):
-                _assert_close(maps[j, 6, :6], w[j + 1] @ maps[j, :6, :6],
-                              1e-14)
-            assert not maps[-1, 6].any()
+        for j in range(maps.shape[0] - 1):
+            _assert_close(maps[j, 6, :6], w[j + 1] @ maps[j, :6, :6], 1e-14)
+            _assert_close(maps[j, 6, 6:], w[j + 1, :4] @ dir_f[j, :, None],
+                          1e-14)
+        assert not maps[-1, 6].any()
 
     @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
     def test_zero_epsilon_control_holds_the_state_at_zero(self, r):
@@ -296,6 +301,23 @@ class TestClosedFormProperties:
 
 
 class TestControlledEdges:
+    @pytest.mark.parametrize("factor", [-0.3, -0.0, np.nan])
+    def test_a_factor_that_is_not_positive_is_clamped_in_the_output(
+            self, factor):
+        maps = _century_site(0.67).control_maps[0]
+        x0 = np.zeros(7)
+        x0[4:] = 1.0, 0.5, factor
+        given = x0.copy()
+        x = _kernels.controlled_recurrence(maps, x0)
+        np.testing.assert_array_equal(x0, given)
+        assert x[0, 6] == 0.0 and not np.signbit(x[0, 6])
+        np.testing.assert_array_equal(x[0, :6], x0[:6])
+        # the first month steps as if it had no manure input; on this site
+        # it predicts a negative factor, which the next month clamps
+        step = maps[0, :, :6] @ x0[:6]
+        _assert_close(x[1, :6], step[:6], 1e-15)
+        assert step[6] < 0.0 and x[1, 6] == 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(eps=st.one_of(st.sampled_from([0.0, 1.0 - 1e-12]),
                          st.floats(0.0, 1.0 - 1e-12)),
