@@ -76,11 +76,12 @@ def thornthwaite_pet(monthly_temps, day_lengths_h, month_days) -> Array:
 
     Elementwise over leading (year) axes, months last. Months with
     non-positive temperature contribute nothing to the heat index and get
-    pet = 0; a zero heat index yields an all-zero year.
+    pet = 0; a zero heat index yields an all-zero year. A polar-night month
+    (day length 0) gets pet = 0.
     """
     temps, ld, nm = _monthly(monthly_temps, day_lengths_h, month_days)
-    if np.any(ld <= 0):
-        raise DataError("day lengths must be positive")
+    if not np.all(ld >= 0):   # NaN included
+        raise DataError("day lengths must be non-negative")
     positive = temps > 0.0
     # float64 powers of extreme temperatures overflow to inf, caught below;
     # cold months and zero-heat years are computed, then masked to 0

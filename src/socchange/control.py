@@ -99,10 +99,9 @@ def _control_maps(site: Site):
 
     On x = [c; 1; ε; f̂′] the map of month j has c rows [F_j, g₀, g₁ - g₀,
     v̂_j], the manure input read from f̂′, which the kernel clamps at 0. Row
-    6 is ŵ_{j+1}ᵀ times the top six rows (zero in the last month), the next
-    f̂′. As F = diag(e) + u(1 - e)ᵀ, with e = e^{-τk} and u = [0, 0, α, β],
-    its c part is w ⊙ e + (w·u)(1 - e) for w the c part of ŵ_{j+1}.
-    ``first`` is ŵ_0, the first month's f̂′ from [c; 1; ε].
+    6 is the next f̂′, ŵ_{j+1}ᵀ times the top six rows, formed as one
+    batched product (zero in the last month). ``first`` is ŵ_0, the first
+    month's f̂′ from [c; 1; ε].
     """
     grid, rhos, eks, fmats, dir_g, dir_f = site.month_operators
     supply, q = _forcing_rates(grid.month, grid.year_index, site, rhos,
@@ -115,11 +114,7 @@ def _control_maps(site: Site):
     maps[:, :4, :4] = fmats
     maps[:, :4, 4:] = np.stack((g0, dg, dir_f), axis=2)
     maps[:, 4, 4] = maps[:, 5, 5] = 1.0
-    wc, e, row = w[1:, :4], eks[:-1], maps[:-1, 6]
-    row[:, :4] = wc * e + (wc @ site.mats.Lambda[:, 0])[:, None] * (1.0 - e)
-    row[:, 4] = (wc * g0[:-1]).sum(axis=1) + w[1:, 4]
-    row[:, 5] = (wc * dg[:-1]).sum(axis=1) + w[1:, 5]
-    row[:, 6] = (wc * dir_f[:-1]).sum(axis=1)
+    maps[:-1, 6] = (w[1:, None] @ maps[:-1, :6])[:, 0]
     first = w[0].copy()
     maps.flags.writeable = first.flags.writeable = False
     return maps, first

@@ -4,7 +4,9 @@ The baseline pool vector is the equilibrium of the constant-coefficient
 dynamics over the reference year; running the relation in reverse infers the
 baseline plant input from observed stocks.
 
-The SOC root solve uses Brent's method (Brent, *Algorithms for Minimization
+The SOC root solve inverts the Falloon relation IOM = 0.049 SOC^1.139 on
+the bracket [soc, Falloon peak], valid for every active SOC up to
+MAX_ACTIVE_SOC, with Brent's method (Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4) as ported line for line from scipy's
 ``Zeros/brentq.c``: ``brentq`` returns ``scipy.optimize.brentq``'s root bit
 for bit, after the same number of function evaluations.
@@ -111,41 +113,39 @@ def iom_from_soc(soc_total: float) -> float:
     return FALLOON_COEFF * soc_total**FALLOON_POWER
 
 
-# The active part s - 0.049 s^1.139 of a total SOC s peaks at
-# s = (0.049 * 1.139)^(-1/0.139), about 1.0e9 t C/ha, so no total SOC has
-# an active part above MAX_ACTIVE_SOC, about 1.3e8 t C/ha.
+# The active part s - 0.049 s^1.139 of a total SOC s rises from 0 to its
+# peak at s = (0.049 * 1.139)^(-1/0.139), about 1.0e9 t C/ha, where it is
+# MAX_ACTIVE_SOC, about 1.3e8 t C/ha; no total SOC has a larger active part.
 _PEAK_TOTAL_SOC = (FALLOON_COEFF * FALLOON_POWER) ** (1.0 / (1.0 - FALLOON_POWER))
 MAX_ACTIVE_SOC = _PEAK_TOTAL_SOC - iom_from_soc(_PEAK_TOTAL_SOC)
+
+
+def _check_active_soc(soc_active: float) -> None:
+    """NumericsError unless a total SOC has this active part (NaN has none)."""
+    if not soc_active <= MAX_ACTIVE_SOC:
+        raise NumericsError(
+            f"could not bracket the SOC root for soc={soc_active}")
 
 
 def soc_total_from_active(soc_active: float) -> float:
     """Total SOC whose Falloon IOM complement equals the active-pool sum.
 
-    Solves 0.049*SOC^1.139 - SOC + soc = 0 for the unique root SOC >= soc,
-    bracketing from [soc, soc/(1 - 0.049*soc^0.139)] with geometric expansion.
+    Solves 0.049*SOC^1.139 - SOC + soc = 0 for the unique root SOC in
+    [soc, peak]: the residual is 0.049 soc^1.139 > 0 at soc and
+    soc - MAX_ACTIVE_SOC <= 0 at the peak, so every soc up to
+    MAX_ACTIVE_SOC has a root there.
     """
     if soc_active < 0:
         raise ConfigError(f"active SOC must be non-negative, got {soc_active}")
     if soc_active == 0.0:
         return 0.0
+    _check_active_soc(soc_active)
 
     def residual(s):
-        try:
-            return FALLOON_COEFF * s**FALLOON_POWER - s + soc_active
-        except OverflowError:   # only where the residual is positive
-            return math.inf
+        return FALLOON_COEFF * s**FALLOON_POWER - s + soc_active
 
-    lo = soc_active
-    frac = FALLOON_COEFF * soc_active ** (FALLOON_POWER - 1.0)
-    hi = soc_active / (1.0 - frac) if frac < 1.0 else 2.0 * soc_active
-    for _ in range(200):
-        if residual(hi) <= 0.0:
-            break
-        hi *= 1.5
-    else:
-        raise NumericsError(
-            f"could not bracket the SOC root for soc={soc_active}")
-    root = brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = brentq(residual, soc_active, _PEAK_TOTAL_SOC, xtol=1e-14,
+                  rtol=8.9e-16, maxiter=200)
     res = residual(root)
     tol = _ROOT_RESIDUAL_TOL * max(1.0, root)
     if abs(res) > tol:
@@ -187,10 +187,7 @@ class BaselineState:
     def from_inputs(cls, P0: float, F0: float, rho0: float,
                     mats: CompartmentMatrices, T: float) -> "BaselineState":
         c0 = equilibrium_pools(P0, F0, rho0, mats, T)
-        soc_active = float(c0.sum())
-        if not soc_active <= MAX_ACTIVE_SOC:   # no total SOC has it, or NaN
-            raise NumericsError(
-                f"could not bracket the SOC root for soc={soc_active}")
+        _check_active_soc(float(c0.sum()))
         return cls(c0=c0, P0=P0, F0=F0, rho0=rho0)
 
     @classmethod
@@ -200,9 +197,8 @@ class BaselineState:
         if soc_active < 0:
             raise ConfigError(f"active SOC must be non-negative, got {soc_active}")
         T = params.T
-        a_inv = mats.a_inv()
-        w_g = float(-(a_inv @ mats.a_g).sum() / (T * rho0))
-        w_f = float(-(a_inv @ mats.a_f).sum() / (T * rho0))
+        w_g = float(equilibrium_pools(1.0, 0.0, rho0, mats, T).sum())
+        w_f = float(equilibrium_pools(0.0, 1.0, rho0, mats, T).sum())
         p0 = (soc_active - F0 * w_f) / w_g
         if p0 < 0:
             if p0 >= -1e-12 * max(1.0, soc_active):

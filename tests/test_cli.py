@@ -264,6 +264,18 @@ class TestConfigValues:
         assert f"key {key!r}: non-finite value" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("latitude", ["75", "-75"])
+    def test_polar_latitude_runs(self, tmp_path, latitude):
+        # beyond the polar circles whole months have day length 0, PET 0
+        config = _demo_with_key(tmp_path, "latitude_deg", latitude)
+        out = tmp_path / "out"
+        for command in (["simulate"], ["sensitivity", "--param", "temp1"],
+                        ["control", "--epsilon", "0.5"]):
+            assert main([command[0], str(config), *command[1:], "--out",
+                         str(out)]) == 0, command
+        assert _written_values_finite(out)
+
     @pytest.mark.parametrize("lines, message", [
         (["fym_mode = bogus"], "unknown FYM mode 'bogus'"),
         (["fym_mode = fixed"], "needs 12 non-negative monthly densities"),
@@ -532,6 +544,13 @@ class TestEquilibriumCommand:
         assert main(["equilibrium", str(DEMO / "scenario.cfg"),
                      "--soc", "1e6"]) == 0
         assert "c_iom = 551322.5967" in capsys.readouterr().out
+
+    def test_active_soc_near_the_falloon_peak_solves(self, capsys):
+        # MAX_ACTIVE_SOC is about 1.2673e8 t C/ha
+        assert main(["equilibrium", str(DEMO / "scenario.cfg"),
+                     "--soc", "1.26e8"]) == 0
+        c_iom = re.search(r"c_iom = (\S+)", capsys.readouterr().out)
+        assert float(c_iom.group(1)) > 0
 
     def test_infeasible_baseline_exits_three(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=100.0)

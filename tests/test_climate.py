@@ -53,9 +53,20 @@ class TestThornthwaite:
         pet_cold = sc.thornthwaite_pet(cold, np.full(12, 12.0), N_2006)
         np.testing.assert_allclose(pet_warm, pet_cold, rtol=1e-13)
 
-    def test_nonpositive_day_length_rejected(self):
-        with pytest.raises(DataError):
-            sc.thornthwaite_pet(np.full(12, 10.0), np.zeros(12), N_2006)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_day_length_rejected(self, bad):
+        ld = np.full(12, 12.0)
+        ld[3] = bad
+        with pytest.raises(DataError, match="non-negative"):
+            sc.thornthwaite_pet(np.full(12, 10.0), ld, N_2006)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_polar_night_month_has_zero_pet(self):
+        # beyond the polar circles day_lengths gives 0 h for whole months
+        ld = sc.climate.day_lengths(75.0, 2006)
+        assert ld[0] == 0.0 and ld[6] > 0.0
+        pet = sc.thornthwaite_pet(np.full(12, 10.0), ld, N_2006)
+        assert pet[0] == 0.0 and np.all(pet[ld > 0] > 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("hot", [1e120, 1e300])

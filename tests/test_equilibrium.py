@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import socchange as sc
 from socchange import equilibrium
@@ -77,25 +77,78 @@ class TestSocTotalFromActive:
 
     def test_every_active_soc_below_the_peak_solves(self):
         # the residual's rounding grows with the root, so its check scales
-        # with it; at the peak itself no bracket exists
-        for soc in np.geomspace(1e3, equilibrium.MAX_ACTIVE_SOC, 400)[:-1]:
+        # with it; the last 2 % up to MAX_ACTIVE_SOC itself is where a
+        # bracket search used to fail
+        peak = equilibrium.MAX_ACTIVE_SOC
+        socs = np.concatenate((np.geomspace(1e3, peak, 400),
+                               peak * np.linspace(0.98, 1.0, 201)))
+        assert socs[-1] == peak
+        for soc in socs:
             root = sc.soc_total_from_active(float(soc))
             assert abs(0.049 * root**1.139 - root + soc) <= 1e-10 * root
+
+    def test_one_solve_on_the_closed_form_bracket(self, monkeypatch):
+        calls = []
+        solve = equilibrium.brentq
+
+        def recorded(f, a, b, **tolerances):
+            calls.append((a, b))
+            return solve(f, a, b, **tolerances)
+        monkeypatch.setattr(equilibrium, "brentq", recorded)
+        for soc in (1e-9, 14.9, equilibrium.MAX_ACTIVE_SOC):
+            sc.soc_total_from_active(soc)
+        assert calls == [(1e-9, equilibrium._PEAK_TOTAL_SOC),
+                         (14.9, equilibrium._PEAK_TOTAL_SOC),
+                         (equilibrium.MAX_ACTIVE_SOC,
+                          equilibrium._PEAK_TOTAL_SOC)]
 
     def test_strictly_increasing(self):
         grid = np.linspace(0.5, 200.0, 400)
         roots = np.array([sc.soc_total_from_active(s) for s in grid])
         assert np.all(np.diff(roots) > 0)
 
-    @pytest.mark.parametrize("soc", [1e10, 1e300])
+    @pytest.mark.parametrize("soc", [equilibrium.MAX_ACTIVE_SOC * 1.000001,
+                                     1e10, 1e300, math.nan])
     def test_no_root_is_numerics_error(self, soc):
-        # s - 0.049 s^1.139 peaks near 1.2e8; at 1e300 s^1.139 overflows
+        # s - 0.049 s^1.139 peaks at MAX_ACTIVE_SOC, near 1.27e8
         with pytest.raises(NumericsError, match="could not bracket"):
             sc.soc_total_from_active(soc)
 
 
+_ACTIVE_SOC = st.floats(0.0, equilibrium.MAX_ACTIVE_SOC, exclude_min=True)
+
+
+class TestFalloonDomain:
+    """Every active SOC in (0, MAX_ACTIVE_SOC] has a root in [soc, peak].
+
+    The example count comes from the Hypothesis profile
+    (``--hypothesis-profile=ci`` runs 1 000).
+    """
+
+    @settings(deadline=None)
+    @given(soc=_ACTIVE_SOC, other=_ACTIVE_SOC)
+    @example(soc=equilibrium.MAX_ACTIVE_SOC,
+             other=0.99 * equilibrium.MAX_ACTIVE_SOC)
+    @example(soc=5e-324, other=1e-300)
+    def test_roots_in_bracket_with_small_residuals_increase(self, soc,
+                                                           other):
+        lo, hi = sorted((soc, other))
+        roots = [sc.soc_total_from_active(s) for s in (lo, hi)]
+        for s, root in zip((lo, hi), roots):
+            assert s <= root <= equilibrium._PEAK_TOTAL_SOC
+            assert abs(0.049 * root**1.139 - root + s) \
+                <= 1e-10 * max(1.0, root)
+        # exact roots differ by at least hi - lo, and Brent returns each
+        # within xtol + rtol * root of its exact value
+        tol = 1e-14 + 8.9e-16 * roots[1]
+        assert roots[0] <= roots[1] + 2 * tol
+        if hi - lo > 2 * tol:
+            assert roots[0] < roots[1]
+
+
 def _falloon_bracket(soc):
-    """soc_total_from_active's residual and bracket (hi is the last tried)."""
+    """soc_total_from_active's residual and bracket [soc, Falloon peak];
+    the residual is inf where s^1.139 overflows, far beyond the peak."""
     coeff, power = equilibrium.FALLOON_COEFF, equilibrium.FALLOON_POWER
 
     def residual(s):
@@ -103,13 +156,7 @@ def _falloon_bracket(soc):
             return coeff * s**power - s + soc
         except OverflowError:
             return math.inf
-    frac = coeff * soc ** (power - 1.0)
-    hi = soc / (1.0 - frac) if frac < 1.0 else 2.0 * soc
-    for _ in range(200):
-        if residual(hi) <= 0.0:
-            break
-        hi *= 1.5
-    return residual, soc, hi
+    return residual, soc, equilibrium._PEAK_TOTAL_SOC
 
 
 def _solve_counted(solver, f, a, b, **tolerances):
@@ -301,8 +348,6 @@ class TestBaselineState:
                                                           rel=1e-12)
         assert abs(s[np.argmax(active)] / equilibrium._PEAK_TOTAL_SOC - 1) \
             < 1e-4
-        with pytest.raises(NumericsError, match="could not bracket"):
-            sc.soc_total_from_active(equilibrium.MAX_ACTIVE_SOC * 1.000001)
 
     @pytest.mark.parametrize("P0, F0", [(1e300, 0.0), (0.0, 1e300),
                                         (1e9, 1e9)])
