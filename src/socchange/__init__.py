@@ -20,7 +20,7 @@ from .dataio import (ScenarioConfig, build_scenario, load_climate,
                      read_trajectory, write_control, write_sensitivity,
                      write_trajectory)
 from .dynamics import (FymPolicy, PlantInputDensity, Scenario, Site,
-                       class_for_ratio, delta_forcing)
+                       class_for_ratio)
 from .equilibrium import (BaselineState, equilibrium_pools, iom_from_soc,
                           soc_total_from_active)
 from .errors import (ConfigError, DataError, InfeasibleBaselineError,

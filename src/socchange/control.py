@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, Site, _forcing_rates
+from .dynamics import Scenario, Site
 from .errors import ConfigError, NumericsError
 from .stepping import Trajectory
 
@@ -103,9 +103,7 @@ def _control_maps(site: Site):
     batched product (zero in the last month). ``first`` is ŵ_0, the first
     month's f̂′ from [c; 1; ε].
     """
-    grid, rhos, eks, fmats, dir_g, dir_f = site.month_operators
-    supply, q = _forcing_rates(grid.month, grid.year_index, site, rhos,
-                               grid.dt)
+    grid, _, eks, fmats, dir_g, dir_f, supply, q = site.month_operators
     g0 = -q[:, None] * dir_f
     dg = (supply - q)[:, None] * dir_g - g0
     w = np.column_stack((site.mats.delta * (1.0 - eks), -g0.sum(axis=1),

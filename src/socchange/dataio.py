@@ -252,8 +252,9 @@ def load_npp(path, baseline_year: int) -> dict[int, float]:
     if baseline_year not in values:
         raise DataError(f"{path}: baseline year {baseline_year} missing")
     base = values[baseline_year]
-    if base == 0:
-        raise DataError(f"{path}: baseline NPP is zero, ratios undefined")
+    if not base > 0:
+        raise DataError(f"{path}: baseline NPP {base!r} for {baseline_year} "
+                        "is not above zero, ratios undefined")
     return {year: v / base for year, v in values.items()}
 
 

@@ -1,9 +1,9 @@
-"""SOC change index state and forcing terms for the delta dynamics.
+"""Sites, plant-input densities and manure policies of the SOC change index.
 
-The change index normalizes pool deviations from the baseline equilibrium by
-the baseline-year inputs, so its forcing depends only on dimensionless
-quantities: the monthly plant-input density, the annual NPP ratios, and the
-ratio of the monthly rate modifier to its reference value.
+A site holds everything a run reads except the manure policy; a scenario is
+a site under a policy. The dimensionless per-month quantities that force the
+change index (the NPP ratio, the plant-input density and the rate-modifier
+ratio) belong to the site.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ class PlantInputDensity:
         p = np.asarray(self.proportions, dtype=float)
         if p.shape != (12,):
             raise DataError("plant input density needs 12 monthly proportions")
-        if np.any(p < 0):
+        if not np.all(np.isfinite(p)):
+            raise DataError(
+                f"non-finite proportion in {self.land_class} density")
+        if not np.all(p >= 0):
             raise DataError(f"negative proportion in {self.land_class} density")
-        if abs(p.sum() - 1.0) > DENSITY_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= DENSITY_SUM_TOL:
             raise DataError(
                 f"{self.land_class} proportions sum to {p.sum():.12f}, not 1")
         if self.land_class not in LAND_CLASSES:
@@ -110,9 +113,10 @@ class FymPolicy:
         if self.mode == "fixed":
             # None gives a 0-d NaN, which the shape test rejects
             d = np.asarray(self.monthly_density, dtype=float)
-            if d.shape != (12,) or np.any(d < 0):
+            if d.shape != (12,) or not np.all(np.isfinite(d) & (d >= 0)):
                 raise ConfigError("fixed FYM mode needs 12 non-negative "
-                                  "monthly densities (fym_monthly_tc_ha)")
+                                  "monthly densities (fym_monthly_tc_ha), "
+                                  "all finite")
         elif self.monthly_density is not None:
             raise ConfigError("monthly FYM densities (fym_monthly_tc_ha) need "
                               f"fym_mode = fixed, not {self.mode!r}")
@@ -142,6 +146,9 @@ class Site:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.cover_mode not in ("timed", "smooth"):
             raise ConfigError(f"unknown cover mode {self.cover_mode!r}")
+        cover = np.asarray(self.cover_schedule, dtype=float)
+        if cover.shape != (12,) or not np.all((cover > 0.0) & (cover <= 1.0)):
+            raise DataError("cover schedule needs 12 monthly factors in (0, 1]")
         for n in range(1, self.horizon + 1):
             year = self.baseline_year + n
             if year not in self.np_ratios:
@@ -158,10 +165,11 @@ class Site:
 
     @cached_property
     def month_operators(self):
-        """(grid, rhos, eks, fmats, dir_g, dir_f) of
+        """(grid, rhos, eks, fmats, dir_g, dir_f, supply, q) of
         ``stepping._month_operators``: the directions are Δt φ(τÃ) a_g and
-        Δt φ(τÃ) a_f per month. Built on first use and shared, read-only, by
-        every monthly run on this site, whatever its manure policy."""
+        Δt φ(τÃ) a_f per month, supply is N_P ĝ and q is ρ/(T ρ0). Built on
+        first use and shared, read-only, by every monthly run on this site,
+        whatever its manure policy."""
         from . import stepping   # stepping imports this module
         return stepping._month_operators(self)
 
@@ -222,40 +230,3 @@ class Scenario:
     params = property(attrgetter("site.params"))
     r = property(attrgetter("site.r"))
 
-
-def delta_forcing(month, n, site: Site, f_value=None, rho_m=None,
-                  dt_m=None) -> Array:
-    """Forcing of the delta equation: in span{a_g, a_f}.
-
-    f_value is the manure density (t C ha^-1 month^-1), None for none; the
-    a_f share is weighted by 1-eps and normalized by the baseline manure
-    total F0, so a density needs F0 > 0. With F0 = 0, eps = 1 and the
-    forcing is (N_P^(n) ghat_r(m) - rho(m) / (T rho0)) a_g alone.
-    Elementwise over (month, n, f_value); the forcing vectors lie along the
-    last axis.
-    """
-    plant, manure = _delta_coefficients(month, n, site, f_value, rho_m, dt_m)
-    return (np.multiply.outer(plant, site.mats.a_g)
-            + np.multiply.outer(manure, site.mats.a_f))
-
-
-def _delta_coefficients(month, n, site: Site, f_value, rho_m, dt_m):
-    """The a_g and a_f coefficients of ``delta_forcing``, eps (N_P ghat - q)
-    and (1-eps) (f/F0 - q); at eps = 1 the second is an exact zero."""
-    baseline = site.baseline
-    if f_value is not None and baseline.F0 <= 0.0:
-        raise ConfigError("fixed manure forcing in delta mode needs a "
-                          "baseline manure total F0 > 0 (the forcing is "
-                          "normalized by it)")
-    f_ratio = 0.0 if f_value is None else f_value / baseline.F0
-    supply, q = _forcing_rates(month, n, site, rho_m, dt_m)
-    return (baseline.epsilon * (supply - q),
-            (1.0 - baseline.epsilon) * (f_ratio - q))
-
-
-def _forcing_rates(month, n, site: Site, rho_m, dt_m):
-    """N_P ghat and q = rho/(T rho0), elementwise over (month, n)."""
-    rho_m = site.rho_at(n, month) if rho_m is None else rho_m
-    dt_m = site.dt_at(n, month) if dt_m is None else dt_m
-    return (site.np_ratio(n) * site.density.density(month, dt_m),
-            rho_m / (site.params.T * site.baseline.rho0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dynamics import Scenario, Site, _delta_coefficients
+from .dynamics import Scenario, Site
 from .errors import ConfigError
 from .pools import CompartmentMatrices
 
@@ -145,22 +145,28 @@ class Trajectory:
 
 
 def _month_operators(site: Site):
-    """Time grid, left-endpoint ρ, e^{-τk}, F(τ), and the directions
-    Δt φ(τÃ) a_g and Δt φ(τÃ) a_f per month, τ = Δt ρ.
+    """Time grid, left-endpoint ρ, e^{-τk}, F(τ), the directions
+    Δt φ(τÃ) a_g and Δt φ(τÃ) a_f, the plant supply N_P ĝ and the
+    rate-modifier ratio q = ρ/(T ρ0) per month, τ = Δt ρ.
 
     Every monthly forcing lies in span{a_g, a_f}, so its Δt φ(τÃ) b is a
-    combination of the two directions, each Δt (I-Λ)(φ(-τk) ⊙ (I-Λ)^{-1} a).
-    Read through ``Site.month_operators``, which builds them once per site
-    for every monthly run on it, under any manure policy. The arrays are
-    read-only, so no run or caller can change what a later run reads.
+    combination of the two directions, each Δt (I-Λ)(φ(-τk) ⊙ (I-Λ)^{-1} a);
+    N_P ĝ and q are the site's part of the coefficients, the same under
+    every manure policy. Read through ``Site.month_operators``, which builds
+    them once per site for every monthly run on it, under any manure policy.
+    The arrays are read-only, so no run or caller can change what a later
+    run reads.
     """
     grid = build_time_grid(site)   # the module global: tracers patch it
-    rhos = site.rho_at(grid.year_index, grid.month)
+    n, m = grid.year_index, grid.month
+    rhos = site.rho_at(n, m)
     mats = site.mats
     eks, fmats, phivs = _step_factors(grid.dt * rhos, mats)
     dt_phivs = grid.dt[:, None] * phivs
-    operators = (rhos, eks, fmats, *(_phi_times(dt_phivs, mats, a)
-                                     for a in (mats.a_g, mats.a_f)))
+    operators = (rhos, eks, fmats,
+                 *(_phi_times(dt_phivs, mats, a) for a in (mats.a_g, mats.a_f)),
+                 site.np_ratio(n) * site.density.density(m, grid.dt),
+                 rhos / (site.params.T * site.baseline.rho0))
     for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                   *operators):
         array.flags.writeable = False
@@ -170,20 +176,33 @@ def _month_operators(site: Site):
 def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
     """Per month over the horizon, from left-endpoint ρ: the forcing b, or
     the input of a one-step ``scheme``, Δt φ(τÃ) b for "nonstandard" (from
-    the month directions) and Δt b for "rothc_discrete"."""
+    the month directions) and Δt b for "rothc_discrete".
+
+    b = g a_g + f a_f. In absolute mode g = P0 N_P ĝ and f is the manure
+    density. The delta equation's forcing is normalized by the baseline
+    inputs: g = ε (N_P ĝ - q) and f = (1-ε)(f/F0 - q), with f/F0 = 0 for
+    no manure; at ε = 1 (F0 = 0) the a_f share is an exact zero, and a
+    manure density, which F0 normalizes, needs F0 > 0.
+    """
     fym, site = scenario.fym, scenario.site
     if fym.mode == "controlled":
         raise ConfigError("controlled runs go through simulate_controlled")
     if mode not in ("delta", "absolute"):
         raise ConfigError(f"unknown mode {mode!r}")
-    grid, rhos, _, _, dir_g, dir_f = site.month_operators
-    n, m = grid.year_index, grid.month
-    f_values = (np.asarray(fym.monthly_density, dtype=float)[m - 1]
+    grid, _, _, _, dir_g, dir_f, supply, q = site.month_operators
+    baseline = site.baseline
+    f_values = (np.asarray(fym.monthly_density, dtype=float)[grid.month - 1]
                 if fym.mode == "fixed" else None)
     if mode == "delta":
-        g, f = _delta_coefficients(m, n, site, f_values, rhos, grid.dt)
+        if f_values is not None and baseline.F0 <= 0.0:
+            raise ConfigError("fixed manure forcing in delta mode needs a "
+                              "baseline manure total F0 > 0 (the forcing is "
+                              "normalized by it)")
+        f_ratio = 0.0 if f_values is None else f_values / baseline.F0
+        g = baseline.epsilon * (supply - q)
+        f = (1.0 - baseline.epsilon) * (f_ratio - q)
     else:
-        g = site.baseline.P0 * site.np_ratio(n) * site.density.density(m, grid.dt)
+        g = baseline.P0 * supply
         f = np.zeros_like(g) if f_values is None else f_values
     if scheme == "nonstandard":
         return g[:, None] * dir_g + f[:, None] * dir_f

@@ -1,5 +1,6 @@
 """Loaders, config parsing, and deterministic writers."""
 
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -314,6 +315,17 @@ class TestLoadNpp:
         (tmp_path / "npp.csv").write_text("year,npp\n2005,0.0\n2006,500\n")
         with pytest.raises(DataError, match="zero"):
             sc.load_npp(tmp_path / "npp.csv", 2005)
+
+    @pytest.mark.parametrize("base", ["0.0", "-500.0"])
+    def test_baseline_not_above_zero_named_with_its_file(self, tmp_path,
+                                                          base):
+        # a negative baseline would flip the sign of every ratio back to > 0
+        path = tmp_path / "npp.csv"
+        path.write_text(f"year,npp\n2005,{base}\n2006,-510\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: baseline NPP {base} for 2005 is not above zero, "
+                "ratios undefined")):
+            sc.load_npp(path, 2005)
 
     @pytest.mark.parametrize("year", ["0", "-5", "10000",
                                       "99999999999999999999"])

@@ -1,11 +1,14 @@
 """Plant-input densities, NPP ratios, and the delta forcing."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import socchange as sc
 from socchange.errors import ConfigError, DataError
-from socchange.stepping import build_time_grid
+from socchange.stepping import _monthly_forcing, build_time_grid
 
 from conftest import constant_climate, make_scenario
 
@@ -32,6 +35,12 @@ class TestPlantDensity:
         props[0] += 1e-6
         with pytest.raises(DataError):
             sc.PlantInputDensity(props, "grassland")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_proportions_rejected(self, bad):
+        # NaN passed both the sign and the sum tests
+        with pytest.raises(DataError, match="non-finite proportion"):
+            sc.PlantInputDensity(np.full(12, bad), "arable")
 
     def test_annual_integral_of_density_is_one(self, arable_scenario):
         # step-function density p_m / dt_m integrates to exactly 1 per year
@@ -61,48 +70,56 @@ class TestClassForRatio:
         assert sc.class_for_ratio(r) == expected
 
 
+def _delta_forcing(scen):
+    """The delta equation's forcing b per month over the time grid."""
+    return _monthly_forcing(scen, "delta")
+
+
+def _hand_rates(scen):
+    """(grid, N_P ĝ, q) per month, from the scalar per-month primitives."""
+    site = scen.site
+    grid = build_time_grid(site)
+    pairs = list(zip(grid.year_index.tolist(), grid.month.tolist()))
+    supply = [site.np_ratio(n) * site.density.proportion(m) / site.dt_at(n, m)
+              for n, m in pairs]
+    q = [site.rho_at(n, m) / (scen.params.T * scen.baseline.rho0)
+         for n, m in pairs]
+    return grid, np.array(supply), np.array(q)
+
+
+def _fixed(scen, densities):
+    return sc.Scenario(scen.site, sc.FymPolicy("fixed", densities))
+
+
 class TestDeltaForcingNoFym:
-    """delta_forcing with no manure density."""
+    """The delta forcing with no manure density, month by month."""
 
     def test_direction_parallel_to_plant_input(self, arable_scenario):
-        b = sc.delta_forcing(7, 1, arable_scenario.site)
+        b = _delta_forcing(arable_scenario)
         a_g = arable_scenario.mats.a_g
-        scale = b[0] / a_g[0]
-        np.testing.assert_allclose(b, scale * a_g, atol=1e-15)
-        assert b[2] == 0.0 and b[3] == 0.0
+        scale = b[:, 0] / a_g[0]
+        np.testing.assert_allclose(b, scale[:, None] * a_g, atol=1e-15)
+        assert np.all(b[:, 2] == 0.0) and np.all(b[:, 3] == 0.0)
 
     def test_recomposition_from_primitives(self, arable_scenario):
         scen = arable_scenario
-        n, month = 3, 5
-        grid = build_time_grid(scen.site)
-        j = (n - 1) * 12 + (month - 1)
-        dt = grid.dt[j]
-        rho = scen.site.rho_at(n, month)
-        ghat = scen.site.density.proportion(month) / dt
-        q = rho / (scen.params.T * scen.baseline.rho0)
-        expected = (scen.site.np_ratio(n) * ghat - q) * scen.mats.a_g
-        got = sc.delta_forcing(month, n, scen.site)
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        _, supply, q = _hand_rates(scen)
+        expected = (supply - q)[:, None] * scen.mats.a_g
+        np.testing.assert_allclose(_delta_forcing(scen), expected,
+                                   rtol=1e-12, atol=1e-15)
 
     def test_annual_balance_under_stationary_forcing(self, stationary_scenario):
         # rho == rho0 and N_P = 1: the dt-weighted forcing sums to zero
         scen = stationary_scenario
         grid = build_time_grid(scen.site)
-        total = np.zeros(4)
-        for j in range(12):
-            b = sc.delta_forcing(int(grid.month[j]), 1, scen.site,
-                                 dt_m=grid.dt[j])
-            total += grid.dt[j] * b
+        total = (grid.dt[:12, None] * _delta_forcing(scen)[:12]).sum(axis=0)
         assert np.max(np.abs(total)) < 1e-10
 
     def test_no_density_on_manure_baseline_is_zero_density(self):
         # with F0 > 0, no manure is f/F0 = 0 in the a_f share, not an error
         scen = make_scenario(F0=0.3)
-        grid = build_time_grid(scen.site)
-        n, m = grid.year_index, grid.month
         np.testing.assert_array_equal(
-            sc.delta_forcing(m, n, scen.site),
-            sc.delta_forcing(m, n, scen.site, np.zeros(grid.nsteps)))
+            _delta_forcing(scen), _delta_forcing(_fixed(scen, np.zeros(12))))
 
 
 @pytest.fixture(scope="module")
@@ -110,65 +127,80 @@ def manure_scenario():
     return make_scenario(F0=0.4, P0=0.8)
 
 
+MANURE_DENSITIES = np.linspace(0.0, 0.3, 12)
+
+
 class TestDeltaForcingFym:
-    """delta_forcing with a manure density."""
+    """The delta forcing with a manure density, month by month."""
 
     def test_epsilon_one_limit_reproduces_no_fym(self, arable_scenario):
         # evaluated formulaically: with eps = 1 the a_f share vanishes
         scen = arable_scenario
-        b_no = sc.delta_forcing(4, 1, scen.site)
-        eps, f0 = 1.0, 0.0
-        rho = scen.site.rho_at(1, 4)
-        grid = build_time_grid(scen.site)
-        dt = grid.dt[3]
-        ghat = scen.site.density.proportion(4) / dt
-        q = rho / (scen.params.T * scen.baseline.rho0)
-        manual = (eps * (scen.site.np_ratio(1) * ghat - q) * scen.mats.a_g
-                  + (1 - eps) * (f0 - q) * scen.mats.a_f)
-        np.testing.assert_allclose(manual, b_no, rtol=1e-14)
+        eps, f0 = scen.baseline.epsilon, 0.0
+        assert eps == 1.0
+        _, supply, q = _hand_rates(scen)
+        manual = (eps * (supply - q)[:, None] * scen.mats.a_g
+                  + (1 - eps) * (f0 - q)[:, None] * scen.mats.a_f)
+        b = _delta_forcing(scen)
+        np.testing.assert_allclose(manual, b, rtol=1e-14, atol=1e-15)
+        # an exact zero a_f share leaves HUM, which only a_f feeds, at zero
+        assert scen.mats.a_f[3] != 0.0 and np.all(b[:, 3] == 0.0)
 
     def test_pure_replacement_zero_forcing(self, site50):
         # eps = 0 and manure exactly replacing turnover: no forcing at all
         climate = constant_climate(2005, 15, site50)
         scen = make_scenario(P0=0.0, F0=1.0, climate=climate, np_trend=0.0,
                              cover_mode="smooth")
-        grid = build_time_grid(scen.site)
-        for j in range(12):
-            month = int(grid.month[j])
-            rho = scen.site.rho_at(1, month)
-            f_value = (scen.baseline.F0 * rho
-                       / (scen.params.T * scen.baseline.rho0))
-            b = sc.delta_forcing(month, 1, scen.site, f_value, dt_m=grid.dt[j])
-            assert np.max(np.abs(b)) < 1e-14
+        months = np.arange(1, 13)
+        densities = (scen.baseline.F0 * scen.site.rho_at(1, months)
+                     / (scen.params.T * scen.baseline.rho0))
+        b = _delta_forcing(_fixed(scen, densities))
+        assert np.max(np.abs(b[:12])) < 1e-14
 
     def test_projection_identity(self, manure_scenario):
         # 1^T of the forcing equals the scalar form of the index dynamics
         scen = manure_scenario
         eps = scen.baseline.epsilon
-        grid = build_time_grid(scen.site)
-        for (n, month, f_value) in [(1, 2, 0.05), (2, 7, 0.3), (3, 11, 0.0)]:
-            j = (n - 1) * 12 + (month - 1)
-            dt = grid.dt[j]
-            rho = scen.site.rho_at(n, month)
-            ghat = scen.site.density.proportion(month) / dt
-            q = rho / (scen.params.T * scen.baseline.rho0)
-            b = sc.delta_forcing(month, n, scen.site, f_value, dt_m=dt)
-            expected = (eps * (scen.site.np_ratio(n) * ghat - q / eps)
-                        + (1 - eps) * f_value / scen.baseline.F0)
-            assert b.sum() == pytest.approx(expected, rel=1e-12)
+        grid, supply, q = _hand_rates(scen)
+        f_value = MANURE_DENSITIES[grid.month - 1]
+        b = _delta_forcing(_fixed(scen, MANURE_DENSITIES))
+        expected = (eps * (supply - q / eps)
+                    + (1 - eps) * f_value / scen.baseline.F0)
+        np.testing.assert_allclose(b.sum(axis=1), expected, rtol=1e-12,
+                                   atol=1e-15)
 
     def test_span_of_both_directions(self, manure_scenario):
         scen = manure_scenario
-        b = sc.delta_forcing(7, 1, scen.site, 0.2)
+        b = _delta_forcing(_fixed(scen, MANURE_DENSITIES))
         basis = np.column_stack([scen.mats.a_g, scen.mats.a_f])
-        coeffs, residual, *_ = np.linalg.lstsq(basis, b, rcond=None)
-        reconstructed = basis @ coeffs
-        assert np.max(np.abs(b - reconstructed)) < 1e-12
+        coeffs, *_ = np.linalg.lstsq(basis, b.T, rcond=None)
+        assert np.max(np.abs(b - (basis @ coeffs).T)) < 1e-12
 
     def test_zero_baseline_manure_rejected(self, arable_scenario):
         # a density cannot be normalized by F0 = 0
-        with pytest.raises(ConfigError, match="F0 > 0"):
-            sc.delta_forcing(1, 1, arable_scenario.site, 0.1)
+        with pytest.raises(ConfigError, match=re.escape(
+                "fixed manure forcing in delta mode needs a baseline manure "
+                "total F0 > 0 (the forcing is normalized by it)")):
+            sc.simulate(_fixed(arable_scenario, np.full(12, 0.1)))
+
+
+class TestMonthRecord:
+    """N_P ĝ and q in the site's month record, shared by every policy."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
+    def test_supply_and_q_are_the_site_formulas(self, r):
+        scen = make_scenario(r=r, F0=0.4)
+        site = scen.site
+        grid, *_, supply, q = site.month_operators
+        n, m = grid.year_index, grid.month
+        np.testing.assert_array_equal(
+            supply, site.np_ratio(n) * site.density.density(m, grid.dt))
+        np.testing.assert_array_equal(
+            q, site.rho_at(n, m) / (site.params.T * site.baseline.rho0))
+        for array in (supply, q):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestDeltaSoc:
@@ -192,6 +224,12 @@ class TestFymPolicy:
                                                     eps):
         with pytest.raises(ConfigError, match=r"epsilon must be in \[0, 1\)"):
             sc.simulate_controlled(manure_scenario, eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fixed_densities_rejected(self, bad):
+        with pytest.raises(ConfigError, match="needs 12 non-negative monthly "
+                           r"densities \(fym_monthly_tc_ha\), all finite"):
+            sc.FymPolicy("fixed", np.full(12, bad))
 
     @pytest.mark.parametrize("mode", ["none", "controlled"])
     def test_densities_outside_fixed_mode_are_rejected(self, mode):
@@ -248,6 +286,18 @@ class TestScenarioValidation:
                     climate=climate, reference=ref, baseline=baseline,
                     np_ratios=ratios)
 
+    @pytest.mark.parametrize("schedule", [
+        np.full(12, np.nan), np.full(12, -1.0), np.full(5, 0.6),
+        np.r_[np.full(11, 0.6), 1.5], np.r_[np.full(11, 0.6), 0.0]],
+        ids=["nan", "negative", "short", "above_one", "zero"])
+    def test_cover_schedule_outside_unit_interval_rejected(
+            self, arable_scenario, schedule):
+        # NaN ran to non-finite states, -1 to a negative rate modifier, and
+        # a short schedule to a bare IndexError
+        with pytest.raises(DataError, match=re.escape(
+                "cover schedule needs 12 monthly factors in (0, 1]")):
+            dataclasses.replace(arable_scenario.site, cover_schedule=schedule)
+
     def test_np_ratio_of_the_baseline_year_is_the_stored_one(
             self, arable_scenario):
         scen = arable_scenario
@@ -293,35 +343,6 @@ class TestWholeGridCalls:
         np.testing.assert_array_equal(
             scen.site.rho_at(n, m),
             [scen.site.rho_at(k, j) for k, j in zip(n, m)])
-
-    @pytest.mark.parametrize("given", [False, True])
-    def test_no_fym_forcing(self, arable_scenario, given):
-        scen = arable_scenario
-        grid, n, m = self._grid(scen)
-        extra = ({"rho_m": scen.site.rho_at(n, m), "dt_m": grid.dt} if given
-                 else {})
-        whole = sc.delta_forcing(m, n, scen.site, **extra)
-        assert whole.shape == (grid.nsteps, 4)
-        for j in range(grid.nsteps):
-            one = {key: value[j] for key, value in extra.items()}
-            np.testing.assert_array_equal(
-                whole[j],
-                sc.delta_forcing(int(m[j]), int(n[j]), scen.site, **one))
-
-    @pytest.mark.parametrize("given", [False, True])
-    def test_fym_forcing(self, manure_scenario, given):
-        scen = manure_scenario
-        grid, n, m = self._grid(scen)
-        f_values = np.linspace(0.0, 0.3, grid.nsteps)
-        extra = ({"rho_m": scen.site.rho_at(n, m), "dt_m": grid.dt} if given
-                 else {})
-        whole = sc.delta_forcing(m, n, scen.site, f_values, **extra)
-        assert whole.shape == (grid.nsteps, 4)
-        for j in range(grid.nsteps):
-            one = {key: value[j] for key, value in extra.items()}
-            np.testing.assert_array_equal(
-                whole[j], sc.delta_forcing(int(m[j]), int(n[j]), scen.site,
-                                           float(f_values[j]), **one))
 
     def test_month_outside_year_rejected_in_arrays(self, arable_scenario):
         with pytest.raises(ConfigError, match="13"):

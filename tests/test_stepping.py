@@ -338,7 +338,10 @@ class TestSimulate:
             n = int(grid.year_index[j])
             m = int(grid.month[j])
             rho = scen.site.rho_at(n, m)
-            b = sc.delta_forcing(m, n, scen.site, rho_m=rho, dt_m=grid.dt[j])
+            # no manure and F0 = 0: the plant term (N_P ĝ - ρ/(T ρ0)) a_g
+            ghat = scen.site.density.proportion(m) / scen.site.dt_at(n, m)
+            b = (scen.site.np_ratio(n) * ghat
+                 - rho / (scen.params.T * scen.baseline.rho0)) * scen.mats.a_g
             dc = traj.states[j]
             lhs = ones @ (rho * (scen.mats.A @ dc) + b)
             rhs = -rho * scen.params.delta * (scen.params.k @ dc) + ones @ b
