@@ -89,8 +89,10 @@ def cmd_simulate(args) -> int:
     scenario = build_scenario(config)
     scheme = args.scheme or config.scheme
     if scenario.fym.mode == "controlled":
-        if args.mode != "delta":
-            raise ConfigError("controlled runs support delta mode only")
+        if args.mode != "delta" or scheme != "nonstandard":
+            raise ConfigError("controlled runs support the nonstandard scheme "
+                              f"in delta mode only, got {scheme} in "
+                              f"{args.mode} mode")
         trajectory, schedule = simulate_controlled(scenario,
                                                    scenario.baseline.epsilon)
     else:
@@ -135,6 +137,9 @@ def cmd_sensitivity(args) -> int:
 def cmd_control(args) -> int:
     config = load_config(args.config)
     scenario = build_scenario(config)
+    if config.scheme != "nonstandard":
+        raise ConfigError("controlled runs support the nonstandard scheme "
+                          f"only, got {config.scheme}")
     try:
         eps_values = [float(v) for v in args.epsilon.split(",") if v.strip()]
     except ValueError:
@@ -146,8 +151,7 @@ def cmd_control(args) -> int:
         raise ConfigError(f"--epsilon {args.epsilon!r}: two values agree to 6 "
                           "digits and would write the same files")
     # every run before any file, so a bad value late in the list writes none
-    runs = [(simulate(Scenario(scenario.site), scheme=config.scheme,
-                      mode="delta"), None) if eps == 1.0
+    runs = [(simulate(Scenario(scenario.site)), None) if eps == 1.0
             else simulate_controlled(scenario, eps) for eps in eps_values]
     args.out.mkdir(parents=True, exist_ok=True)
     plot_series = []

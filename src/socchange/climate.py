@@ -184,11 +184,14 @@ def rate_modifier_cover_timed(month, r: float, cover_schedule=None):
 
 
 def rate_modifier_cover_smooth(r: float, n_bare: float = DEFAULT_BARE_MONTHS) -> float:
-    """Smooth annual-mean soil-cover modifier as a function of the DPM/RPM ratio."""
-    if r <= 0:
-        raise ConfigError(f"DPM/RPM ratio must be positive, got {r}")
+    """Smooth annual-mean soil-cover modifier as a function of the DPM/RPM
+    ratio; at r = 0 its r -> 0+ limit, the vegetated factor."""
+    if not r >= 0:
+        raise ConfigError(f"DPM/RPM ratio must be >= 0, got {r}")
     if not 0.0 <= n_bare <= 12.0:
         raise ConfigError(f"bare months must be in [0, 12], got {n_bare}")
+    if r == 0:
+        return KC_VEGETATED
     x = 30.0 * (r - 1.0) / r
     sig = math.exp(x) / (1.0 + math.exp(x)) if x < 0 else 1.0 / (1.0 + math.exp(-x))
     return KC_VEGETATED + (n_bare / 30.0) * sig

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -329,15 +329,20 @@ class ScenarioConfig:
         return p if p.is_absolute() else self.base_dir / p
 
 
-_REQUIRED_KEYS = ("clay_pct", "depth_cm", "baseline_year", "horizon_years",
-                  "dpm_rpm_ratio", "climate_csv", "npp_csv")
-
-_FLOAT_KEYS = ("clay_pct", "depth_cm", "dpm_rpm_ratio", "latitude_deg",
-               "bare_months", "eta", "plant_input_tc_ha_yr",
-               "soc_active_tc_ha", "fym_baseline_tc_ha_yr", "sensitivity_dt")
-_INT_KEYS = ("baseline_year", "horizon_years")
-_STR_KEYS = ("climate_csv", "npp_csv", "density_csv", "land_class",
-             "fym_mode", "cover_mode", "scheme")
+# each key's kind is its field's type; base_dir, a Path, is the config's
+# directory and no key
+_KEY_KINDS = {f.name: f.type.removeprefix("Optional[").removesuffix("]")
+              for f in fields(ScenarioConfig) if f.type != "Path"}
+_REQUIRED_KEYS = [f.name for f in fields(ScenarioConfig)
+                  if f.default is MISSING and f.default_factory is MISSING]
+# (parser, message on a ValueError) by kind
+_PARSERS = {
+    "float": (float, "non-numeric value {!r}"),
+    "int": (int, "non-integer value {!r}"),
+    "str": (str, None),
+    "list": (lambda v: [float(x) for x in v.split(",")],
+             "expected 12 comma-separated numbers"),
+}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -365,30 +370,16 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
     kwargs: dict = {"base_dir": path.parent}
     for key, value in raw.items():
-        if key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r}: non-numeric value "
-                                  f"{value!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r}: non-integer value "
-                                  f"{value!r}") from None
-        elif key == "fym_monthly_tc_ha":
-            try:
-                kwargs[key] = [float(v) for v in value.split(",")]
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r}: expected 12 "
-                                  f"comma-separated numbers") from None
-        elif key in _STR_KEYS:
-            kwargs[key] = value
-        else:
+        if key not in _KEY_KINDS:
             raise ConfigError(f"{path}: unknown key {key!r}")
-        if key in _FLOAT_KEYS + ("fym_monthly_tc_ha",) and not np.all(
-                np.isfinite(kwargs[key])):
+        kind = _KEY_KINDS[key]
+        parse, message = _PARSERS[kind]
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{path}: key {key!r}: "
+                              + message.format(value)) from None
+        if kind in ("float", "list") and not np.all(np.isfinite(kwargs[key])):
             raise ConfigError(f"{path}: key {key!r}: non-finite value "
                               f"{value!r}")
     return ScenarioConfig(**kwargs)
@@ -421,7 +412,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     else:
         density = PlantInputDensity.standard(land_class)
 
-    rho0 = reference.rho0(r) if r > 0 else reference.kb0 * 0.6
+    rho0 = reference.rho0(r)
     f0_total = config.fym_baseline_tc_ha_yr
     if config.soc_active_tc_ha is not None:
         if config.plant_input_tc_ha_yr is not None:

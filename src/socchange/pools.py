@@ -82,21 +82,13 @@ class SoilParams:
                    alpha=alpha, beta=beta, delta=delta,
                    r=r, gamma=plant_split(r), eta=eta)
 
-    def with_ratio(self, r: float) -> "SoilParams":
-        """New parameter set for a different DPM/RPM ratio (matrices must be rebuilt)."""
-        return SoilParams(cly=self.cly, d=self.d, T=self.T, k=self.k,
-                          alpha=self.alpha, beta=self.beta, delta=self.delta,
-                          r=r, gamma=plant_split(r), eta=self.eta)
-
 
 @dataclass(frozen=True)
 class CompartmentMatrices:
-    """A, Λ, D, Ã and the input directions a_g, a_f for one parameter set."""
+    """A, Λ and the input directions a_g, a_f for one parameter set."""
 
     A: Array
     Lambda: Array
-    D: Array
-    Atilde: Array
     a_g: Array
     a_f: Array
     i_minus_lambda: Array = field(repr=False)
@@ -122,12 +114,9 @@ def build_matrices(params: SoilParams) -> CompartmentMatrices:
     lam[3, :] = beta
     iml = np.eye(4) - lam
     iml_inv = np.eye(4) + lam / delta
-    dmat = np.diag(k)
-    amat = -iml @ dmat
-    atilde = amat @ iml_inv
+    amat = -iml @ np.diag(k)
     a_g = np.array([params.gamma, 1.0 - params.gamma, 0.0, 0.0])
     a_f = np.array([params.eta, params.eta, 0.0, 1.0 - 2.0 * params.eta])
-    return CompartmentMatrices(A=amat, Lambda=lam, D=dmat, Atilde=atilde,
-                               a_g=a_g, a_f=a_f,
+    return CompartmentMatrices(A=amat, Lambda=lam, a_g=a_g, a_f=a_f,
                                i_minus_lambda=iml, i_minus_lambda_inv=iml_inv,
                                k=k, delta=delta)

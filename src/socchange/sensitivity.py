@@ -10,7 +10,7 @@ of ``stepping._step_factors`` as on the monthly paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,21 +74,8 @@ class AveragedModel:
         return self.climate_factor(n) * rate_modifier_cover_smooth(
             r, self.reference.n_bare)
 
-    def rho0(self, r: float) -> float:
-        return self.reference.rho0(r)
-
     def np_ratio(self, n):
         return self.np_ratios[self._row(n)]
-
-    def with_temp(self, n: int, temp: float) -> "AveragedModel":
-        temps = self.temps.copy()
-        temps[self._row(n)] = temp
-        return replace(self, temps=temps)
-
-    def with_np(self, n: int, value: float) -> "AveragedModel":
-        ratios = self.np_ratios.copy()
-        ratios[self._row(n)] = value
-        return replace(self, np_ratios=ratios)
 
 
 def build_averaged_model(scenario: Scenario) -> AveragedModel:
@@ -249,7 +236,7 @@ def sensitivity(parameter: str, scenario: Scenario,
     if parameter == "temp1":
         kappa = np.array([drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0],
                                      ref.site, r, ref.n_bare)])
-        omega = -kappa / (avg.T * avg.rho0(r))
+        omega = -kappa / (avg.T * ref.rho0(r))
     elif parameter == "np1":
         kappa, omega = np.zeros(1), np.array([1.0 / avg.T])
     else:

@@ -54,7 +54,7 @@ def _phi_times_a(phivs, mats: CompartmentMatrices):
     return -mats.i_minus_lambda * (phivs * mats.k)[..., None, :]
 
 
-def phi1_dense(z: Array, tol: float = 1e-12) -> Array:
+def phi1_dense(z: Array) -> Array:
     """φ applied to a dense square matrix by scaling-and-squaring on its series.
 
     Needed where the similarity reduction does not apply (functions of the
@@ -70,7 +70,7 @@ def phi1_dense(z: Array, tol: float = 1e-12) -> Array:
     for j in range(1, 13):
         term = term @ zs / (j + 1)
         phi = phi + term
-        if np.linalg.norm(term, 1) < tol:
+        if np.linalg.norm(term, 1) < 1e-12:
             break
     # phi(2z) = (e^z + I) phi(z) / 2 with e^z = I + z phi(z)
     expz = np.eye(n) + zs @ phi

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -52,6 +53,14 @@ def below_floor(dsoc, month=30):
         x[month, 0] += dsoc - x[month, :4].sum()
         return x
     return shifted
+
+
+def with_year(avg, name: str, n: int, value: float):
+    """A copy of the averaged model ``avg`` whose per-year array ``name``
+    (temps, accs or np_ratios) holds ``value`` in delta year n."""
+    values = getattr(avg, name).copy()
+    values[n - 1] = value
+    return dataclasses.replace(avg, **{name: values})
 
 
 def constant_climate(start_year: int, nyears: int, site,
@@ -191,7 +200,7 @@ def alta_murgia_scenario(r: float, horizon: int = 14, **kwargs) -> sc.Scenario:
     mats = sc.build_matrices(params)
     baseline = sc.BaselineState.from_inputs(
         kwargs.pop("P0", 1.0), kwargs.pop("F0", 0.0),
-        reference.rho0(r) if r > 0 else reference.kb0 * 0.6, mats, params.T)
+        reference.rho0(r), mats, params.T)
     density = sc.PlantInputDensity.standard(sc.class_for_ratio(r))
     return sc.Scenario(sc.Site(baseline_year=2005, horizon=horizon,
                                params=params, mats=mats, density=density,

@@ -17,7 +17,7 @@ from socchange.climate import ReferenceState
 from socchange.sensitivity import AveragedModel, build_averaged_model
 
 from conftest import (alta_murgia_available, alta_murgia_scenario,
-                      make_scenario, needs_alta_murgia)
+                      make_scenario, needs_alta_murgia, with_year)
 from kernel_oracles import (nonstandard_step, nonstandard_step_incremental,
                             phi_matrix, transition_matrix)
 
@@ -159,17 +159,20 @@ def test_criterion_4_sensitivity_correctness():
               for p in ("temp1", "np1", "r")}
 
     fd = {}
-    fd["temp1"] = (dsoc_end(avg.with_temp(1, avg.temps[0] + h), 0.67,
-                            scen.params, 1)
-                   - dsoc_end(avg.with_temp(1, avg.temps[0] - h), 0.67,
-                              scen.params, 1)) / (2 * h)
-    fd["np1"] = (dsoc_end(avg.with_np(1, avg.np_ratio(1) + h), 0.67,
-                          scen.params, 1)
-                 - dsoc_end(avg.with_np(1, avg.np_ratio(1) - h), 0.67,
-                            scen.params, 1)) / (2 * h)
-    fd["r"] = (dsoc_end(avg, 0.67 + h, scen.params.with_ratio(0.67 + h), 1)
-               - dsoc_end(avg, 0.67 - h, scen.params.with_ratio(0.67 - h),
-                          1)) / (2 * h)
+    p = scen.params
+    fd["temp1"] = (dsoc_end(with_year(avg, "temps", 1, avg.temps[0] + h),
+                            0.67, p, 1)
+                   - dsoc_end(with_year(avg, "temps", 1, avg.temps[0] - h),
+                              0.67, p, 1)) / (2 * h)
+    fd["np1"] = (dsoc_end(with_year(avg, "np_ratios", 1, avg.np_ratio(1) + h),
+                          0.67, p, 1)
+                 - dsoc_end(with_year(avg, "np_ratios", 1,
+                                      avg.np_ratio(1) - h), 0.67, p, 1)
+                 ) / (2 * h)
+    fd["r"] = (dsoc_end(avg, 0.67 + h, sc.SoilParams.for_site(
+                   p.cly, p.d, 0.67 + h, eta=p.eta, T=p.T), 1)
+               - dsoc_end(avg, 0.67 - h, sc.SoilParams.for_site(
+                   p.cly, p.d, 0.67 - h, eta=p.eta, T=p.T), 1)) / (2 * h)
 
     for param in ("temp1", "np1"):
         got = float(series[param].s_dsoc[-1])

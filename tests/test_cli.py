@@ -245,6 +245,51 @@ class TestSimulateCommand:
         assert "delta mode only" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_controlled_policy_on_the_discrete_step_writes_nothing(
+            self, tmp_path, capsys):
+        # the controlled loop takes the non-standard step only
+        config = _demo_with_key(tmp_path, "fym_mode", "controlled")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--scheme", "rothc_discrete",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and (
+            "nonstandard scheme in delta mode only, got rothc_discrete in "
+            "delta mode") in err, err
+        assert not out.exists()
+
+
+class TestZeroRatio:
+    """r = 0 runs under either cover mode, and for every sensitivity but
+    the one to r, whose derivative needs r > 0."""
+
+    @pytest.fixture
+    def forest(self, tmp_path):
+        config = _demo_with_key(tmp_path, "dpm_rpm_ratio", "0")
+        config.write_text(config.read_text().replace("land_class = arable",
+                                                     "land_class = forest"))
+        return config
+
+    @pytest.mark.parametrize("cover_mode", ["timed", "smooth"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["control", "--epsilon", "0,0.5"],
+        ["sensitivity", "--param", "np1"], ["sensitivity", "--param", "temp1"],
+    ], ids=["simulate", "control", "np1", "temp1"])
+    def test_runs(self, forest, tmp_path, command, cover_mode):
+        forest.write_text(forest.read_text() + f"cover_mode = {cover_mode}\n")
+        out = tmp_path / "out"
+        assert main([command[0], str(forest), *command[1:],
+                     "--out", str(out)]) == 0
+        assert _written_values_finite(out)
+
+    def test_sensitivity_to_r_exits_one(self, forest, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sensitivity", str(forest), "--param", "r",
+                     "--out", str(out)]) == 1
+        assert "DPM/RPM ratio must be positive, got 0.0" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
@@ -402,6 +447,19 @@ class TestSensitivityCommand:
 
 
 class TestControlCommand:
+    @pytest.mark.parametrize("epsilon", ["0.5,1", "1"])
+    def test_discrete_scheme_writes_nothing(self, tmp_path, capsys, epsilon):
+        # one sweep must not run the controlled epsilon values on the
+        # non-standard step and epsilon = 1 on the discrete one
+        config = _demo_with_key(tmp_path, "scheme", "rothc_discrete")
+        out = tmp_path / "out"
+        assert main(["control", str(config), "--epsilon", epsilon,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and (
+            "nonstandard scheme only, got rothc_discrete") in err, err
+        assert not out.exists()
+
     def test_epsilon_zero_maintenance(self, tmp_path):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
                                        plant_input_tc_ha_yr=0.5)

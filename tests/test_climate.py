@@ -234,8 +234,15 @@ class TestCoverModifiers:
         vals = [sc.rate_modifier_cover_smooth(r, 4.0) for r in grid]
         assert np.all(np.diff(vals) >= 0)
 
-    def test_smooth_rejects_nonpositive_ratio(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("r", [-1e-300, -1.0, float("nan")])
+    def test_smooth_rejects_negative_ratio_and_nan(self, r):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            sc.rate_modifier_cover_smooth(r, 4.0)
+
+    def test_smooth_at_zero_ratio_is_its_limit(self):
+        # r = 0 (forest) takes the r -> 0+ limit, the vegetated factor
+        assert sc.rate_modifier_cover_smooth(0.0, 4.0) == 0.6
+        assert sc.rate_modifier_cover_smooth(1e-300, 4.0) == \
             sc.rate_modifier_cover_smooth(0.0, 4.0)
 
     def test_kc_range(self):

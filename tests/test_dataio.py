@@ -17,6 +17,11 @@ from conftest import (make_scenario, synthetic_climate, write_climate_csv,
 DATA = Path(__file__).parent / "data"
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
+# the required config keys, in declaration order
+CONFIG_KEYS = ["clay_pct = 50", "depth_cm = 23", "baseline_year = 2005",
+               "horizon_years = 14", "dpm_rpm_ratio = 1.44",
+               "climate_csv = climate.csv", "npp_csv = npp.csv"]
+
 
 @pytest.fixture
 def row_parser():
@@ -454,6 +459,49 @@ class TestConfig:
             fh.write("clay_pct = 30\n")
         with pytest.raises(ConfigError, match="duplicate"):
             sc.load_config(config_path)
+
+    def test_every_key_kind_has_a_parser(self):
+        # a ScenarioConfig field of a new type needs a parser to be a key
+        assert set(dataio._KEY_KINDS.values()) == set(dataio._PARSERS)
+
+    @pytest.mark.parametrize("lines, message", [
+        (CONFIG_KEYS + ["eta = half"],
+         "{path}: key 'eta': non-numeric value 'half'"),
+        (CONFIG_KEYS[:3] + ["horizon_years = 14.0"] + CONFIG_KEYS[4:],
+         "{path}: key 'horizon_years': non-integer value '14.0'"),
+        (CONFIG_KEYS + ["fym_monthly_tc_ha = 0.1,0.2,x"],
+         "{path}: key 'fym_monthly_tc_ha': expected 12 comma-separated "
+         "numbers"),
+        (CONFIG_KEYS + ["latitude_deg = nan"],
+         "{path}: key 'latitude_deg': non-finite value 'nan'"),
+        (CONFIG_KEYS + ["fym_monthly_tc_ha = 0.1,inf"],
+         "{path}: key 'fym_monthly_tc_ha': non-finite value '0.1,inf'"),
+        (CONFIG_KEYS + ["epsilon = 0.5"], "{path}: unknown key 'epsilon'"),
+        (CONFIG_KEYS + ["base_dir = /"], "{path}: unknown key 'base_dir'"),
+        # a bad value before an unknown key is named first
+        (CONFIG_KEYS + ["eta = ?", "epsilon = 0.5"],
+         "{path}: key 'eta': non-numeric value '?'"),
+        (["clay_pct = 50", "climate_csv = climate.csv"],
+         "{path}: missing required keys: depth_cm, baseline_year, "
+         "horizon_years, dpm_rpm_ratio, npp_csv"),
+        # missing keys are named before any bad value
+        (["# nothing set", "eta = half"],
+         "{path}: missing required keys: clay_pct, depth_cm, baseline_year, "
+         "horizon_years, dpm_rpm_ratio, climate_csv, npp_csv"),
+        (CONFIG_KEYS[:2] + ["", "depth"] + CONFIG_KEYS[2:],
+         "{path}: line 4: expected key = value"),
+        (CONFIG_KEYS + ["clay_pct=30"], "{path}: line 8: duplicate key "
+         "'clay_pct'"),
+        (None, "cannot read config {path}: [Errno 2] No such file or "
+         "directory: '{path}'"),
+    ])
+    def test_load_config_messages(self, tmp_path, lines, message):
+        path = tmp_path / "scenario.cfg"
+        if lines is not None:
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as info:
+            sc.load_config(path)
+        assert str(info.value) == message.format(path=path)
 
     def test_both_baseline_forms_rejected(self, tmp_path):
         config_path = write_scenario_inputs(tmp_path,

@@ -82,7 +82,6 @@ class TestBuildMatrices:
         np.testing.assert_array_equal(mats.Lambda[1], np.zeros(4))
         np.testing.assert_array_equal(mats.Lambda[2], np.full(4, params.alpha))
         np.testing.assert_array_equal(mats.Lambda[3], np.full(4, params.beta))
-        np.testing.assert_array_equal(mats.D, np.diag(params.k))
 
     def test_column_sums(self, mats50):
         params, mats = mats50
@@ -92,10 +91,12 @@ class TestBuildMatrices:
     def test_atilde_two_routes_agree(self, mats50):
         _, mats = mats50
         via_inverse = mats.A @ np.linalg.inv(np.eye(4) - mats.Lambda)
-        via_similarity = -(mats.i_minus_lambda @ mats.D @ mats.i_minus_lambda_inv)
+        via_similarity = -(mats.i_minus_lambda @ np.diag(mats.k)
+                           @ mats.i_minus_lambda_inv)
         scale = np.max(np.abs(via_inverse))
         assert np.max(np.abs(via_inverse - via_similarity)) / scale < 1e-12
-        np.testing.assert_allclose(mats.Atilde, via_inverse, rtol=1e-12)
+        np.testing.assert_allclose(mats.A @ mats.i_minus_lambda_inv,
+                                   via_inverse, rtol=1e-12)
 
     def test_input_directions_normalized(self, mats50):
         _, mats = mats50
@@ -131,7 +132,8 @@ class TestSoilParams:
     def test_gamma_derived_from_ratio(self):
         params = sc.SoilParams.for_site(50.0, 23.0, 1.44)
         assert params.gamma == pytest.approx(1.44 / 2.44, rel=1e-15)
-        rebuilt = params.with_ratio(0.25)
+        rebuilt = sc.SoilParams.for_site(params.cly, params.d, 0.25,
+                                         eta=params.eta, T=params.T)
         assert rebuilt.gamma == pytest.approx(0.2, rel=1e-15)
         assert params.gamma == pytest.approx(1.44 / 2.44, rel=1e-15)
 

@@ -13,7 +13,7 @@ from socchange.errors import ConfigError
 from socchange.sensitivity import (MAX_RECORDED_SAMPLES, MIN_SENSITIVITY_DT,
                                    _grids, build_averaged_model)
 
-from conftest import make_scenario
+from conftest import make_scenario, with_year
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +31,20 @@ class TestAveragedModel:
         for n in (1, 5, 11):
             values = []
             for r in (0.25, 0.67, 1.44):
-                values.append((avg.np_ratio(n)
-                               - avg.rho_n(n, r) / avg.rho0(r)) / avg.T)
+                values.append((avg.np_ratio(n) - avg.rho_n(n, r)
+                               / avg.reference.rho0(r)) / avg.T)
             np.testing.assert_allclose(values, sc.theta(n, avg), atol=1e-12)
 
     def test_theta_zero_when_balanced(self, avg):
         n = 2
-        balanced = avg.with_np(n, avg.climate_factor(n) / avg.reference.kb0)
+        balanced = with_year(avg, "np_ratios", n,
+                             avg.climate_factor(n) / avg.reference.kb0)
         assert sc.theta(n, balanced) == pytest.approx(0.0, abs=1e-15)
 
     def test_missing_year_rejected(self, avg):
         # year 0 must not wrap round to the last year
         calls = (lambda n: sc.theta(n, avg), lambda n: avg.rho_n(n, 0.67),
-                 avg.climate_factor, avg.np_ratio,
-                 lambda n: avg.with_temp(n, 15.0),
-                 lambda n: avg.with_np(n, 1.0))
+                 avg.climate_factor, avg.np_ratio)
         for call in calls:
             for n in (0, avg.horizon + 1, np.array([1, 0])):
                 with pytest.raises(ConfigError, match="outside"):
@@ -61,7 +60,8 @@ class TestAveragedDeltaSolve:
     def test_zero_imbalance_stays_zero(self, avg, scen):
         flat = avg
         for n in range(1, avg.horizon + 1):
-            flat = flat.with_np(n, flat.climate_factor(n) / flat.reference.kb0)
+            flat = with_year(flat, "np_ratios", n,
+                             flat.climate_factor(n) / flat.reference.kb0)
         _, states = sc.averaged_delta_solve(flat, 0.67, scen.mats, dt=0.05)
         assert np.max(np.abs(states)) < 1e-14
 
@@ -116,8 +116,8 @@ class TestModifierDerivatives:
         got = sc.drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0], ref.site,
                             r, ref.n_bare)
         assert got > 0
-        up = avg.with_temp(1, avg.temps[0] + h).rho_n(1, r)
-        down = avg.with_temp(1, avg.temps[0] - h).rho_n(1, r)
+        up = with_year(avg, "temps", 1, avg.temps[0] + h).rho_n(1, r)
+        down = with_year(avg, "temps", 1, avg.temps[0] - h).rho_n(1, r)
         fd = (up - down) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-5)
 
@@ -289,30 +289,37 @@ class TestSensitivitySeries:
     def test_temp1_finite_difference_validation(self, scen, avg):
         h, dt = 1e-4, 0.01
         series = sc.sensitivity("temp1", scen, dt=dt)
-        up = _solve_dsoc_end(avg.with_temp(1, avg.temps[0] + h), 0.67,
-                             scen.params, 1, dt)
-        down = _solve_dsoc_end(avg.with_temp(1, avg.temps[0] - h), 0.67,
-                               scen.params, 1, dt)
+        up = _solve_dsoc_end(with_year(avg, "temps", 1, avg.temps[0] + h),
+                             0.67, scen.params, 1, dt)
+        down = _solve_dsoc_end(with_year(avg, "temps", 1, avg.temps[0] - h),
+                               0.67, scen.params, 1, dt)
         fd = (up[-1] - down[-1]) / (2 * h)
         assert series.s_dsoc[-1] == pytest.approx(fd, rel=1e-3)
 
     def test_np1_finite_difference_validation(self, scen, avg):
         h, dt = 1e-4, 0.01
         series = sc.sensitivity("np1", scen, dt=dt)
-        up = _solve_dsoc_end(avg.with_np(1, avg.np_ratio(1) + h), 0.67,
-                             scen.params, 1, dt)
-        down = _solve_dsoc_end(avg.with_np(1, avg.np_ratio(1) - h), 0.67,
-                               scen.params, 1, dt)
+        up = _solve_dsoc_end(
+            with_year(avg, "np_ratios", 1, avg.np_ratio(1) + h), 0.67,
+            scen.params, 1, dt)
+        down = _solve_dsoc_end(
+            with_year(avg, "np_ratios", 1, avg.np_ratio(1) - h), 0.67,
+            scen.params, 1, dt)
         fd = (up[-1] - down[-1]) / (2 * h)
         assert series.s_dsoc[-1] == pytest.approx(fd, rel=1e-3)
 
     def test_r_finite_difference_validation_across_years(self, scen, avg):
         h, dt = 1e-4, 0.01
         series = sc.sensitivity("r", scen, dt=dt)
-        up = _solve_dsoc_end(avg, 0.67 + h, scen.params.with_ratio(0.67 + h),
-                             scen.site.horizon, dt)
-        down = _solve_dsoc_end(avg, 0.67 - h, scen.params.with_ratio(0.67 - h),
-                               scen.site.horizon, dt)
+        p = scen.params
+        up = _solve_dsoc_end(
+            avg, 0.67 + h, sc.SoilParams.for_site(p.cly, p.d, 0.67 + h,
+                                                  eta=p.eta, T=p.T),
+            scen.site.horizon, dt)
+        down = _solve_dsoc_end(
+            avg, 0.67 - h, sc.SoilParams.for_site(p.cly, p.d, 0.67 - h,
+                                                  eta=p.eta, T=p.T),
+            scen.site.horizon, dt)
         for n in (1, 3, scen.site.horizon):
             idx = _end_of_year_index(series, n)
             fd = (up[12 * n] - down[12 * n]) / (2 * h)

@@ -63,12 +63,13 @@ class TestPhiMatrix:
     def test_matches_series_oracle(self, mats):
         for dt, rho in [(1.0, 0.55), (0.7, 1.2), (2.0, 0.3)]:
             phi = phi_matrix(dt, rho, mats)
-            series = _phi_series(dt * rho * mats.Atilde)
+            series = _phi_series(dt * rho * mats.A @ mats.i_minus_lambda_inv)
             assert np.max(np.abs(phi - series)) < 1e-12
 
     def test_commutes_with_atilde(self, mats):
         phi = phi_matrix(1.0, 0.6, mats)
-        comm = phi @ mats.Atilde - mats.Atilde @ phi
+        atilde = mats.A @ mats.i_minus_lambda_inv
+        comm = phi @ atilde - atilde @ phi
         assert np.max(np.abs(comm)) < 1e-12
 
 
