@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .climate import ClimateSeries, ReferenceState, rho_monthly
+from .climate import ClimateSeries, ReferenceState
 from .equilibrium import BaselineState
 from .errors import ConfigError, DataError
 from .pools import CompartmentMatrices, SoilParams
@@ -46,7 +46,7 @@ ARABLE_COVER_SCHEDULE = np.array([0.6, 0.6, 0.6, 0.6, 0.6, 0.6,
 
 def class_for_ratio(r: float) -> str:
     """Land-use class implied by the DPM/RPM ratio."""
-    if r < 0:
+    if not r >= 0:   # negative or NaN
         raise ConfigError(f"DPM/RPM ratio must be >= 0, got {r}")
     if r < 0.5:
         return "forest"
@@ -76,27 +76,13 @@ class PlantInputDensity:
                 f"{self.land_class} proportions sum to {p.sum():.12f}, not 1")
         if self.land_class not in LAND_CLASSES:
             raise ConfigError(f"unknown land class {self.land_class!r}")
+        object.__setattr__(self, "proportions", p)
 
     @classmethod
     def standard(cls, land_class: str) -> "PlantInputDensity":
         if land_class not in PLANT_INPUT_DISTRIBUTION:
             raise ConfigError(f"unknown land class {land_class!r}")
         return cls(PLANT_INPUT_DISTRIBUTION[land_class].copy(), land_class)
-
-    def proportion(self, month):
-        """Share of the annual input in each month, elementwise over ``month``."""
-        month = np.asarray(month)
-        outside = (month < 1) | (month > 12)
-        if np.any(outside):
-            raise ConfigError(f"month must be in 1..12, got {month[outside][0]}")
-        return np.asarray(self.proportions, dtype=float)[month - 1]
-
-    def density(self, month, dt_m):
-        """Input density ĝ (month^-1): proportion over the month length.
-
-        Elementwise over (month, dt_m).
-        """
-        return self.proportion(month) / dt_m
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,9 @@ class Site:
     cover_mode: str = "timed"
     cover_schedule: Array = field(default_factory=lambda: ARABLE_COVER_SCHEDULE.copy())
     # N_P^(n) by delta year n = 0..horizon, from np_ratios
-    _np_by_year: Array = field(init=False, repr=False, compare=False)
+    np_by_year: Array = field(init=False, repr=False, compare=False)
+    # the climate rows of delta years 1..horizon: the run's months, in order
+    climate_rows: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -157,11 +145,15 @@ class Site:
                 raise DataError(
                     f"NPP ratio for {year} must be positive and finite, "
                     f"got {self.np_ratios[year]}")
-        object.__setattr__(self, "_np_by_year", np.array(
+        object.__setattr__(self, "np_by_year", np.array(
             [self.np_ratios.get(self.baseline_year + n, 1.0)
              for n in range(self.horizon + 1)], dtype=float))
-        self.climate.index(self.baseline_year)
+        # a series is whole consecutive years, so checking both ends of the
+        # horizon covers every row between them
+        first = int(self.climate.index(self.baseline_year)) + 1
         self.climate.index(self.baseline_year + self.horizon)
+        object.__setattr__(self, "climate_rows",
+                           slice(first, first + self.horizon))
 
     @cached_property
     def month_operators(self):
@@ -187,33 +179,6 @@ class Site:
         """The run-metadata keys that describe the site."""
         return {"cover_mode": self.cover_mode, "dpm_rpm_ratio": self.r,
                 "baseline_year": self.baseline_year, "horizon": self.horizon}
-
-    def np_ratio(self, n):
-        """N_P^(n), elementwise over delta years n in 0..horizon; 1 at n = 0."""
-        n = np.asarray(n)
-        outside = (n < 0) | (n > self.horizon)
-        if outside.any():
-            raise ConfigError(f"delta year {n[outside][0]} outside "
-                              f"0..{self.horizon}")
-        return self._np_by_year[n]
-
-    def dt_at(self, n, month):
-        """Month length in model months, T times the month's share of the
-        days of calendar year baseline+n; elementwise over (n, month)."""
-        i = self.climate.index(self.baseline_year + np.asarray(n))
-        days = self.climate.month_days
-        return self.params.T * days[i, np.asarray(month) - 1] / days[i].sum(axis=-1)
-
-    def rho_at(self, n, month):
-        """Monthly rate modifier for delta year n (year baseline+n).
-
-        Elementwise over (n, month).
-        """
-        i = self.climate.index(self.baseline_year + np.asarray(n))
-        m = np.asarray(month) - 1
-        return rho_monthly(self.climate.temp[i, m], self.climate.acc[i, m],
-                           month, self.r, self.reference, self.cover_mode,
-                           self.cover_schedule)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def default_rate_constants(T: float = 12.0) -> Array:
 
 def plant_split(r: float) -> float:
     """Fraction of plant input routed to DPM for a DPM/RPM ratio r."""
-    if r < 0:
+    if not r >= 0:   # negative or NaN
         raise ConfigError(f"DPM/RPM ratio must be >= 0, got {r}")
     return r / (r + 1.0)
 

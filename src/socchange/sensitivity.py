@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
-                      annual_averages, rate_modifier_cover_smooth,
-                      rate_modifier_moisture, rate_modifier_temperature)
+                      rate_modifier_cover_smooth, rate_modifier_moisture,
+                      rate_modifier_temperature)
 from .dynamics import Scenario
 from .errors import ConfigError, NumericsError
 from .pools import DPM_RPM_SHIFT, CompartmentMatrices
@@ -80,9 +80,10 @@ class AveragedModel:
 
 def build_averaged_model(scenario: Scenario) -> AveragedModel:
     site = scenario.site
-    years = np.arange(1, site.horizon + 1)
-    temps, accs = annual_averages(site.climate, site.baseline_year + years)
-    return AveragedModel(temps=temps, accs=accs, np_ratios=site.np_ratio(years),
+    climate, rows = site.climate, site.climate_rows
+    return AveragedModel(temps=climate.temp[rows].mean(axis=-1),
+                         accs=climate.acc[rows].mean(axis=-1),
+                         np_ratios=site.np_by_year[1:].copy(),
                          reference=site.reference, T=site.params.T)
 
 

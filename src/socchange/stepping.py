@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .climate import rho_monthly
 from .dynamics import Scenario, Site
 from .errors import ConfigError
 from .pools import CompartmentMatrices
@@ -110,16 +111,19 @@ class TimeGrid:
 
 
 def build_time_grid(site: Site) -> TimeGrid:
+    """The site's monthly grid: a month of delta year n lasts T times its
+    share of the days of calendar year baseline+n."""
     T = site.params.T
     nyears = site.horizon
-    years = np.repeat(np.arange(1, nyears + 1), 12)
-    months = np.tile(np.arange(1, 13), nyears)
-    dts = site.dt_at(years, months)
+    days = site.climate.month_days[site.climate_rows]
+    dts = T * days / days.sum(axis=-1, keepdims=True)
     # absolute time in months since t0: delta year n starts at n*T exactly,
     # and each year's row [n T, dt_1, ..., dt_12] is summed in order
-    rows = np.column_stack((T * np.arange(1, nyears + 1), dts.reshape(nyears, 12)))
-    t_end = np.cumsum(rows, axis=1)[:, 1:].ravel()
-    return TimeGrid(year_index=years, month=months, dt=dts, t_end=t_end)
+    steps = np.column_stack((T * np.arange(1, nyears + 1), dts))
+    t_end = np.cumsum(steps, axis=1)[:, 1:].ravel()
+    return TimeGrid(year_index=np.repeat(np.arange(1, nyears + 1), 12),
+                    month=np.tile(np.arange(1, 13), nyears), dt=dts.ravel(),
+                    t_end=t_end)
 
 
 @dataclass
@@ -158,14 +162,17 @@ def _month_operators(site: Site):
     run reads.
     """
     grid = build_time_grid(site)   # the module global: tracers patch it
-    n, m = grid.year_index, grid.month
-    rhos = site.rho_at(n, m)
+    climate, rows = site.climate, site.climate_rows
+    rhos = rho_monthly(climate.temp[rows].ravel(), climate.acc[rows].ravel(),
+                       grid.month, site.r, site.reference, site.cover_mode,
+                       site.cover_schedule)
     mats = site.mats
     eks, fmats, phivs = _step_factors(grid.dt * rhos, mats)
     dt_phivs = grid.dt[:, None] * phivs
     operators = (rhos, eks, fmats,
                  *(_phi_times(dt_phivs, mats, a) for a in (mats.a_g, mats.a_f)),
-                 site.np_ratio(n) * site.density.density(m, grid.dt),
+                 site.np_by_year[grid.year_index]
+                 * (site.density.proportions[grid.month - 1] / grid.dt),
                  rhos / (site.params.T * site.baseline.rho0))
     for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
                   *operators):

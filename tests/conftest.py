@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -61,6 +62,41 @@ def with_year(avg, name: str, n: int, value: float):
     values = getattr(avg, name).copy()
     values[n - 1] = value
     return dataclasses.replace(avg, **{name: values})
+
+
+class HandMonths(NamedTuple):
+    """Per month of a site's horizon, in run order."""
+
+    n: np.ndarray        # delta year
+    month: np.ndarray    # 1..12
+    dt: np.ndarray       # months
+    rho: np.ndarray      # left-endpoint rate modifier
+    supply: np.ndarray   # N_P ĝ
+    q: np.ndarray        # ρ/(T ρ0)
+
+
+def hand_months(site) -> HandMonths:
+    """The site's months one at a time from its raw inputs: the NPP ratio
+    of calendar year baseline+n, that year's climate-table row, the density's
+    proportions and scalar ``rho_monthly``. An oracle for the month record
+    that shares none of its code."""
+    T, climate = site.params.T, site.climate
+    months = []
+    for n in range(1, site.horizon + 1):
+        year = site.baseline_year + n
+        i = year - climate.start_year
+        days = climate.month_days[i]
+        for m in range(1, 13):
+            dt = T * days[m - 1] / days.sum()
+            rho = sc.rho_monthly(climate.temp[i, m - 1], climate.acc[i, m - 1],
+                                 m, site.r, site.reference, site.cover_mode,
+                                 site.cover_schedule)
+            supply = site.np_ratios[year] * (site.density.proportions[m - 1]
+                                             / dt)
+            months.append((n, m, dt, rho, supply))
+    n, month, dt, rho, supply = (np.array(v) for v in zip(*months))
+    return HandMonths(n, month, dt, rho, supply,
+                      rho / (T * site.baseline.rho0))
 
 
 def constant_climate(start_year: int, nyears: int, site,

@@ -211,7 +211,7 @@ def test_criterion_5_paper_value_reproduction():
     temp1, _ = sc.annual_averages(scen.site.climate, 2006)
     if round(temp1, 2) != 14.27:
         failures.append(f"Temp1 {temp1:.4f} != 14.27")
-    np1 = scen.site.np_ratio(1)
+    np1 = scen.site.np_by_year[1]
     if abs(np1 - 1.08) > 0.005 * 1.08:
         failures.append(f"NPP ratio {np1:.4f} not within 0.5% of 1.08")
     avg = build_averaged_model(scen)

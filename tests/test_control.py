@@ -8,9 +8,8 @@ import pytest
 import socchange as sc
 from socchange import _kernels, control, stepping
 from socchange.errors import ConfigError, NumericsError
-from socchange.stepping import build_time_grid
 
-from conftest import below_floor, make_scenario
+from conftest import below_floor, hand_months, make_scenario
 from kernel_oracles import maintenance_rate
 
 T = 12.0
@@ -135,17 +134,13 @@ class TestSimulateControlled:
         scen = declining_scenario
         traj, schedule = controlled_runs[0.2]
         eps = 0.2
-        grid = build_time_grid(scen.site)
+        hand = hand_months(scen.site)
         mats = scen.mats
         params = scen.params
         for j in (0, 7, 50, 120):
             c = traj.states[j]
-            n, m = int(grid.year_index[j]), int(grid.month[j])
-            dt = grid.dt[j]
-            rho = scen.site.rho_at(n, m)
-            q = rho / (T * scen.baseline.rho0)
-            g_term = eps * (scen.site.np_ratio(n)
-                            * scen.site.density.proportion(m) / dt - q)
+            dt, rho, q = hand.dt[j], hand.rho[j], hand.q[j]
+            g_term = eps * (hand.supply[j] - q)
             phiv = sc.phi1_scalar(-dt * rho * params.k)
             w = params.delta * phiv + (params.alpha * phiv[2]
                                        + params.beta * phiv[3])
@@ -163,12 +158,13 @@ class TestSimulateControlled:
         rng = np.random.default_rng(3)
         dc = rng.standard_normal(4) * 0.05
         rho, eps, n, m = 0.6, 0.3, 1, 7
-        ghat_prop = scen.site.density.proportion(m)
+        ghat_prop = scen.site.density.proportions[m - 1]
+        np_ratio = scen.site.np_ratios[scen.site.baseline_year + n]
         gaps = []
         for dt in (1.0, 0.1, 0.01, 0.001):
             ghat = ghat_prop / 1.0   # density per month, dt-independent here
             q = rho / (T * scen.baseline.rho0)
-            g_term = eps * (scen.site.np_ratio(n) * ghat - q)
+            g_term = eps * (np_ratio * ghat - q)
             phiv = sc.phi1_scalar(-dt * rho * params.k)
             w = params.delta * phiv + (params.alpha * phiv[2]
                                        + params.beta * phiv[3])
@@ -176,7 +172,7 @@ class TestSimulateControlled:
                 (1 - np.exp(-dt * rho * params.k)) @ dc)
             discrete = q + (decay - g_term * float(w @ mats.a_g)) \
                 / ((1 - eps) * float(w @ mats.a_f))
-            continuous = maintenance_rate(dc, rho, ghat, scen.site.np_ratio(n),
+            continuous = maintenance_rate(dc, rho, ghat, np_ratio,
                                           eps, T, scen.baseline.rho0,
                                           params.delta, params.k)
             gaps.append(abs(discrete - continuous))
@@ -197,8 +193,8 @@ class TestSimulateControlled:
         # wherever manure is the only input and both runs apply manure, a
         # larger plant share needs a (pointwise) larger modifying factor
         scen = declining_scenario
-        props = np.array([scen.site.density.proportion(int(m))
-                          for m in controlled_runs[0.0][1].month])
+        months = controlled_runs[0.0][1].month
+        props = scen.site.density.proportions[months - 1]
         for lo, hi in zip(EPS_SWEEP[:-1], EPS_SWEEP[1:]):
             a = controlled_runs[lo][1].f0
             b = controlled_runs[hi][1].f0

@@ -1,5 +1,6 @@
 """Loaders, config parsing, and deterministic writers."""
 
+import dataclasses
 import re
 from pathlib import Path
 from unittest import mock
@@ -345,8 +346,8 @@ class TestLoadNpp:
 class TestLoadDensityTable:
     def test_shipped_table(self):
         densities, covers = sc.load_density_table(DATA / "density_table1.csv")
-        assert densities["arable"].proportion(7) == 0.5
-        assert densities["grassland"].proportion(1) == 0.05
+        assert densities["arable"].proportions[6] == 0.5
+        assert densities["grassland"].proportions[0] == 0.05
         assert covers["arable"][7] == 1.0
         assert covers["arable"][6] == 0.6
         for cls in ("forest", "grassland", "arable"):
@@ -365,7 +366,7 @@ class TestLoadDensityTable:
         reordered = [lines[0]] + lines[1:][::-1]
         (tmp_path / "rev.csv").write_text("\n".join(reordered) + "\n")
         densities, _ = sc.load_density_table(tmp_path / "rev.csv")
-        assert densities["arable"].proportion(7) == 0.5
+        assert densities["arable"].proportions[6] == 0.5
 
     def test_missing_month_rejected(self, tmp_path):
         lines = (DATA / "density_table1.csv").read_text().splitlines()
@@ -420,7 +421,7 @@ class TestConfig:
         config_path = write_scenario_inputs(
             tmp_path, density_csv=str(DATA / "density_table1.csv"))
         scenario = sc.build_scenario(sc.load_config(config_path))
-        assert scenario.site.density.proportion(7) == 0.5
+        assert scenario.site.density.proportions[6] == 0.5
 
     def test_fixed_manure_config_runs(self, tmp_path):
         monthly = ",".join(["0.02"] * 12)
@@ -529,6 +530,30 @@ class TestWriters:
         sc.write_trajectory(tmp_path / "b.csv", sc.simulate(scen_b))
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+        # a warm rerun of a config, another site built and run in between:
+        # the plain runs of both schemes and the controlled loop at every
+        # share give the same bytes
+        configs = {}
+        for name, r in (("controlled", 1.44), ("other", 0.67)):
+            (tmp_path / name).mkdir()
+            configs[name] = write_scenario_inputs(
+                tmp_path / name, r=r, fym_baseline_tc_ha_yr=0.5,
+                fym_mode="controlled")
+
+        def run(config):
+            scen = sc.build_scenario(sc.load_config(config))
+            plain = dataclasses.replace(scen, fym=sc.FymPolicy())
+            out = [sc.simulate(plain, scheme=scheme, mode=mode).states
+                   for scheme, mode in (("nonstandard", "delta"),
+                                        ("rothc_discrete", "absolute"))]
+            for eps in (0.0, 0.2, 0.5, 0.8):
+                traj, schedule = sc.simulate_controlled(scen, eps)
+                out += [traj.states, schedule.f0]
+            return [array.tobytes() for array in out]
+
+        first = run(configs["controlled"])
+        run(configs["other"])
+        assert run(configs["controlled"]) == first
 
     def test_empty_trajectory_header_only(self, tmp_path):
         empty = sc.Trajectory(t=np.empty(0), year=np.empty(0, dtype=int),

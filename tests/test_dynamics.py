@@ -10,25 +10,26 @@ import socchange as sc
 from socchange.errors import ConfigError, DataError
 from socchange.stepping import _monthly_forcing, build_time_grid
 
-from conftest import constant_climate, make_scenario
+from conftest import constant_climate, hand_months, make_scenario
 
 
 class TestPlantDensity:
     def test_arable_july_half(self):
-        assert sc.PlantInputDensity.standard("arable").proportion(7) == 0.5
+        assert sc.PlantInputDensity.standard("arable").proportions[6] == 0.5
 
     def test_grassland_january(self):
-        assert sc.PlantInputDensity.standard("grassland").proportion(1) == 0.05
+        density = sc.PlantInputDensity.standard("grassland")
+        assert density.proportions[0] == 0.05
 
     @pytest.mark.parametrize("land_class", ["forest", "grassland", "arable"])
     def test_normalization(self, land_class):
         density = sc.PlantInputDensity.standard(land_class)
-        total = sum(density.proportion(m) for m in range(1, 13))
+        total = sum(density.proportions)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
-            sc.PlantInputDensity.standard("wetland").proportion(1)
+            sc.PlantInputDensity.standard("wetland")
 
     def test_bad_sum_rejected(self):
         props = np.full(12, 1.0 / 12.0)
@@ -44,16 +45,14 @@ class TestPlantDensity:
 
     def test_annual_integral_of_density_is_one(self, arable_scenario):
         # step-function density p_m / dt_m integrates to exactly 1 per year
-        grid = build_time_grid(arable_scenario.site)
+        site = arable_scenario.site
+        grid, *_, supply, _ = site.month_operators
         year = grid.year_index == 1
-        dts = grid.dt[year]
-        months = grid.month[year]
-        total = sum(arable_scenario.site.density.density(int(m), dt) * dt
-                    for m, dt in zip(months, dts))
+        total = (supply[year] * grid.dt[year]).sum() / site.np_by_year[1]
         assert total == pytest.approx(1.0, rel=1e-14)
 
     def test_periodic_across_years(self, arable_scenario):
-        assert arable_scenario.site.density.proportion(7) == 0.5
+        assert arable_scenario.site.density.proportions[6] == 0.5
         # same proportion consumed for month 7 of every delta year
         grid = build_time_grid(arable_scenario.site)
         july = grid.month == 7
@@ -69,22 +68,17 @@ class TestClassForRatio:
     def test_bands(self, r, expected):
         assert sc.class_for_ratio(r) == expected
 
+    @pytest.mark.parametrize("r", [-0.1, float("nan")])
+    def test_negative_or_nan_ratio_rejected(self, r):
+        # NaN fell through every band to "arable"
+        with pytest.raises(ConfigError,
+                           match=f"DPM/RPM ratio must be >= 0, got {r}"):
+            sc.class_for_ratio(r)
+
 
 def _delta_forcing(scen):
     """The delta equation's forcing b per month over the time grid."""
     return _monthly_forcing(scen, "delta")
-
-
-def _hand_rates(scen):
-    """(grid, N_P ĝ, q) per month, from the scalar per-month primitives."""
-    site = scen.site
-    grid = build_time_grid(site)
-    pairs = list(zip(grid.year_index.tolist(), grid.month.tolist()))
-    supply = [site.np_ratio(n) * site.density.proportion(m) / site.dt_at(n, m)
-              for n, m in pairs]
-    q = [site.rho_at(n, m) / (scen.params.T * scen.baseline.rho0)
-         for n, m in pairs]
-    return grid, np.array(supply), np.array(q)
 
 
 def _fixed(scen, densities):
@@ -103,8 +97,8 @@ class TestDeltaForcingNoFym:
 
     def test_recomposition_from_primitives(self, arable_scenario):
         scen = arable_scenario
-        _, supply, q = _hand_rates(scen)
-        expected = (supply - q)[:, None] * scen.mats.a_g
+        hand = hand_months(scen.site)
+        expected = (hand.supply - hand.q)[:, None] * scen.mats.a_g
         np.testing.assert_allclose(_delta_forcing(scen), expected,
                                    rtol=1e-12, atol=1e-15)
 
@@ -138,9 +132,9 @@ class TestDeltaForcingFym:
         scen = arable_scenario
         eps, f0 = scen.baseline.epsilon, 0.0
         assert eps == 1.0
-        _, supply, q = _hand_rates(scen)
-        manual = (eps * (supply - q)[:, None] * scen.mats.a_g
-                  + (1 - eps) * (f0 - q)[:, None] * scen.mats.a_f)
+        hand = hand_months(scen.site)
+        manual = (eps * (hand.supply - hand.q)[:, None] * scen.mats.a_g
+                  + (1 - eps) * (f0 - hand.q)[:, None] * scen.mats.a_f)
         b = _delta_forcing(scen)
         np.testing.assert_allclose(manual, b, rtol=1e-14, atol=1e-15)
         # an exact zero a_f share leaves HUM, which only a_f feeds, at zero
@@ -151,9 +145,7 @@ class TestDeltaForcingFym:
         climate = constant_climate(2005, 15, site50)
         scen = make_scenario(P0=0.0, F0=1.0, climate=climate, np_trend=0.0,
                              cover_mode="smooth")
-        months = np.arange(1, 13)
-        densities = (scen.baseline.F0 * scen.site.rho_at(1, months)
-                     / (scen.params.T * scen.baseline.rho0))
+        densities = scen.baseline.F0 * hand_months(scen.site).q[:12]
         b = _delta_forcing(_fixed(scen, densities))
         assert np.max(np.abs(b[:12])) < 1e-14
 
@@ -161,10 +153,10 @@ class TestDeltaForcingFym:
         # 1^T of the forcing equals the scalar form of the index dynamics
         scen = manure_scenario
         eps = scen.baseline.epsilon
-        grid, supply, q = _hand_rates(scen)
-        f_value = MANURE_DENSITIES[grid.month - 1]
+        hand = hand_months(scen.site)
+        f_value = MANURE_DENSITIES[hand.month - 1]
         b = _delta_forcing(_fixed(scen, MANURE_DENSITIES))
-        expected = (eps * (supply - q / eps)
+        expected = (eps * (hand.supply - hand.q / eps)
                     + (1 - eps) * f_value / scen.baseline.F0)
         np.testing.assert_allclose(b.sum(axis=1), expected, rtol=1e-12,
                                    atol=1e-15)
@@ -185,18 +177,26 @@ class TestDeltaForcingFym:
 
 
 class TestMonthRecord:
-    """N_P ĝ and q in the site's month record, shared by every policy."""
+    """The site's month record, shared by every policy, against its months
+    worked out one at a time."""
+
+    @staticmethod
+    def _assert_hand_months(site):
+        grid, rhos, *_, supply, q = site.month_operators
+        hand = hand_months(site)
+        for got, want in ((grid.year_index, hand.n), (grid.month, hand.month),
+                          (grid.dt, hand.dt), (rhos, hand.rho),
+                          (supply, hand.supply), (q, hand.q)):
+            np.testing.assert_array_equal(got, want)
+        return supply, q
+
+    def test_smooth_cover_record(self):
+        self._assert_hand_months(
+            make_scenario(r=0.67, cover_mode="smooth").site)
 
     @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
     def test_supply_and_q_are_the_site_formulas(self, r):
-        scen = make_scenario(r=r, F0=0.4)
-        site = scen.site
-        grid, *_, supply, q = site.month_operators
-        n, m = grid.year_index, grid.month
-        np.testing.assert_array_equal(
-            supply, site.np_ratio(n) * site.density.density(m, grid.dt))
-        np.testing.assert_array_equal(
-            q, site.rho_at(n, m) / (site.params.T * site.baseline.rho0))
+        supply, q = self._assert_hand_months(make_scenario(r=r, F0=0.4).site)
         for array in (supply, q):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -303,51 +303,6 @@ class TestScenarioValidation:
         scen = arable_scenario
         assert scen.site.np_ratios[scen.site.baseline_year] == 1.0
         np.testing.assert_array_equal(
-            scen.site.np_ratio([0, 1, 14, 0]),
-            [1.0, scen.site.np_ratios[2006], scen.site.np_ratios[2019], 1.0])
+            scen.site.np_by_year[[0, 1, 14]],
+            [1.0, scen.site.np_ratios[2006], scen.site.np_ratios[2019]])
 
-    @pytest.mark.parametrize("n", [-1, [1, -2], 15, [[0, 1], [15, 2]]])
-    def test_np_ratio_outside_the_horizon_rejected(self, arable_scenario, n):
-        # a negative year would otherwise index from the end
-        with pytest.raises(ConfigError, match=r"outside 0\.\.14"):
-            arable_scenario.site.np_ratio(n)
-
-
-class TestWholeGridCalls:
-    """One call over the whole time grid equals the per-month scalar calls."""
-
-    @staticmethod
-    def _grid(scen):
-        grid = build_time_grid(scen.site)
-        return grid, grid.year_index, grid.month
-
-    def test_rho_density_ratio_and_dt(self, arable_scenario):
-        scen = arable_scenario
-        grid, n, m = self._grid(scen)
-        pairs = list(zip(n.tolist(), m.tolist()))
-        np.testing.assert_array_equal(
-            scen.site.rho_at(n, m), [scen.site.rho_at(k, j) for k, j in pairs])
-        np.testing.assert_array_equal(
-            scen.site.np_ratio(n), [scen.site.np_ratio(k) for k, _ in pairs])
-        np.testing.assert_array_equal(
-            scen.site.dt_at(n, m), [scen.site.dt_at(k, j) for k, j in pairs])
-        np.testing.assert_array_equal(scen.site.dt_at(n, m), grid.dt)
-        np.testing.assert_array_equal(
-            scen.site.density.density(m, grid.dt),
-            [scen.site.density.density(j, dt)
-             for j, dt in zip(m.tolist(), grid.dt)])
-
-    def test_smooth_cover_rho(self):
-        scen = make_scenario(r=0.67, cover_mode="smooth")
-        _, n, m = self._grid(scen)
-        np.testing.assert_array_equal(
-            scen.site.rho_at(n, m),
-            [scen.site.rho_at(k, j) for k, j in zip(n, m)])
-
-    def test_month_outside_year_rejected_in_arrays(self, arable_scenario):
-        with pytest.raises(ConfigError, match="13"):
-            arable_scenario.site.density.proportion(np.array([1, 13]))
-
-    def test_missing_year_named_in_arrays(self, arable_scenario):
-        with pytest.raises(DataError, match="2025"):
-            arable_scenario.site.rho_at(np.array([1, 20]), np.array([1, 1]))

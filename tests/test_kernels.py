@@ -26,11 +26,10 @@ from hypothesis import assume, given, settings, strategies as st
 import socchange as sc
 from socchange import _kernels
 from socchange.pools import DPM_RPM_SHIFT
-from socchange.stepping import (_phi_times, _phi_times_a, _step_factors,
-                                build_time_grid)
+from socchange.stepping import _phi_times, _phi_times_a, _step_factors
 
 import kernel_oracles as oracle
-from conftest import make_scenario
+from conftest import hand_months, make_scenario
 
 TOL = 1e-12
 TOL_LONG = 1e-10
@@ -53,15 +52,12 @@ def _random_setup(seed, nsteps=24):
 
 def _controlled_oracle(scenario, eps):
     """The oracle's feedback law, written from α, β, δ, φ(-τk) and the clamp,
-    on the scenario's months with the scalar operator builders."""
-    grid = build_time_grid(scenario.site)
+    on the scenario's months worked out one at a time."""
+    hand = hand_months(scenario.site)
     mats, params = scenario.mats, scenario.params
-    n, m, dts = grid.year_index, grid.month, grid.dt
-    rhos = scenario.site.rho_at(n, m)
+    dts, rhos, qs = hand.dt, hand.rho, hand.q
     taus = np.outer(dts * rhos, mats.k)
-    qs = rhos / (params.T * scenario.baseline.rho0)
-    epsg = eps * (scenario.site.np_ratio(n)
-                  * scenario.site.density.density(m, dts) - qs)
+    epsg = eps * (hand.supply - qs)
     fmats = np.stack([oracle.transition_matrix(dt, rho, mats)
                       for dt, rho in zip(dts, rhos)])
     phimats = np.stack([dt * oracle.phi_matrix(dt, rho, mats)

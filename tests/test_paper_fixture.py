@@ -27,7 +27,8 @@ class TestSiteValues:
         assert round(temp1, 2) == 14.27
 
     def test_npp_ratio_2006(self, site_scenario):
-        assert site_scenario.site.np_ratio(1) == pytest.approx(1.08, rel=5e-3)
+        np1 = site_scenario.site.np_by_year[1]
+        assert np1 == pytest.approx(1.08, rel=5e-3)
 
     def test_first_year_forcing_imbalance(self, site_scenario):
         avg = build_averaged_model(site_scenario)
@@ -88,8 +89,7 @@ class TestSiteControl:
         for eps in (0.0, 0.2, 0.5, 0.8):
             _, schedule = sc.simulate_controlled(scen, eps)
             schedules[eps] = schedule
-        props = np.array([scen.site.density.proportion(int(m))
-                          for m in schedules[0.0].month])
+        props = scen.site.density.proportions[schedules[0.0].month - 1]
         for lo, hi in ((0.0, 0.2), (0.2, 0.5), (0.5, 0.8)):
             a, b = schedules[lo].f0, schedules[hi].f0
             sel = (a > 0) & (b > 0) & (props == 0.0)

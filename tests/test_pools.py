@@ -145,3 +145,7 @@ class TestSoilParams:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError):
             sc.SoilParams.for_site(50.0, 23.0, -0.1)
+        # NaN passed the sign test to gamma = nan and a_g = [nan, nan, 0, 0]
+        with pytest.raises(ConfigError,
+                           match="DPM/RPM ratio must be >= 0, got nan"):
+            sc.SoilParams.for_site(50.0, 23.0, float("nan"))

@@ -9,7 +9,8 @@ import socchange as sc
 from socchange.errors import ConfigError
 from socchange.stepping import build_time_grid
 
-from conftest import constant_climate, make_scenario, synthetic_climate
+from conftest import (constant_climate, hand_months, make_scenario,
+                      synthetic_climate)
 from kernel_oracles import (nonstandard_step, nonstandard_step_incremental,
                             phi_matrix, rothc_discrete_step,
                             transition_matrix)
@@ -333,16 +334,12 @@ class TestSimulate:
         # at every monthly sample
         scen = arable_scenario
         traj = sc.simulate(scen)
-        grid = build_time_grid(scen.site)
+        hand = hand_months(scen.site)
         ones = np.ones(4)
-        for j in range(grid.nsteps):
-            n = int(grid.year_index[j])
-            m = int(grid.month[j])
-            rho = scen.site.rho_at(n, m)
+        for j in range(hand.n.shape[0]):
+            rho = hand.rho[j]
             # no manure and F0 = 0: the plant term (N_P ĝ - ρ/(T ρ0)) a_g
-            ghat = scen.site.density.proportion(m) / scen.site.dt_at(n, m)
-            b = (scen.site.np_ratio(n) * ghat
-                 - rho / (scen.params.T * scen.baseline.rho0)) * scen.mats.a_g
+            b = (hand.supply[j] - hand.q[j]) * scen.mats.a_g
             dc = traj.states[j]
             lhs = ones @ (rho * (scen.mats.A @ dc) + b)
             rhs = -rho * scen.params.delta * (scen.params.k @ dc) + ones @ b
