@@ -8,9 +8,11 @@ import pytest
 
 import socchange as sc
 from socchange.errors import ConfigError, DataError
+from socchange.sensitivity import build_averaged_model
 from socchange.stepping import _monthly_forcing, build_time_grid
 
-from conftest import constant_climate, hand_months, make_scenario
+from conftest import (constant_climate, hand_months, make_scenario,
+                      synthetic_climate)
 
 
 class TestPlantDensity:
@@ -201,6 +203,42 @@ class TestMonthRecord:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+class TestClimateRows:
+    """A site reads delta years 1..horizon from its climate table, wherever
+    the baseline year sits in it, and no row outside them."""
+
+    @pytest.mark.parametrize("lead, tail", [(0, 0), (3, 0), (0, 4), (2, 5)])
+    def test_rows_are_the_horizon_years(self, site50, lead, tail):
+        climate = synthetic_climate(2005 - lead, lead + 15 + tail, site50,
+                                    seed=3, warming=0.05)
+        scen = make_scenario(climate=climate)
+        site = scen.site
+        assert site.climate_rows == slice(lead + 1, lead + 15)
+        TestMonthRecord._assert_hand_months(site)
+        years = np.arange(2006, 2020)
+        temps, accs = sc.annual_averages(climate, years)
+        avg = build_averaged_model(scen)
+        np.testing.assert_array_equal(avg.temps, temps)
+        np.testing.assert_array_equal(avg.accs, accs)
+        np.testing.assert_array_equal(
+            avg.np_ratios, [site.np_ratios[int(y)] for y in years])
+
+    def test_table_starting_after_the_baseline_year_rejected(
+            self, site50, arable_scenario):
+        later = constant_climate(2006, 20, site50)
+        with pytest.raises(DataError, match="2005"):
+            dataclasses.replace(arable_scenario.site, climate=later)
+
+    def test_baseline_ratio_defaults_to_one(self, arable_scenario):
+        site = arable_scenario.site
+        ratios = {y: v for y, v in site.np_ratios.items()
+                  if y != site.baseline_year}
+        unset = dataclasses.replace(site, np_ratios=ratios)
+        assert unset.np_by_year[0] == 1.0
+        np.testing.assert_array_equal(unset.np_by_year[1:],
+                                      site.np_by_year[1:])
 
 
 class TestDeltaSoc:
