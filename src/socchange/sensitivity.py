@@ -5,7 +5,8 @@ autonomous counterpart (annually averaged temperature and deficit, smooth
 soil-cover factor); the sensitivity to a parameter then solves a second
 linear system sharing the homogeneous matrix, co-integrated on a sub-monthly
 grid with the same non-standard step, φ(τÃ) applied from the per-τ factors
-of ``stepping._step_factors`` as on the monthly paths.
+of ``stepping._step_factors`` as on the monthly paths. The exact first year,
+their independent check, takes φ of the full matrix A from its eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
 from .dynamics import Scenario
 from .errors import ConfigError, NumericsError
 from .pools import DPM_RPM_SHIFT, CompartmentMatrices
-from .stepping import _phi_times, _phi_times_a, _step_factors, phi1_dense
+from .stepping import _phi_times, _phi_times_a, _step_factors, phi1_scalar
 
 Array = np.ndarray
 
@@ -168,16 +169,19 @@ def closed_form_first_year(t: float, averaged: AveragedModel, r: float,
     """Exact first-delta-year solution (t - t0 - T) θ¹ φ((t-t0-T) ρ¹ A) a_g.
 
     t is in months since t0 and must lie in the first delta year; φ acts on
-    the full matrix A (dense scaling-and-squaring, no similarity shortcut).
+    the full matrix A through its eigendecomposition A = V diag(λ) V^{-1}
+    (no similarity shortcut), so φ(τA) a_g = V (φ(τλ) ⊙ V^{-1} a_g).
     """
     tau = t - averaged.T
     if not 0.0 <= tau <= averaged.T:
         raise ConfigError(f"t={t} outside the first delta year "
                           f"[{averaged.T}, {2 * averaged.T}]")
-    if tau == 0.0:
-        return np.zeros(4)
-    rho1 = averaged.rho_n(1, r)
-    return tau * theta(1, averaged) * (phi1_dense(tau * rho1 * mats.A) @ mats.a_g)
+    # λ is -k_DPM, -k_RPM and the roots of the BIO/HUM block, whose
+    # discriminant is > 0: real and distinct, so V is real and invertible
+    lam, vecs = np.linalg.eig(mats.A)
+    z = tau * averaged.rho_n(1, r) * lam
+    return tau * theta(1, averaged) * (
+        vecs @ (phi1_scalar(z) * np.linalg.solve(vecs, mats.a_g)))
 
 
 def drho_dtemp(temp1: float, temp0: float, acc1: float, site, r: float,

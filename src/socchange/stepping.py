@@ -4,7 +4,8 @@ The one-step map uses the matrix functions F(t) = Λ + (I-Λ)e^{-tD} and
 φ(z) = (e^z - 1)/z of the similarity-reduced matrix Ã = -(I-Λ)D(I-Λ)^{-1},
 so every step is closed-form for the fixed 4x4 structure. The scheme fixes
 the continuous equilibria exactly for any step size; the original discrete
-RothC step (F c + Δt b) does not.
+RothC step (F c + Δt b) does not. No step needs φ of the full matrix A;
+only ``sensitivity.closed_form_first_year`` forms it, from A's eigenvectors.
 """
 
 from __future__ import annotations
@@ -53,32 +54,6 @@ def _phi_times_a(phivs, mats: CompartmentMatrices):
     """φ(τÃ) A = -(I-Λ) diag(φ(-τk) ⊙ k) for each row of φ(-τk), since
     (I-Λ)^{-1} A = -D. Not (F - I)/τ: e^{-τk} - 1 cancels for small τ."""
     return -mats.i_minus_lambda * (phivs * mats.k)[..., None, :]
-
-
-def phi1_dense(z: Array) -> Array:
-    """φ applied to a dense square matrix by scaling-and-squaring on its series.
-
-    Needed where the similarity reduction does not apply (functions of the
-    full matrix A rather than Ã).
-    """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    norm = np.linalg.norm(z, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.25)))) if norm > 0.25 else 0
-    zs = z / (2.0 ** squarings)
-    term = np.eye(n)
-    phi = np.eye(n)
-    for j in range(1, 13):
-        term = term @ zs / (j + 1)
-        phi = phi + term
-        if np.linalg.norm(term, 1) < 1e-12:
-            break
-    # phi(2z) = (e^z + I) phi(z) / 2 with e^z = I + z phi(z)
-    expz = np.eye(n) + zs @ phi
-    for _ in range(squarings):
-        phi = (expz + np.eye(n)) @ phi / 2.0
-        expz = expz @ expz
-    return phi
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ The one-step maps take F and φ(-τk) from the production code in
 φ(τÃ) from them, which no run path builds; ``nonstandard_step_incremental`` is
 the scheme's other algebraic form, the reference for the transition form the
 engine steps with. ``maintenance_rate`` is the continuous manure law that the
-discrete control law tends to as Δt → 0.
+discrete control law tends to as Δt → 0. ``exact_flow`` is the exact monthly
+flow that the one-step schemes approximate, from A's eigendecomposition.
 """
 
 import numpy as np
 
 from socchange.errors import ConfigError
-from socchange.stepping import _step_factors
+from socchange.stepping import _monthly_forcing, _step_factors, phi1_scalar
 
 
 def transition_matrix(dt, rho, mats):
@@ -44,6 +45,26 @@ def rothc_discrete_step(state, dt, rho, b, mats):
 def nonstandard_step_incremental(state, dt, rho, b, mats):
     """c + Δt φ(Δt rho Ã)(rho A c + b); equals F(Δt rho) c + Δt φ(Δt rho Ã) b."""
     return state + dt * (phi_matrix(dt, rho, mats) @ (rho * (mats.A @ state) + b))
+
+
+def exact_flow(scenario, mode="delta"):
+    """Month-end states of the exact flow of c' = ρ_j A c + b_j, on the
+    forcing b_j that ``simulate`` and ``rk4_reference`` step, from where they
+    start. With A = V diag(λ) V^{-1} (λ real and distinct) and τ = Δt ρ_j,
+    each month maps c <- V(e^{τλ} ⊙ V^{-1} c + Δt φ(τλ) ⊙ V^{-1} b_j)."""
+    lam, vecs = np.linalg.eig(scenario.mats.A)
+    bvecs = _monthly_forcing(scenario, mode)
+    grid, rhos = scenario.site.month_operators[:2]
+    zs = (grid.dt * rhos)[:, None] * lam
+    inputs = (grid.dt[:, None] * phi1_scalar(zs)
+              * np.linalg.solve(vecs, bvecs.T).T)
+    c = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
+    out = np.empty((grid.nsteps + 1, 4))
+    out[0] = c
+    for j in range(grid.nsteps):
+        c = vecs @ (np.exp(zs[j]) * np.linalg.solve(vecs, c) + inputs[j])
+        out[j + 1] = c
+    return out
 
 
 def maintenance_rate(delta_c, rho, ghat, np_ratio, epsilon, T, rho0, delta, k):

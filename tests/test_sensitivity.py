@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import socchange as sc
 from socchange import _kernels
@@ -103,10 +105,38 @@ class TestClosedFormFirstYear:
         np.testing.assert_allclose(slope, expected, rtol=1e-5, atol=1e-9)
 
     def test_outside_first_year_rejected(self, avg, scen):
-        with pytest.raises(ConfigError):
-            sc.closed_form_first_year(avg.T * 2 + 0.1, avg, 0.67, scen.mats)
-        with pytest.raises(ConfigError):
-            sc.closed_form_first_year(avg.T - 0.1, avg, 0.67, scen.mats)
+        for t in (avg.T * 2 + 0.1, avg.T - 0.1):
+            with pytest.raises(ConfigError, match=r"outside the first delta "
+                               r"year \[12\.0, 24\.0\]"):
+                sc.closed_form_first_year(t, avg, 0.67, scen.mats)
+
+    @settings(deadline=None)   # the example count comes from the profile
+    @given(cly=st.floats(0.0, 100.0), r=st.floats(0.01, 10.0),
+           eta=st.floats(0.0, 0.5), tau=st.floats(0.1, 12.0))
+    def test_matches_augmented_matrix_exponential(self, avg, cly, r, eta,
+                                                  tau):
+        # exp([[Z, v], [0, 0]]) has φ(Z) v as its top-right column; below
+        # τ = 0.1 expm itself loses digits, and the initial slope test
+        # covers that end
+        mats = sc.build_matrices(sc.SoilParams.for_site(cly, 23.0, r,
+                                                        eta=eta))
+        aug = np.zeros((5, 5))
+        aug[:4, :4] = tau * avg.rho_n(1, r) * mats.A
+        aug[:4, 4] = tau * sc.theta(1, avg) * mats.a_g
+        exact = sla.expm(aug)[:4, 4]
+        out = sc.closed_form_first_year(avg.T + tau, avg, r, mats)
+        assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_eigenvectors_real_and_well_conditioned(self):
+        # only clay moves A; its eigenvalues are real and well apart, so the
+        # eigenvector factor that closed_form_first_year uses is accurate
+        for cly in np.linspace(0.0, 100.0, 101):
+            mats = sc.build_matrices(sc.SoilParams.for_site(cly, 23.0, 1.44))
+            lam, vecs = np.linalg.eig(mats.A)
+            assert lam.dtype == np.float64 and vecs.dtype == np.float64
+            lam = np.sort(lam)
+            assert np.all(np.diff(lam) > 0.5 * np.abs(lam[1:]))
+            assert np.linalg.cond(vecs) < 2.0
 
 
 class TestModifierDerivatives:
