@@ -500,16 +500,16 @@ def write_control(path, schedule: ControlSchedule) -> None:
                np.cumsum(schedule.f * schedule.meta["dt"]))
 
 
-_WRITE_BLOCK_ROWS = 2048
+_WRITE_BLOCK_ROWS = 1024
 
 
 def _write_csv(path, meta_line: str, header: str, *columns: Array) -> None:
-    """Write one row per sample: integer columns as integers, floats as the
-    shortest decimal that round-trips exactly.
+    """Write one row per sample: integer columns as integers, floats as
+    Python's ``repr``, the shortest decimal that round-trips exactly.
 
-    Rows are formatted and written in blocks of ``_WRITE_BLOCK_ROWS``, so
-    memory does not grow with the row count. Raises NumericsError, before
-    the file is opened, if a value is not finite.
+    Rows go out in blocks of ``_WRITE_BLOCK_ROWS``, each formatted column by
+    column, so memory does not grow with the row count. Raises
+    NumericsError, before the file is opened, if a value is not finite.
     """
     path = Path(path)
     if not all(np.all(np.isfinite(column)) for column in columns):
@@ -519,9 +519,9 @@ def _write_csv(path, meta_line: str, header: str, *columns: Array) -> None:
         with path.open("w") as out:
             out.write(f"{meta_line}\n{header}\n")
             for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-                rows = zip(*(column[start:start + _WRITE_BLOCK_ROWS].tolist()
-                             for column in columns))
-                out.write("\n".join(",".join(map(repr, row)) for row in rows)
-                          + "\n")
+                block = slice(start, start + _WRITE_BLOCK_ROWS)
+                cells = [list(map(repr, column[block].tolist()))
+                         for column in columns]
+                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None

@@ -85,7 +85,7 @@ class SoilParams:
 
 @dataclass(frozen=True)
 class CompartmentMatrices:
-    """A, Λ and the input directions a_g, a_f for one parameter set."""
+    """A, Λ, δ and the input directions a_g, a_f for one parameter set."""
 
     A: Array
     Lambda: Array
@@ -94,7 +94,7 @@ class CompartmentMatrices:
     i_minus_lambda: Array = field(repr=False)
     i_minus_lambda_inv: Array = field(repr=False)
     k: Array = field(repr=False)
-    delta: float = 0.0
+    delta: float
 
     def a_inv(self) -> Array:
         """Closed-form A^-1 = -D^-1 (I-Λ)^-1."""

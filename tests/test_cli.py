@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import ast
 import contextlib
 import functools
 import io
@@ -661,6 +662,16 @@ class TestRuntimeImports:
                     if line.startswith("import time:")]
         assert "socchange.equilibrium" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+class TestReadmeExample:
+    def test_library_example_prints_the_horizon_annual_means(self):
+        readme = (DEMO.parents[1] / "README.md").read_text()
+        [example] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        proc = _run_python("-c", example)
+        assert proc.returncode == 0, proc.stderr
+        means = ast.literal_eval(proc.stdout.strip())
+        assert list(means) == list(range(2006, 2020))
 
 
 class TestVersion:

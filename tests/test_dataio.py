@@ -647,26 +647,56 @@ class TestWriters:
             getattr(sc, f"write_{writer}")(out, result)
         assert not out.exists()
 
-    def test_blocks_past_the_first_write_the_same_bytes(self, tmp_path):
-        # rows are written 2 048 at a time; the file is the one-join form
-        n = 2 * 2048 + 5
+    @pytest.mark.parametrize("writer", ["trajectory", "sensitivity",
+                                        "control"])
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 1), (1, -1), (1, 0), (1, 1), (2, 5)],
+        ids=["1", "B-1", "B", "B+1", "2B+5"])
+    def test_blocks_past_the_first_write_the_same_bytes(self, tmp_path,
+                                                        writer, blocks, extra):
+        # rows are written B at a time; the file is the one-join form
+        n = blocks * dataio._WRITE_BLOCK_ROWS + extra
         rng = np.random.default_rng(8)
-        states = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-30, 30,
-                                                                   (n, 4))
-        traj = sc.Trajectory(t=np.arange(n) / 3.0,
-                             year=2005 + np.arange(n) // 12,
-                             month=np.arange(n) % 12 + 1, states=states,
-                             totals=states.sum(axis=1), scheme="nonstandard",
-                             mode="delta", meta={"scheme": "nonstandard"})
+
+        def floats(*shape):
+            # magnitudes from 1e-30 to 1e30, with -0.0 and 5e-324 among them
+            values = (rng.standard_normal(shape)
+                      * 10.0 ** rng.integers(-30, 31, shape))
+            values.reshape(-1)[::7] = -0.0
+            values.reshape(-1)[3::11] = 5e-324
+            return values
+
+        year, month = 2005 + np.arange(n) // 12, np.arange(n) % 12 + 1
+        if writer == "trajectory":
+            states = floats(n, 4)
+            result = sc.Trajectory(t=floats(n), year=year, month=month,
+                                   states=states, totals=states.sum(axis=1),
+                                   scheme="nonstandard", mode="delta",
+                                   meta={"scheme": "nonstandard"})
+            header = "year,month,t_months,dpm,rpm,bio,hum,total"
+            columns = [year, month, result.t, *states.T, result.totals]
+        elif writer == "sensitivity":
+            s = floats(n, 4)
+            result = sc.SensitivitySeries(parameter="r", t=floats(n), s=s,
+                                          s_dsoc=s.sum(axis=1),
+                                          delta=floats(n, 4), meta={})
+            header = "t,s1,s2,s3,s4,s_dsoc"
+            columns = [result.t, *s.T, result.s_dsoc]
+        else:
+            f0, f = floats(n), floats(n)
+            result = sc.ControlSchedule(t=np.arange(n) / 3.0, year=year,
+                                        month=month, f0=f0, f=f,
+                                        epsilon=0.5,
+                                        meta={"dt": 0.25, "hold": "zoh",
+                                              "F0": 1.0})
+            header = "year,month,f0,f,cumulative"
+            columns = [year, month, f0, f, np.cumsum(f * 0.25)]
         out = tmp_path / "long.csv"
-        sc.write_trajectory(out, traj)
-        rows = [",".join(map(repr, row)) for row in zip(
-            traj.year.tolist(), traj.month.tolist(), traj.t.tolist(),
-            *traj.states.T.tolist(), traj.totals.tolist())]
+        getattr(sc, f"write_{writer}")(out, result)
+        rows = [",".join(map(repr, row))
+                for row in zip(*(column.tolist() for column in columns))]
         lines = out.read_text().splitlines()
-        expected = "\n".join([lines[0],
-                              "year,month,t_months,dpm,rpm,bio,hum,total",
-                              *rows]) + "\n"
+        expected = "\n".join([lines[0], header, *rows]) + "\n"
         assert out.read_bytes() == expected.encode()
         assert len(lines) == n + 2
 

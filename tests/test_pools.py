@@ -127,6 +127,16 @@ class TestBuildMatrices:
             mats.i_minus_lambda @ mats.i_minus_lambda_inv, np.eye(4),
             atol=1e-14)
 
+    def test_matrices_built_by_hand_need_delta(self, mats50):
+        # a default δ = 0 would give a controlled run with no loss term
+        _, mats = mats50
+        fields = {name: getattr(mats, name) for name in (
+            "A", "Lambda", "a_g", "a_f", "i_minus_lambda",
+            "i_minus_lambda_inv", "k")}
+        with pytest.raises(TypeError, match="delta"):
+            sc.CompartmentMatrices(**fields)
+        assert sc.CompartmentMatrices(**fields, delta=mats.delta) == mats
+
 
 class TestSoilParams:
     def test_gamma_derived_from_ratio(self):
