@@ -31,7 +31,7 @@ from .sensitivity import (AveragedModel, SensitivitySeries,
                           averaged_delta_solve, build_averaged_model,
                           closed_form_first_year, drho_dr, drho_dtemp,
                           sensitivity, theta)
-from .stepping import (TimeGrid, Trajectory, build_time_grid, phi1_scalar,
-                       rk4_reference, simulate)
+from .stepping import (MonthRecord, Trajectory, build_time_grid,
+                       phi1_scalar, rk4_reference, simulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

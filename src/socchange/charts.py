@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import writing
+
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#b7950b", "#34495e")
 
 _WIDTH = 760
@@ -21,7 +23,8 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def write_line_chart(path, series, title: str, x_label: str, y_label: str) -> None:
-    """Write one SVG with a polyline per (label, x, y) triple."""
+    """Write one SVG with a polyline per (label, x, y) triple; DataError if
+    the file cannot be written."""
     path = Path(path)
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
@@ -72,4 +75,5 @@ def write_line_chart(path, series, title: str, x_label: str, y_label: str) -> No
                  f'font-size="12" transform="rotate(-90 16 {_HEIGHT // 2})" '
                  f'text-anchor="middle">{y_label}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    with writing(path):
+        path.write_text("\n".join(parts) + "\n")

@@ -21,7 +21,8 @@ from .dataio import (build_scenario, load_config, write_control,
                      write_sensitivity, write_trajectory)
 from .dynamics import Scenario
 from .equilibrium import BaselineState, iom_from_soc, soc_total_from_active
-from .errors import ConfigError, DataError, NumericsError, SocChangeError
+from .errors import (ConfigError, DataError, NumericsError, SocChangeError,
+                     writing)
 from .sensitivity import PARAMETERS, sensitivity
 from .stepping import SCHEMES, simulate
 
@@ -97,7 +98,8 @@ def cmd_simulate(args) -> int:
                                                    scenario.baseline.epsilon)
     else:
         trajectory, schedule = simulate(scenario, scheme, args.mode), None
-    args.out.mkdir(parents=True, exist_ok=True)
+    with writing(args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
     if schedule is not None:
         write_control(args.out / "control.csv", schedule)
     out_csv = args.out / "trajectory.csv"
@@ -120,7 +122,8 @@ def cmd_sensitivity(args) -> int:
     scenario = build_scenario(config)
     dt = config.sensitivity_dt if args.dt is None else args.dt
     series = sensitivity(args.param, scenario, dt=dt, record_all=True)
-    args.out.mkdir(parents=True, exist_ok=True)
+    with writing(args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
     out_csv = args.out / f"sensitivity_{args.param}.csv"
     write_sensitivity(out_csv, series)
     print(f"s_dsoc[{args.param}]: min={series.s_dsoc.min():.6e} "
@@ -153,7 +156,8 @@ def cmd_control(args) -> int:
     # every run before any file, so a bad value late in the list writes none
     runs = [(simulate(Scenario(scenario.site)), None) if eps == 1.0
             else simulate_controlled(scenario, eps) for eps in eps_values]
-    args.out.mkdir(parents=True, exist_ok=True)
+    with writing(args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
     plot_series = []
     for eps, tag, (trajectory, schedule) in zip(eps_values, tags, runs):
         if schedule is None:

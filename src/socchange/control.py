@@ -68,17 +68,18 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
                             f"{DSOC_FLOOR:g}")
     f0 = x[:-1, 6] / (1.0 - epsilon)
 
-    grid = site.month_operators[0]
-    t, year, month = grid.sample_axis(site.baseline_year)
+    record = site.month_operators
+    t, year, month = record.sample_axis(site.baseline_year)
     meta = {"scheme": "nonstandard", "mode": "delta", "fym_mode": "controlled",
             "control_hold": "monthly", "epsilon": epsilon, **site.meta}
     trajectory = Trajectory(t=t, year=year, month=month, states=states,
                             totals=totals, scheme="nonstandard",
                             mode="delta", meta=meta)
     schedule = ControlSchedule(
-        t=grid.t_end - grid.dt, year=site.baseline_year + grid.year_index,
-        month=grid.month, f0=f0, f=f0 * scenario.baseline.F0, epsilon=epsilon,
-        meta={"dt": grid.dt, "F0": scenario.baseline.F0, "hold": "monthly"})
+        t=record.t_end - record.dt,
+        year=site.baseline_year + record.year_index, month=record.month,
+        f0=f0, f=f0 * scenario.baseline.F0, epsilon=epsilon,
+        meta={"dt": record.dt, "F0": scenario.baseline.F0, "hold": "monthly"})
     return trajectory, schedule
 
 
@@ -86,7 +87,7 @@ def _control_maps(site: Site):
     """(maps, first): the controlled run's month maps, for every ε.
 
     Read through ``Site.control_maps``, built once per site from its month
-    operators; the arrays are read-only.
+    record; the arrays are read-only.
 
     Month j steps c <- F c + g + f v, g the manure-free forcing, and f
     zeroes the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc. As 1ᵀ(I - F) =
@@ -103,14 +104,15 @@ def _control_maps(site: Site):
     batched product (zero in the last month). ``first`` is ŵ_0, the first
     month's f̂′ from [c; 1; ε].
     """
-    grid, _, eks, fmats, dir_g, dir_f, supply, q = site.month_operators
-    g0 = -q[:, None] * dir_f
-    dg = (supply - q)[:, None] * dir_g - g0
-    w = np.column_stack((site.mats.delta * (1.0 - eks), -g0.sum(axis=1),
-                         -dg.sum(axis=1))) / dir_f.sum(axis=1)[:, None]
-    maps = np.zeros((grid.nsteps, 7, 7))
-    maps[:, :4, :4] = fmats
-    maps[:, :4, 4:] = np.stack((g0, dg, dir_f), axis=2)
+    record = site.month_operators
+    g0 = -record.q[:, None] * record.dir_f
+    dg = (record.supply - record.q)[:, None] * record.dir_g - g0
+    w = np.column_stack((site.mats.delta * (1.0 - record.eks),
+                         -g0.sum(axis=1), -dg.sum(axis=1)))
+    w /= record.dir_f.sum(axis=1)[:, None]
+    maps = np.zeros((len(record.dt), 7, 7))
+    maps[:, :4, :4] = record.fmats
+    maps[:, :4, 4:] = np.stack((g0, dg, record.dir_f), axis=2)
     maps[:, 4, 4] = maps[:, 5, 5] = 1.0
     maps[:-1, 6] = (w[1:, None] @ maps[:-1, :6])[:, 0]
     first = w[0].copy()

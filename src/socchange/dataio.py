@@ -25,7 +25,7 @@ from .control import ControlSchedule
 from .dynamics import (ARABLE_COVER_SCHEDULE, LAND_CLASSES, FymPolicy,
                        PlantInputDensity, Scenario, Site, class_for_ratio)
 from .equilibrium import BaselineState
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError, writing
 from .pools import DEFAULT_ETA, SoilParams, build_matrices
 from .sensitivity import DEFAULT_SENSITIVITY_DT, SensitivitySeries, _grids
 from .stepping import Trajectory, check_scheme
@@ -515,13 +515,10 @@ def _write_csv(path, meta_line: str, header: str, *columns: Array) -> None:
     if not all(np.all(np.isfinite(column)) for column in columns):
         raise NumericsError(f"non-finite value in the output for {path}; "
                             "nothing written")
-    try:
-        with path.open("w") as out:
-            out.write(f"{meta_line}\n{header}\n")
-            for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-                block = slice(start, start + _WRITE_BLOCK_ROWS)
-                cells = [list(map(repr, column[block].tolist()))
-                         for column in columns]
-                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+    with writing(path), path.open("w") as out:
+        out.write(f"{meta_line}\n{header}\n")
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            cells = [list(map(repr, column[block].tolist()))
+                     for column in columns]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -157,9 +157,7 @@ class Site:
 
     @cached_property
     def month_operators(self):
-        """(grid, rhos, eks, fmats, dir_g, dir_f, supply, q) of
-        ``stepping._month_operators``: the directions are Δt φ(τÃ) a_g and
-        Δt φ(τÃ) a_f per month, supply is N_P ĝ and q is ρ/(T ρ0). Built on
+        """The site's ``stepping.MonthRecord``, read by field name. Built on
         first use and shared, read-only, by every monthly run on this site,
         whatever its manure policy."""
         from . import stepping   # stepping imports this module

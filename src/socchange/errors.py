@@ -1,5 +1,7 @@
 """Exception taxonomy shared by the library and the CLI exit codes."""
 
+from contextlib import contextmanager
+
 
 class SocChangeError(Exception):
     """Base class for all errors raised by this package."""
@@ -19,3 +21,12 @@ class NumericsError(SocChangeError):
 
 class InfeasibleBaselineError(NumericsError):
     """Inferred plant input is negative: manure exceeds total turnover."""
+
+
+@contextmanager
+def writing(path):
+    """Report an OSError raised while writing ``path`` as a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None

@@ -11,6 +11,7 @@ only ``sensitivity.closed_form_first_year`` forms it, from A's eigenvectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,22 +57,21 @@ def _phi_times_a(phivs, mats: CompartmentMatrices):
     return -mats.i_minus_lambda * (phivs * mats.k)[..., None, :]
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Monthly grid over the delta years: per step (year n, month, Δt, t_end)."""
+class MonthRecord(NamedTuple):
+    """A site's months over the delta years, one entry per month, in the
+    order the monthly runs step them; τ = Δt ρ."""
 
-    year_index: Array   # delta year n per step
+    year_index: Array   # delta year n
     month: Array        # 1..12
     dt: Array           # months; sums to T within each year
     t_end: Array        # months since baseline-year start, at month end
-
-    @property
-    def nsteps(self) -> int:
-        return self.dt.shape[0]
-
-    @property
-    def t_start(self) -> float:
-        return float(self.t_end[0] - self.dt[0])
+    rhos: Array         # left-endpoint ρ
+    eks: Array          # e^{-τk}
+    fmats: Array        # F(τ)
+    dir_g: Array        # Δt φ(τÃ) a_g
+    dir_f: Array        # Δt φ(τÃ) a_f
+    supply: Array       # the plant supply N_P ĝ
+    q: Array            # the rate-modifier ratio ρ/(T ρ0)
 
     def sample_axis(self, baseline_year: int) -> tuple[Array, Array, Array]:
         """(t, calendar year, month) per trajectory sample, initial sample first.
@@ -80,14 +80,14 @@ class TimeGrid:
         calendar year, with month 0.
         """
         year = baseline_year + self.year_index
-        return (np.concatenate(([self.t_start], self.t_end)),
+        return (np.concatenate(([self.t_end[0] - self.dt[0]], self.t_end)),
                 np.concatenate(([year[0]], year)),
                 np.concatenate(([0], self.month)))
 
 
-def build_time_grid(site: Site) -> TimeGrid:
-    """The site's monthly grid: a month of delta year n lasts T times its
-    share of the days of calendar year baseline+n."""
+def build_time_grid(site: Site) -> tuple[Array, Array, Array, Array]:
+    """The grid (year_index, month, dt, t_end): a month of delta year n
+    lasts T times its share of the days of calendar year baseline+n."""
     T = site.params.T
     nyears = site.horizon
     days = site.climate.month_days[site.climate_rows]
@@ -96,9 +96,8 @@ def build_time_grid(site: Site) -> TimeGrid:
     # and each year's row [n T, dt_1, ..., dt_12] is summed in order
     steps = np.column_stack((T * np.arange(1, nyears + 1), dts))
     t_end = np.cumsum(steps, axis=1)[:, 1:].ravel()
-    return TimeGrid(year_index=np.repeat(np.arange(1, nyears + 1), 12),
-                    month=np.tile(np.arange(1, 13), nyears), dt=dts.ravel(),
-                    t_end=t_end)
+    return (np.repeat(np.arange(1, nyears + 1), 12),
+            np.tile(np.arange(1, 13), nyears), dts.ravel(), t_end)
 
 
 @dataclass
@@ -123,36 +122,33 @@ class Trajectory:
         return out
 
 
-def _month_operators(site: Site):
-    """Time grid, left-endpoint ρ, e^{-τk}, F(τ), the directions
-    Δt φ(τÃ) a_g and Δt φ(τÃ) a_f, the plant supply N_P ĝ and the
-    rate-modifier ratio q = ρ/(T ρ0) per month, τ = Δt ρ.
-
-    Every monthly forcing lies in span{a_g, a_f}, so its Δt φ(τÃ) b is a
-    combination of the two directions, each Δt (I-Λ)(φ(-τk) ⊙ (I-Λ)^{-1} a);
-    N_P ĝ and q are the site's part of the coefficients, the same under
-    every manure policy. Read through ``Site.month_operators``, which builds
-    them once per site for every monthly run on it, under any manure policy.
-    The arrays are read-only, so no run or caller can change what a later
-    run reads.
+def _month_operators(site: Site) -> MonthRecord:
+    """The site's ``MonthRecord``. Every monthly forcing lies in
+    span{a_g, a_f}, so its Δt φ(τÃ) b is a combination of the two
+    directions, each Δt (I-Λ)(φ(-τk) ⊙ (I-Λ)^{-1} a); N_P ĝ and q are the
+    site's part of the coefficients, the same under every manure policy.
+    Read through ``Site.month_operators``, which builds the record once per
+    site for every monthly run on it, under any manure policy. The arrays
+    are read-only, so no run or caller can change what a later run reads.
     """
-    grid = build_time_grid(site)   # the module global: tracers patch it
+    year_index, month, dt, t_end = build_time_grid(site)  # tracers patch it
     climate, rows = site.climate, site.climate_rows
     rhos = rho_monthly(climate.temp[rows].ravel(), climate.acc[rows].ravel(),
-                       grid.month, site.r, site.reference, site.cover_mode,
+                       month, site.r, site.reference, site.cover_mode,
                        site.cover_schedule)
     mats = site.mats
-    eks, fmats, phivs = _step_factors(grid.dt * rhos, mats)
-    dt_phivs = grid.dt[:, None] * phivs
-    operators = (rhos, eks, fmats,
-                 *(_phi_times(dt_phivs, mats, a) for a in (mats.a_g, mats.a_f)),
-                 site.np_by_year[grid.year_index]
-                 * (site.density.proportions[grid.month - 1] / grid.dt),
-                 rhos / (site.params.T * site.baseline.rho0))
-    for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
-                  *operators):
+    eks, fmats, phivs = _step_factors(dt * rhos, mats)
+    dt_phivs = dt[:, None] * phivs
+    record = MonthRecord(
+        year_index, month, dt, t_end, rhos, eks, fmats,
+        dir_g=_phi_times(dt_phivs, mats, mats.a_g),
+        dir_f=_phi_times(dt_phivs, mats, mats.a_f),
+        supply=site.np_by_year[year_index]
+        * (site.density.proportions[month - 1] / dt),
+        q=rhos / (site.params.T * site.baseline.rho0))
+    for array in record:
         array.flags.writeable = False
-    return (grid, *operators)
+    return record
 
 
 def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
@@ -171,9 +167,9 @@ def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
         raise ConfigError("controlled runs go through simulate_controlled")
     if mode not in ("delta", "absolute"):
         raise ConfigError(f"unknown mode {mode!r}")
-    grid, _, _, _, dir_g, dir_f, supply, q = site.month_operators
+    record = site.month_operators
     baseline = site.baseline
-    f_values = (np.asarray(fym.monthly_density, dtype=float)[grid.month - 1]
+    f_values = (np.asarray(fym.monthly_density, dtype=float)[record.month - 1]
                 if fym.mode == "fixed" else None)
     if mode == "delta":
         if f_values is not None and baseline.F0 <= 0.0:
@@ -181,15 +177,15 @@ def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
                               "baseline manure total F0 > 0 (the forcing is "
                               "normalized by it)")
         f_ratio = 0.0 if f_values is None else f_values / baseline.F0
-        g = baseline.epsilon * (supply - q)
-        f = (1.0 - baseline.epsilon) * (f_ratio - q)
+        g = baseline.epsilon * (record.supply - record.q)
+        f = (1.0 - baseline.epsilon) * (f_ratio - record.q)
     else:
-        g = baseline.P0 * supply
+        g = baseline.P0 * record.supply
         f = np.zeros_like(g) if f_values is None else f_values
     if scheme == "nonstandard":
-        return g[:, None] * dir_g + f[:, None] * dir_f
+        return g[:, None] * record.dir_g + f[:, None] * record.dir_f
     b = g[:, None] * site.mats.a_g + f[:, None] * site.mats.a_f
-    return grid.dt[:, None] * b if scheme == "rothc_discrete" else b
+    return record.dt[:, None] * b if scheme == "rothc_discrete" else b
 
 
 def check_scheme(scheme: str) -> None:
@@ -206,10 +202,10 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     """
     check_scheme(scheme)
     gvecs = _monthly_forcing(scenario, mode, scheme)
-    grid, _, _, fmats = scenario.site.month_operators[:4]
+    record = scenario.site.month_operators
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
-    states = _kernels.affine_recurrence(fmats, gvecs, c0)
-    t, year, month = grid.sample_axis(scenario.site.baseline_year)
+    states = _kernels.affine_recurrence(record.fmats, gvecs, c0)
+    t, year, month = record.sample_axis(scenario.site.baseline_year)
     meta = {"scheme": scheme, "mode": mode, "fym_mode": scenario.fym.mode,
             "epsilon": scenario.baseline.epsilon, **scenario.site.meta}
     return Trajectory(t=t, year=year, month=month, states=states,
@@ -225,11 +221,11 @@ def rk4_reference(scenario: Scenario, mode: str = "delta",
     the exact flow that the monthly one-step schemes approximate.
     """
     bvecs = _monthly_forcing(scenario, mode)
-    grid, rhos = scenario.site.month_operators[:2]
-    amats = rhos[:, None, None] * scenario.mats.A[None, :, :]
+    record = scenario.site.month_operators
+    amats = record.rhos[:, None, None] * scenario.mats.A[None, :, :]
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
-    states = _kernels.rk4_piecewise(amats, bvecs, grid.dt, refine, c0)
-    t, year, month = grid.sample_axis(scenario.site.baseline_year)
+    states = _kernels.rk4_piecewise(amats, bvecs, record.dt, refine, c0)
+    t, year, month = record.sample_axis(scenario.site.baseline_year)
     return Trajectory(t=t, year=year, month=month, states=states,
                       totals=states.sum(axis=1), scheme=f"rk4x{refine}",
                       mode=mode, meta={"scheme": f"rk4x{refine}", "mode": mode})

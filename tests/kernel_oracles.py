@@ -54,14 +54,14 @@ def exact_flow(scenario, mode="delta"):
     each month maps c <- V(e^{τλ} ⊙ V^{-1} c + Δt φ(τλ) ⊙ V^{-1} b_j)."""
     lam, vecs = np.linalg.eig(scenario.mats.A)
     bvecs = _monthly_forcing(scenario, mode)
-    grid, rhos = scenario.site.month_operators[:2]
-    zs = (grid.dt * rhos)[:, None] * lam
-    inputs = (grid.dt[:, None] * phi1_scalar(zs)
+    record = scenario.site.month_operators
+    zs = (record.dt * record.rhos)[:, None] * lam
+    inputs = (record.dt[:, None] * phi1_scalar(zs)
               * np.linalg.solve(vecs, bvecs.T).T)
     c = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)
-    out = np.empty((grid.nsteps + 1, 4))
+    out = np.empty((len(zs) + 1, 4))
     out[0] = c
-    for j in range(grid.nsteps):
+    for j in range(len(zs)):
         c = vecs @ (np.exp(zs[j]) * np.linalg.solve(vecs, c) + inputs[j])
         out[j + 1] = c
     return out

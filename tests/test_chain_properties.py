@@ -109,8 +109,7 @@ def test_zero_share_holds_the_index_at_its_floor(scenario):
     traj, schedule = sc.simulate_controlled(scenario, 0.0)
     assert np.abs(traj.states).max() <= 1e-15 * scale
     site = scenario.site
-    rhos = site.month_operators[1]
-    q = rhos / (site.params.T * site.baseline.rho0)
+    q = site.month_operators.rhos / (site.params.T * site.baseline.rho0)
     gap = np.abs(schedule.f0 - q)
     assert np.all(gap <= 1e-15 * q), float((gap / q).max())
 

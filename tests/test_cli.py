@@ -554,6 +554,54 @@ class TestControlCommand:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a data error (exit 2) with
+    one ``data error: cannot write`` line, never a traceback."""
+
+    COMMANDS = {
+        "simulate": (["simulate"], "trajectory.svg"),
+        "sensitivity": (["sensitivity", "--param", "np1"],
+                        "sensitivity_np1.svg"),
+        "control": (["control", "--epsilon", "0"], "control_dsoc.svg"),
+    }
+
+    @staticmethod
+    def _exits_two(capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")], err
+        assert err.startswith(f"data error: cannot write {path}: "), err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_an_existing_file(self, tmp_path, capsys, command):
+        config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
+                                       plant_input_tc_ha_yr=0.5)
+        args, _ = self.COMMANDS[command]
+        out = tmp_path / "taken"
+        out.write_text("")
+        self._exits_two(capsys, [args[0], str(config), *args[1:],
+                                 "--out", str(out)], out)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_chart_path_a_directory(self, tmp_path, capsys, command):
+        config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
+                                       plant_input_tc_ha_yr=0.5)
+        args, chart = self.COMMANDS[command]
+        out = tmp_path / "out"
+        (out / chart).mkdir(parents=True)
+        self._exits_two(capsys, [args[0], str(config), *args[1:],
+                                 "--out", str(out), "--plot"], out / chart)
+
+    def test_console_entry_prints_no_traceback(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = _run_python("-m", "socchange.cli", "simulate",
+                           "data/demo/scenario.cfg", "--out", str(taken))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"data error: cannot write {taken}: ")
+
+
 class TestEquilibriumCommand:
     def test_inputs_then_soc_round_trip(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path)

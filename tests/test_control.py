@@ -252,10 +252,10 @@ class TestSharedMonthOperators:
         assert sum(s is shared.site for s in calls) == 1
         shorter = sc.Scenario(dataclasses.replace(
             shared.site, horizon=shared.site.horizon - 1))
-        assert (shorter.site.month_operators[0].nsteps
+        assert (len(shorter.site.month_operators.dt)
                 == 12 * shorter.site.horizon)
         assert sum(s is shorter.site for s in calls) == 1
-        assert (shared.site.month_operators[0].nsteps
+        assert (len(shared.site.month_operators.dt)
                 == 12 * shared.site.horizon)
 
     def test_a_policy_change_shares_the_site_operators(self, monkeypatch):
@@ -282,11 +282,14 @@ class TestSharedMonthOperators:
         np.testing.assert_array_equal(sc.simulate(bare).states, plain.states)
         assert len(grids) == len(maps) == 1
 
-    def test_operators_are_read_only(self):
-        grid, *operators = _sharing_scenario().site.month_operators
-        for array in (grid.year_index, grid.month, grid.dt, grid.t_end,
-                      *operators):
-            assert not array.flags.writeable
+    def test_record_is_named_and_read_only(self):
+        record = _sharing_scenario().site.month_operators
+        assert isinstance(record, sc.MonthRecord)
+        assert record._fields == (
+            "year_index", "month", "dt", "t_end", "rhos", "eks", "fmats",
+            "dir_g", "dir_f", "supply", "q")
+        for name in record._fields:
+            assert not getattr(record, name).flags.writeable, name
 
     def test_control_maps_built_once_for_every_epsilon(self, monkeypatch):
         calls = []

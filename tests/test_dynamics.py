@@ -9,7 +9,7 @@ import pytest
 import socchange as sc
 from socchange.errors import ConfigError, DataError
 from socchange.sensitivity import build_averaged_model
-from socchange.stepping import _monthly_forcing, build_time_grid
+from socchange.stepping import _monthly_forcing
 
 from conftest import (constant_climate, hand_months, make_scenario,
                       synthetic_climate)
@@ -48,17 +48,18 @@ class TestPlantDensity:
     def test_annual_integral_of_density_is_one(self, arable_scenario):
         # step-function density p_m / dt_m integrates to exactly 1 per year
         site = arable_scenario.site
-        grid, *_, supply, _ = site.month_operators
-        year = grid.year_index == 1
-        total = (supply[year] * grid.dt[year]).sum() / site.np_by_year[1]
+        record = site.month_operators
+        year = record.year_index == 1
+        total = ((record.supply[year] * record.dt[year]).sum()
+                 / site.np_by_year[1])
         assert total == pytest.approx(1.0, rel=1e-14)
 
     def test_periodic_across_years(self, arable_scenario):
         assert arable_scenario.site.density.proportions[6] == 0.5
         # same proportion consumed for month 7 of every delta year
-        grid = build_time_grid(arable_scenario.site)
-        july = grid.month == 7
-        assert np.unique(grid.month[july]).size == 1
+        month = arable_scenario.site.month_operators.month
+        july = month == 7
+        assert np.unique(month[july]).size == 1
 
 
 class TestClassForRatio:
@@ -107,8 +108,8 @@ class TestDeltaForcingNoFym:
     def test_annual_balance_under_stationary_forcing(self, stationary_scenario):
         # rho == rho0 and N_P = 1: the dt-weighted forcing sums to zero
         scen = stationary_scenario
-        grid = build_time_grid(scen.site)
-        total = (grid.dt[:12, None] * _delta_forcing(scen)[:12]).sum(axis=0)
+        dt = scen.site.month_operators.dt
+        total = (dt[:12, None] * _delta_forcing(scen)[:12]).sum(axis=0)
         assert np.max(np.abs(total)) < 1e-10
 
     def test_no_density_on_manure_baseline_is_zero_density(self):
@@ -184,13 +185,14 @@ class TestMonthRecord:
 
     @staticmethod
     def _assert_hand_months(site):
-        grid, rhos, *_, supply, q = site.month_operators
+        record = site.month_operators
         hand = hand_months(site)
-        for got, want in ((grid.year_index, hand.n), (grid.month, hand.month),
-                          (grid.dt, hand.dt), (rhos, hand.rho),
-                          (supply, hand.supply), (q, hand.q)):
+        for got, want in ((record.year_index, hand.n),
+                          (record.month, hand.month), (record.dt, hand.dt),
+                          (record.rhos, hand.rho), (record.supply, hand.supply),
+                          (record.q, hand.q)):
             np.testing.assert_array_equal(got, want)
-        return supply, q
+        return record.supply, record.q
 
     def test_smooth_cover_record(self):
         self._assert_hand_months(

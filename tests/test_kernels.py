@@ -189,19 +189,19 @@ class TestMonthOperators:
     @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
     def test_directions_are_dt_phi_of_the_input_vectors(self, r):
         site = _century_site(r)
-        grid, rhos, _, _, dir_g, dir_f = site.month_operators[:6]
+        record = site.month_operators
         mats = site.mats
-        for got, a in ((dir_g, mats.a_g), (dir_f, mats.a_f)):
+        for got, a in ((record.dir_g, mats.a_g), (record.dir_f, mats.a_f)):
             want = np.stack([dt * oracle.phi_matrix(dt, rho, mats) @ a
-                             for dt, rho in zip(grid.dt, rhos)])
+                             for dt, rho in zip(record.dt, record.rhos)])
             _assert_close(got, want, 1e-15)
 
     @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
     def test_prediction_row_is_the_next_weights_times_the_map(self, r):
         site = _century_site(r)
-        eks, dir_f = site.month_operators[2], site.month_operators[5]
+        eks, dir_f = site.month_operators.eks, site.month_operators.dir_f
         maps, first = site.control_maps
-        assert maps.shape == (site.month_operators[0].nsteps, 7, 7)
+        assert maps.shape == (len(eks), 7, 7)
         # the manure input is v̂ = d_f times the state's factor
         np.testing.assert_array_equal(maps[:, :4, 6], dir_f)
         # ŵ_j = [δ(1 - e_j), -1ᵀg₀_j, -1ᵀ(g₁ - g₀)_j] / 1ᵀv̂_j

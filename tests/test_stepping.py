@@ -6,8 +6,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import socchange as sc
+from socchange import stepping
 from socchange.errors import ConfigError
-from socchange.stepping import build_time_grid
 
 from conftest import (REPO_ROOT, constant_climate, hand_months,
                       make_scenario, synthetic_climate)
@@ -209,9 +209,75 @@ class TestRothcDiscreteStep:
         assert np.all(np.abs(ratios - 4.0) < 1.0)
 
 
+_SCAN_STEP = 0.01
+_SCAN_TAUS = _SCAN_STEP * np.arange(1, 6001)   # τ = Δt ρ over (0, 60]
+_SCAN_CLAYS = np.linspace(0.0, 100.0, 21)
+_FROM_THE_START = _SCAN_TAUS[0]
+# the first negative τ of the manure direction a_f at r = 1.44, by η, and
+# of the plant direction a_g at η = 0.49, by r
+_BY_ETA = [(0.0, _FROM_THE_START), (0.05, _FROM_THE_START), (0.1, 1.38),
+           (0.2, 6.26), (0.4, 20.48), (0.49, 33.15)]
+_BY_RATIO = [(0.05, _FROM_THE_START), (0.1, 2.94), (0.25, 9.87),
+             (0.67, 25.35), (1.44, 46.05), (5.0, np.inf)]
+
+
+def _scan_mats(r, eta):
+    return [sc.build_matrices(sc.SoilParams.for_site(cly, 23.0, r, eta))
+            for cly in _SCAN_CLAYS]
+
+
+class TestPositivityDomain:
+    """Where a month's input direction Δt φ(τÃ) a keeps every pool's input
+    non-negative. Ã is not Metzler, so its BIO entry turns negative past a
+    τ that depends on the site; the exact flow's φ(τA) a never does, since
+    A is. The engine guards neither: these pin the domain as measured, on a
+    scan of τ and the minimum over clay 0-100."""
+
+    @staticmethod
+    def _first_negative_bio_tau(direction, r, eta):
+        """The first scanned τ at which the BIO entry is negative, over every
+        clay; inf if none. Δt > 0 does not change the sign."""
+        firsts = [np.inf]
+        for mats in _scan_mats(r, eta):
+            phivs = stepping._step_factors(_SCAN_TAUS, mats)[2]
+            bio = stepping._phi_times(phivs, mats, getattr(mats, direction))
+            firsts.extend(_SCAN_TAUS[bio[:, 2] < 0][:1])
+        return min(firsts)
+
+    @staticmethod
+    def _assert_pinned(got, want):
+        if want in (_FROM_THE_START, np.inf):
+            assert got == want
+        else:
+            assert abs(got - want) <= _SCAN_STEP * (1 + 1e-9), got
+
+    @pytest.mark.parametrize("eta, want", _BY_ETA)
+    def test_manure_direction_by_eta(self, eta, want):
+        self._assert_pinned(self._first_negative_bio_tau("a_f", 1.44, eta),
+                            want)
+
+    @pytest.mark.parametrize("r, want", _BY_RATIO)
+    def test_plant_direction_by_ratio(self, r, want):
+        self._assert_pinned(self._first_negative_bio_tau("a_g", r, 0.49),
+                            want)
+
+    @pytest.mark.parametrize("r, eta", [(1.44, eta) for eta, _ in _BY_ETA]
+                             + [(r, 0.49) for r, _ in _BY_RATIO])
+    def test_exact_flow_inputs_stay_non_negative(self, r, eta):
+        # φ(τA) a = V diag(φ(τλ)) V⁻¹ a, within the round-off of V's products
+        for mats in _scan_mats(r, eta):
+            lam, vecs = np.linalg.eig(mats.A)
+            phis = sc.phi1_scalar(_SCAN_TAUS[:, None] * lam)
+            for a in (mats.a_g, mats.a_f):
+                flow = (phis * np.linalg.solve(vecs, a)) @ vecs.T
+                assert flow.min() >= -1e-15, (mats.delta, flow.min())
+
+
 class TestTimeGrid:
+    """The month record's grid fields: year_index, month, dt and t_end."""
+
     def test_months_sum_to_year_length(self, arable_scenario):
-        grid = build_time_grid(arable_scenario.site)
+        grid = arable_scenario.site.month_operators
         for n in range(1, arable_scenario.site.horizon + 1):
             assert grid.dt[grid.year_index == n].sum() == pytest.approx(
                 12.0, abs=1e-12)
@@ -219,17 +285,18 @@ class TestTimeGrid:
     def test_leap_year_weighting(self, site50):
         climate = constant_climate(2007, 3, site50)   # 2008 is a leap year
         scen = make_scenario(baseline_year=2007, horizon=2, climate=climate)
-        grid = build_time_grid(scen.site)
+        grid = scen.site.month_operators
         feb_leap = grid.dt[(grid.year_index == 1) & (grid.month == 2)][0]
         feb_norm = grid.dt[(grid.year_index == 2) & (grid.month == 2)][0]
         assert feb_leap == pytest.approx(12.0 * 29 / 366, rel=1e-14)
         assert feb_norm == pytest.approx(12.0 * 28 / 365, rel=1e-14)
 
     def test_positive_steps_and_increasing_times(self, arable_scenario):
-        grid = build_time_grid(arable_scenario.site)
+        grid = arable_scenario.site.month_operators
         assert np.all(grid.dt > 0)
         assert np.all(np.diff(grid.t_end) > 0)
-        assert grid.t_start == pytest.approx(12.0, abs=1e-12)
+        t = grid.sample_axis(arable_scenario.site.baseline_year)[0]
+        assert t[0] == pytest.approx(12.0, abs=1e-12)
 
     @pytest.mark.parametrize("baseline_year", [2005, 2007])
     def test_matches_month_by_month_loop(self, site50, baseline_year):
@@ -237,7 +304,7 @@ class TestTimeGrid:
         climate = synthetic_climate(baseline_year, 21, site50, seed=3)
         scen = make_scenario(baseline_year=baseline_year, horizon=20,
                              climate=climate)
-        grid = build_time_grid(scen.site)
+        grid = scen.site.month_operators
         years, months, dts, t_end = _time_grid_loop(scen)
         np.testing.assert_array_equal(grid.year_index, years)
         np.testing.assert_array_equal(grid.month, months)
