@@ -100,19 +100,19 @@ def cmd_simulate(args) -> int:
         trajectory, schedule = simulate(scenario, scheme, args.mode), None
     with writing(args.out):
         args.out.mkdir(parents=True, exist_ok=True)
-    if schedule is not None:
-        write_control(args.out / "control.csv", schedule)
-    out_csv = args.out / "trajectory.csv"
-    write_trajectory(out_csv, trajectory)
     label = "dsoc" if args.mode == "delta" else "active soc"
-    print(f"annual mean {label} by year:")
-    for year, mean in trajectory.annual_means().items():
-        print(f"  {year}  {mean: .6e}")
-    if args.plot:
+    if args.plot:   # first, so a chart that cannot be written leaves no CSV
         write_line_chart(args.out / "trajectory.svg",
                          [(label, trajectory.t, trajectory.totals)],
                          f"{label} ({trajectory.scheme}, {trajectory.mode})",
                          "months since baseline", label)
+    if schedule is not None:
+        write_control(args.out / "control.csv", schedule)
+    out_csv = args.out / "trajectory.csv"
+    write_trajectory(out_csv, trajectory)
+    print(f"annual mean {label} by year:")
+    for year, mean in trajectory.annual_means().items():
+        print(f"  {year}  {mean: .6e}")
     print(f"wrote {out_csv}")
     return 0
 
@@ -124,15 +124,15 @@ def cmd_sensitivity(args) -> int:
     series = sensitivity(args.param, scenario, dt=dt, record_all=True)
     with writing(args.out):
         args.out.mkdir(parents=True, exist_ok=True)
-    out_csv = args.out / f"sensitivity_{args.param}.csv"
-    write_sensitivity(out_csv, series)
-    print(f"s_dsoc[{args.param}]: min={series.s_dsoc.min():.6e} "
-          f"max={series.s_dsoc.max():.6e} final={series.s_dsoc[-1]:.6e}")
-    if args.plot:
+    if args.plot:   # first, so a chart that cannot be written leaves no CSV
         write_line_chart(args.out / f"sensitivity_{args.param}.svg",
                          [(args.param, series.t, series.s_dsoc)],
                          f"sensitivity to {args.param}",
                          "months since baseline", "s_dsoc")
+    out_csv = args.out / f"sensitivity_{args.param}.csv"
+    write_sensitivity(out_csv, series)
+    print(f"s_dsoc[{args.param}]: min={series.s_dsoc.min():.6e} "
+          f"max={series.s_dsoc.max():.6e} final={series.s_dsoc[-1]:.6e}")
     print(f"wrote {out_csv}")
     return 0
 
@@ -158,7 +158,11 @@ def cmd_control(args) -> int:
             else simulate_controlled(scenario, eps) for eps in eps_values]
     with writing(args.out):
         args.out.mkdir(parents=True, exist_ok=True)
-    plot_series = []
+    if args.plot:   # first, so a chart that cannot be written leaves no CSV
+        write_line_chart(args.out / "control_dsoc.svg",
+                         [(f"eps={eps:g}", trajectory.t, trajectory.totals)
+                          for eps, (trajectory, _) in zip(eps_values, runs)],
+                         "controlled dsoc", "months since baseline", "dsoc")
     for eps, tag, (trajectory, schedule) in zip(eps_values, tags, runs):
         if schedule is None:
             print("epsilon=1 has no manure input; running uncontrolled "
@@ -170,10 +174,6 @@ def cmd_control(args) -> int:
             for year, total in totals.items():
                 print(f"  {year}  {total: .6e}")
         write_trajectory(args.out / f"trajectory_eps{tag}.csv", trajectory)
-        plot_series.append((f"eps={eps:g}", trajectory.t, trajectory.totals))
-    if args.plot:
-        write_line_chart(args.out / "control_dsoc.svg", plot_series,
-                         "controlled dsoc", "months since baseline", "dsoc")
     print(f"wrote {len(eps_values)} trajectory file(s) to {args.out}")
     return 0
 

@@ -2,7 +2,9 @@
 
 All loaders raise structured errors (never crash on malformed input) with
 line numbers where applicable; writers emit byte-deterministic CSV with a
-single metadata comment line and full round-trip float precision.
+single metadata comment line and every float exactly as Python's ``repr``
+prints it, the shortest decimal that round-trips, produced for whole blocks
+by ``_floatfmt`` (the tests hold it to ``repr`` itself).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._floatfmt import EXACT_INT, format_rows
 from .climate import (DEFAULT_BARE_MONTHS, ClimateSeries, SiteMoisture,
                       max_deficit, reference_from_climate)
 from .control import ControlSchedule
@@ -505,20 +508,23 @@ _WRITE_BLOCK_ROWS = 1024
 
 def _write_csv(path, meta_line: str, header: str, *columns: Array) -> None:
     """Write one row per sample: integer columns as integers, floats as
-    Python's ``repr``, the shortest decimal that round-trips exactly.
+    Python's ``repr`` prints them, the shortest decimal that round-trips
+    exactly (``_floatfmt.format_rows``).
 
-    Rows go out in blocks of ``_WRITE_BLOCK_ROWS``, each formatted column by
-    column, so memory does not grow with the row count. Raises
-    NumericsError, before the file is opened, if a value is not finite.
+    Rows go out in blocks of ``_WRITE_BLOCK_ROWS``, so memory does not grow
+    with the row count. Raises NumericsError, before the file is opened, if
+    a value is not finite or an integer is beyond ``EXACT_INT`` in size.
     """
     path = Path(path)
     if not all(np.all(np.isfinite(column)) for column in columns):
         raise NumericsError(f"non-finite value in the output for {path}; "
                             "nothing written")
-    with writing(path), path.open("w") as out:
-        out.write(f"{meta_line}\n{header}\n")
+    if any(np.any((column < -EXACT_INT) | (column > EXACT_INT))
+           for column in columns if column.dtype.kind in "iu"):
+        raise NumericsError(f"integer beyond 2**53 in the output for {path}; "
+                            "nothing written")
+    with writing(path), path.open("wb") as out:
+        out.write(f"{meta_line}\n{header}\n".encode())
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
-            cells = [list(map(repr, column[block].tolist()))
-                     for column in columns]
-            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            out.write(format_rows([column[block] for column in columns]))

@@ -164,24 +164,59 @@ def averaged_delta_solve(averaged: AveragedModel, r: float,
     return times, states
 
 
+def _eigen_a(mats: CompartmentMatrices) -> tuple[Array, Array, Array]:
+    """A = V diag(λ) V^{-1} in closed form: (λ, V, V^{-1} a_g).
+
+    A = -(I-Λ)D is block lower triangular, -k_DPM and -k_RPM on the diagonal
+    above the BIO/HUM block B = [[b00, b01], [b10, b11]], whose discriminant
+    (b00 - b11)² + 4 b01 b10 is > 0: λ is real and distinct. B's eigenpairs
+    are μ with (0, 0, w); -k_i's eigenvector is (e_i, x), (B + k_i I) x =
+    -A[2:, i]. Each root and w is formed without cancellation: B's larger
+    diagonal entry d minus p = |h| + √(h² + b01 b10), h = (b00 - b11)/2, and
+    the other root det(B)/(d - p).
+    """
+    a = mats.A
+    b = a[2:, 2:]
+    h = 0.5 * (b[0, 0] - b[1, 1])
+    order = [1, 0] if h < 0 else [0, 1]   # d = b[order[0], order[0]]
+    (d0, e01), (e10, d1) = b[np.ix_(order, order)]
+    p = abs(h) + np.sqrt(h * h + e01 * e10)
+    mu = d0 - p
+    lam = np.array([a[0, 0], a[1, 1], mu, (d0 * d1 - e01 * e10) / mu])
+    vecs = np.zeros((4, 4))
+    vecs[[0, 1], [0, 1]] = 1.0
+    vecs[2:, 2:] = np.array([[e01, p], [-p, e10]])[order]
+    for i in (0, 1):
+        vecs[2:, i] = -_solve2(b - lam[i] * np.eye(2), a[2:, i])
+    a_g = mats.a_g
+    coef = np.concatenate((a_g[:2], _solve2(
+        vecs[2:, 2:], a_g[2:] - vecs[2:, :2] @ a_g[:2])))
+    return lam, vecs, coef
+
+
+def _solve2(m: Array, v: Array) -> Array:
+    """m^{-1} v for a 2 x 2 matrix m, by Cramer's rule."""
+    return (np.array([m[1, 1] * v[0] - m[0, 1] * v[1],
+                      m[0, 0] * v[1] - m[1, 0] * v[0]])
+            / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+
+
 def closed_form_first_year(t: float, averaged: AveragedModel, r: float,
                            mats: CompartmentMatrices) -> Array:
     """Exact first-delta-year solution (t - t0 - T) θ¹ φ((t-t0-T) ρ¹ A) a_g.
 
     t is in months since t0 and must lie in the first delta year; φ acts on
     the full matrix A through its eigendecomposition A = V diag(λ) V^{-1}
-    (no similarity shortcut), so φ(τA) a_g = V (φ(τλ) ⊙ V^{-1} a_g).
+    (no similarity shortcut), so φ(τA) a_g = V (φ(τλ) ⊙ V^{-1} a_g), with
+    every factor in closed form (``_eigen_a``).
     """
     tau = t - averaged.T
     if not 0.0 <= tau <= averaged.T:
         raise ConfigError(f"t={t} outside the first delta year "
                           f"[{averaged.T}, {2 * averaged.T}]")
-    # λ is -k_DPM, -k_RPM and the roots of the BIO/HUM block, whose
-    # discriminant is > 0: real and distinct, so V is real and invertible
-    lam, vecs = np.linalg.eig(mats.A)
+    lam, vecs, coef = _eigen_a(mats)
     z = tau * averaged.rho_n(1, r) * lam
-    return tau * theta(1, averaged) * (
-        vecs @ (phi1_scalar(z) * np.linalg.solve(vecs, mats.a_g)))
+    return tau * theta(1, averaged) * (vecs @ (phi1_scalar(z) * coef))
 
 
 def drho_dtemp(temp1: float, temp0: float, acc1: float, site, r: float,

@@ -591,6 +591,8 @@ class TestUnwritableOutput:
         (out / chart).mkdir(parents=True)
         self._exits_two(capsys, [args[0], str(config), *args[1:],
                                  "--out", str(out), "--plot"], out / chart)
+        # the chart goes first, so the failed run leaves none of its CSVs
+        assert [path.name for path in out.iterdir()] == [chart]
 
     def test_console_entry_prints_no_traceback(self, tmp_path):
         taken = tmp_path / "taken"

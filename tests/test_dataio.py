@@ -647,6 +647,23 @@ class TestWriters:
             getattr(sc, f"write_{writer}")(out, result)
         assert not out.exists()
 
+    @pytest.mark.parametrize("year", [2 ** 53 + 1, -2 ** 53 - 1,
+                                      np.iinfo(np.int64).min])
+    def test_integer_beyond_2_53_raises_before_writing(self, tmp_path, year):
+        # float64 holds every integer up to 2^53, and the formatter prints
+        # integers through it; up to 2^53 they print exactly
+        traj = sc.simulate(make_scenario(horizon=1))
+        out = tmp_path / "out.csv"
+        traj.year[:] = 2 ** 53
+        sc.write_trajectory(out, traj)
+        assert out.read_text().splitlines()[2].startswith(
+            "9007199254740992,0,12.0,")
+        out.unlink()
+        traj.year[-1] = year
+        with pytest.raises(NumericsError, match="integer beyond 2\\*\\*53"):
+            sc.write_trajectory(out, traj)
+        assert not out.exists()
+
     @pytest.mark.parametrize("writer", ["trajectory", "sensitivity",
                                         "control"])
     @pytest.mark.parametrize("blocks, extra", [

@@ -13,7 +13,7 @@ from socchange import _kernels
 from socchange.climate import KA_OFFSET
 from socchange.errors import ConfigError
 from socchange.sensitivity import (MAX_RECORDED_SAMPLES, MIN_SENSITIVITY_DT,
-                                   _grids, build_averaged_model)
+                                   _eigen_a, _grids, build_averaged_model)
 
 from conftest import make_scenario, with_year
 
@@ -137,6 +137,24 @@ class TestClosedFormFirstYear:
             lam = np.sort(lam)
             assert np.all(np.diff(lam) > 0.5 * np.abs(lam[1:]))
             assert np.linalg.cond(vecs) < 2.0
+
+    def test_closed_form_eigenpairs(self):
+        # _eigen_a's λ, V and V^{-1} a_g against LAPACK's eigenvalues and
+        # the definitions, over clay, r, η and the months per year
+        for cly in np.linspace(0.0, 100.0, 21):
+            for r, eta, T in ((0.05, 0.0, 12.0), (1.44, 0.25, 12.0),
+                              (5.0, 0.49, 1.0), (0.67, 0.1, 365.0)):
+                mats = sc.build_matrices(sc.SoilParams.for_site(
+                    cly, 23.0, r, eta=eta, T=T))
+                lam, vecs, coef = _eigen_a(mats)
+                scale = np.max(np.abs(mats.A)) * np.max(np.abs(vecs))
+                assert np.max(np.abs(mats.A @ vecs - vecs * lam)) <= \
+                    1e-15 * scale
+                np.testing.assert_allclose(vecs @ coef, mats.a_g, rtol=0,
+                                           atol=1e-15)
+                np.testing.assert_allclose(
+                    np.sort(lam), np.sort(np.linalg.eigvals(mats.A)),
+                    rtol=1e-14, atol=0)
 
 
 class TestModifierDerivatives:

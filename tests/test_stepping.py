@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import socchange as sc
-from socchange import stepping
+from socchange import _kernels, stepping
 from socchange.errors import ConfigError
 
 from conftest import (REPO_ROOT, constant_climate, hand_months,
@@ -126,6 +126,27 @@ class TestNonstandardStep:
         stepped = nonstandard_step(cstar, dt, rho0, b, mats)
         scale = max(1.0, float(np.max(np.abs(cstar))))
         assert np.max(np.abs(stepped - cstar)) / scale < 1e-12
+
+    @settings(deadline=None)   # the example count comes from the profile
+    @given(cly=st.floats(0.0, 100.0), r=st.floats(0.01, 10.0),
+           eta=st.floats(0.0, 0.5), rho=st.floats(1e-3, 24.0),
+           dt=st.floats(1e-6, 1.0), p0=st.floats(0.01, 5.0),
+           f0=st.floats(0.0, 5.0), nsteps=st.integers(1, 1200))
+    def test_constant_forcing_run_stays_at_equilibrium(
+            self, cly, r, eta, rho, dt, p0, f0, nsteps):
+        # dynamic consistency (Anguelov & Lubuma 2001): a run of the
+        # non-standard map from the equilibrium, chained as simulate chains
+        # its months, stays there for any step up to a month; the round-off
+        # grows at most about one ulp a step (1.3e-13 over 600 steps seen)
+        mats = sc.build_matrices(sc.SoilParams.for_site(cly, 23.0, r, eta=eta))
+        cstar = sc.equilibrium_pools(p0, f0, rho, mats, 12.0)
+        b = (p0 * mats.a_g + f0 * mats.a_f) / 12.0
+        _, fmat, phiv = stepping._step_factors(dt * rho, mats)
+        gvec = dt * stepping._phi_times(phiv, mats, b)
+        states = _kernels.affine_recurrence(
+            np.repeat(fmat[None], nsteps, axis=0),
+            np.repeat(gvec[None], nsteps, axis=0), cstar)
+        assert np.max(np.abs(states - cstar)) <= 1e-12 * np.max(cstar)
 
     def test_homogeneous_contraction(self, mats):
         rng = np.random.default_rng(1)
