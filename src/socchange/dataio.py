@@ -30,8 +30,8 @@ from .dynamics import (ARABLE_COVER_SCHEDULE, LAND_CLASSES, FymPolicy,
 from .equilibrium import BaselineState
 from .errors import ConfigError, DataError, NumericsError, writing
 from .pools import DEFAULT_ETA, SoilParams, build_matrices
-from .sensitivity import DEFAULT_SENSITIVITY_DT, SensitivitySeries, _grids
-from .stepping import Trajectory, check_scheme
+from .sensitivity import SensitivitySeries
+from .stepping import Trajectory
 
 Array = np.ndarray
 
@@ -322,8 +322,6 @@ class ScenarioConfig:
     fym_mode: str = "none"
     fym_monthly_tc_ha: Optional[list] = None
     cover_mode: str = "timed"
-    scheme: str = "nonstandard"
-    sensitivity_dt: float = DEFAULT_SENSITIVITY_DT
     density_csv: Optional[str] = None
     base_dir: Path = field(default_factory=Path)
 
@@ -393,8 +391,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     r = config.dpm_rpm_ratio
     params = SoilParams.for_site(config.clay_pct, config.depth_cm, r,
                                  eta=config.eta)
-    check_scheme(config.scheme)
-    _grids(params.T, config.sensitivity_dt, False, 0)   # domain and floor
     mats = build_matrices(params)
     moisture = max_deficit(config.clay_pct, config.depth_cm)
     climate = load_climate(config.resolve(config.climate_csv), moisture,

@@ -188,11 +188,6 @@ def _monthly_forcing(scenario: Scenario, mode: str, scheme=None):
     return record.dt[:, None] * b if scheme == "rothc_discrete" else b
 
 
-def check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-
-
 def simulate(scenario: Scenario, scheme: str = "nonstandard",
              mode: str = "delta") -> Trajectory:
     """Run the monthly stepping over the horizon.
@@ -200,7 +195,8 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     Delta mode starts from the zero state at t0 + T; absolute mode starts
     from the baseline equilibrium pools (validation path).
     """
-    check_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     gvecs = _monthly_forcing(scenario, mode, scheme)
     record = scenario.site.month_operators
     c0 = np.zeros(4) if mode == "delta" else scenario.baseline.c0.astype(float)

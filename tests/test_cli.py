@@ -296,7 +296,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("dpm_rpm_ratio", "nan"), ("depth_cm", "nan"), ("depth_cm", "inf"),
         ("plant_input_tc_ha_yr", "nan"), ("fym_baseline_tc_ha_yr", "-inf"),
-        ("soc_active_tc_ha", "nan"), ("sensitivity_dt", "inf"),
+        ("soc_active_tc_ha", "nan"),
         ("fym_monthly_tc_ha", ",".join(["0.05"] * 11 + ["nan"])),
     ])
     def test_non_finite_value_exits_one_naming_key(self, tmp_path, capsys,
@@ -356,14 +356,15 @@ class TestConfigValues:
         ["control", "--epsilon", "0.5"], ["equilibrium", "--inputs", "1", "0"],
     ], ids=["simulate", "sensitivity", "sensitivity-dt-option", "control",
             "equilibrium"])
-    @pytest.mark.parametrize("key, value, message", [
-        ("scheme", "bogus", "unknown scheme 'bogus'"),
-        ("sensitivity_dt", "5", "sensitivity step must be in (0, 1] months"),
-        ("sensitivity_dt", "1e-7", "sensitivity step 1e-07 is below 1e-06"),
+    @pytest.mark.parametrize("key, value", [
+        ("scheme", "rothc_discrete"), ("sensitivity_dt", "5"),
+        ("sensitivity_dt", "1e-7"),
     ], ids=["scheme", "dt-over-a-month", "dt-below-the-floor"])
     def test_a_bad_value_exits_one_whatever_the_command(
-            self, tmp_path, capsys, command, key, value, message):
-        # every command rejects it, not only the one that reads the key
+            self, tmp_path, capsys, command, key, value):
+        # the step and the scheme are the options --scheme and --dt only:
+        # every command rejects either key, whatever its value
+        message = f"unknown key {key!r}"
         config = _demo_with_key(tmp_path, key, value)
         out = tmp_path / "out"
         argv = [command[0], str(config), *command[1:]]
@@ -375,16 +376,19 @@ class TestConfigValues:
         assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["nan", "0", "inf", "-inf", "-1", "1.5",
-                                    "-1e-3"])
+                                    "-1e-3", "1e-7"])
     def test_sensitivity_step_outside_one_month_exits_one(self, tmp_path,
                                                           capsys, dt):
+        # the command records every step, so a step below the 1e-6 floor
+        # meets the sample cap first
+        message = ("sensitivity step 1e-07 would record" if dt == "1e-7"
+                   else "sensitivity step must be in (0, 1]")
         out = tmp_path / "out"
         for option in ([f"--dt={dt}"], ["--dt", dt]):
             assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
                          "temp1", *option, "--out", str(out)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("configuration error: sensitivity step "
-                                  "must be in (0, 1]"), err
+            assert err.startswith(f"configuration error: {message}"), err
             assert not out.exists()
 
     def test_sensitivity_step_recording_too_many_samples_exits_one(
@@ -448,19 +452,6 @@ class TestSensitivityCommand:
 
 
 class TestControlCommand:
-    @pytest.mark.parametrize("epsilon", ["0.5,1", "1"])
-    def test_discrete_scheme_writes_nothing(self, tmp_path, capsys, epsilon):
-        # one sweep must not run the controlled epsilon values on the
-        # non-standard step and epsilon = 1 on the discrete one
-        config = _demo_with_key(tmp_path, "scheme", "rothc_discrete")
-        out = tmp_path / "out"
-        assert main(["control", str(config), "--epsilon", epsilon,
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and (
-            "nonstandard scheme only, got rothc_discrete") in err, err
-        assert not out.exists()
-
     def test_epsilon_zero_maintenance(self, tmp_path):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5,
                                        plant_input_tc_ha_yr=0.5)
@@ -591,7 +582,7 @@ class TestUnwritableOutput:
         (out / chart).mkdir(parents=True)
         self._exits_two(capsys, [args[0], str(config), *args[1:],
                                  "--out", str(out), "--plot"], out / chart)
-        # the chart goes first, so the failed run leaves none of its CSVs
+        # the files land together, so the failed run leaves none of its CSVs
         assert [path.name for path in out.iterdir()] == [chart]
 
     def test_console_entry_prints_no_traceback(self, tmp_path):
@@ -602,6 +593,84 @@ class TestUnwritableOutput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"data error: cannot write {taken}: ")
+
+
+class TestOutputsLandTogether:
+    """A command's files move into --out together, once all are written: a
+    failed command leaves --out as it was, prints nothing on stdout and
+    leaves no temporary file behind."""
+
+    @staticmethod
+    def _listing(out):
+        return {path.name: path.read_bytes() if path.is_file() else None
+                for path in out.iterdir()}
+
+    def _fails_on_a_directory(self, capsys, argv, out, taken):
+        (out / taken).mkdir(parents=True)
+        before = self._listing(out)
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert captured.err.startswith(
+            f"data error: cannot write {out / taken}: "), captured.err
+        assert self._listing(out) == before
+        assert list((out / taken).iterdir()) == []
+
+    def test_a_sweep_with_a_directory_at_its_last_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._fails_on_a_directory(
+            capsys, ["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     "0,0.5"], out, "trajectory_eps0p5.csv")
+        assert [path.name for path in out.iterdir()] == [
+            "trajectory_eps0p5.csv"]
+
+    def test_a_controlled_simulate_with_a_directory_at_its_trajectory(
+            self, tmp_path, capsys):
+        # the run writes control.csv beside trajectory.csv
+        config = _demo_with_key(tmp_path, "fym_mode", "controlled")
+        out = tmp_path / "out"
+        self._fails_on_a_directory(capsys, ["simulate", str(config)], out,
+                                   "trajectory.csv")
+        assert [path.name for path in out.iterdir()] == ["trajectory.csv"]
+
+    def test_an_earlier_run_keeps_its_bytes(self, tmp_path, capsys):
+        out, other = tmp_path / "out", tmp_path / "other"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     "0,0.5", "--plot", "--out", str(out)]) == 0
+        config = _demo_with_key(tmp_path, "dpm_rpm_ratio", "2.0")
+        argv = ["control", str(config), "--epsilon", "0,0.8", "--plot"]
+        # a run on this config would overwrite three earlier files' bytes
+        assert main([*argv, "--out", str(other)]) == 0
+        capsys.readouterr()
+        earlier, overwrite = self._listing(out), self._listing(other)
+        shared = set(earlier) & set(overwrite)
+        assert shared == {"control_eps0.csv", "trajectory_eps0.csv",
+                          "control_dsoc.svg"}
+        assert all(earlier[name] != overwrite[name] for name in shared)
+        self._fails_on_a_directory(capsys, argv, out, "trajectory_eps0p8.csv")
+
+    def test_a_failed_write_leaves_no_new_out(self, tmp_path, capsys,
+                                              monkeypatch):
+        def non_finite(*args):
+            trajectory = sc.simulate(*args)
+            trajectory.totals[-1] = math.nan
+            return trajectory
+        monkeypatch.setattr("socchange.cli.simulate", non_finite)
+        out = tmp_path / "out"
+        assert main(["simulate", str(DEMO / "scenario.cfg"), "--out",
+                     str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite value" in captured.err
+        assert not out.exists()
+
+    def test_a_successful_run_leaves_only_its_files(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     "0,0.5", "--plot", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "control_dsoc.svg", "control_eps0.csv", "control_eps0p5.csv",
+            "trajectory_eps0.csv", "trajectory_eps0p5.csv"]
 
 
 class TestEquilibriumCommand:
@@ -756,8 +825,7 @@ _FUZZED_CELL = st.one_of(
 
 _FLOAT_CONFIG_KEYS = ("latitude_deg", "clay_pct", "depth_cm", "dpm_rpm_ratio",
                       "bare_months", "eta", "plant_input_tc_ha_yr",
-                      "fym_baseline_tc_ha_yr", "soc_active_tc_ha",
-                      "sensitivity_dt")
+                      "fym_baseline_tc_ha_yr", "soc_active_tc_ha")
 
 _CONFIG_EDIT = st.sampled_from(
     [(key, value) for key in _FLOAT_CONFIG_KEYS
