@@ -150,8 +150,8 @@ def cmd_control(args, scenario: Scenario):
     files, report = {}, []
     for eps, tag, (trajectory, schedule) in zip(eps_values, tags, runs):
         if schedule is None:
-            print("epsilon=1 has no manure input; running uncontrolled "
-                  "simulation instead", file=sys.stderr)
+            report.append("epsilon=1 has no manure input; running "
+                          "uncontrolled simulation instead")
         else:
             files[f"control_eps{tag}.csv"] = (write_control, schedule)
             report.append(f"epsilon={eps:g} annual manure totals (t C/ha):")
@@ -212,7 +212,10 @@ def _land(out: Path, files: dict) -> None:
     try:
         with staging as tmp:
             for name, (write, *data) in files.items():
-                write(Path(tmp, name), *data)
+                try:
+                    write(Path(tmp, name), *data)
+                except SocChangeError as exc:   # name the output, not tmp
+                    raise type(exc)(str(exc).replace(tmp, str(out))) from None
             for name in files:
                 with writing(out / name):
                     os.replace(Path(tmp, name), out / name)

@@ -10,8 +10,6 @@ by ``_floatfmt`` (the tests hold it to ``repr`` itself).
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -431,18 +429,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(site, FymPolicy(config.fym_mode, config.fym_monthly_tc_ha))
 
 
-def scenario_digest(meta: dict) -> str:
-    """Short deterministic identifier for a run's metadata."""
-    canon = json.dumps({k: v for k, v in sorted(meta.items())
-                        if not isinstance(v, np.ndarray)},
-                       sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
 def _meta_line(kind: str, meta: dict) -> str:
     pairs = " ".join(f"{k}={meta[k]}" for k in sorted(meta)
                      if not isinstance(meta[k], np.ndarray))
-    return (f"# socchange={__version__} kind={kind} scenario={scenario_digest(meta)}"
+    return (f"# socchange={__version__} kind={kind}"
             + (f" {pairs}" if pairs else ""))
 
 

@@ -104,16 +104,13 @@ def _grids(T: float, dt: float, record_all: bool, nyears: int):
     if not 0.0 < dt <= month:
         raise ConfigError(f"sensitivity step must be in (0, {month:g}] "
                           f"months, got {dt}")
-    try:
-        per_month = round(month / dt)
-    except OverflowError:   # month / dt is inf for a subnormal dt
-        raise ConfigError(f"sensitivity step {dt} is too small") from None
-    if record_all and 12 * per_month * nyears > MAX_RECORDED_SAMPLES:
-        raise ConfigError(f"sensitivity step {dt} would record more than "
-                          f"{MAX_RECORDED_SAMPLES} samples over {nyears} years")
     if dt < MIN_SENSITIVITY_DT:
         raise ConfigError(f"sensitivity step {dt} is below "
                           f"{MIN_SENSITIVITY_DT:g} months")
+    per_month = round(month / dt)
+    if record_all and 12 * per_month * nyears > MAX_RECORDED_SAMPLES:
+        raise ConfigError(f"sensitivity step {dt} would record more than "
+                          f"{MAX_RECORDED_SAMPLES} samples over {nyears} years")
     dt_eff = month / per_month
     record_every = 1 if record_all else per_month
     return 12 * per_month, dt_eff, record_every

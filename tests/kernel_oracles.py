@@ -12,11 +12,17 @@ the scheme's other algebraic form, the reference for the transition form the
 engine steps with. ``maintenance_rate`` is the continuous manure law that the
 discrete control law tends to as Δt → 0. ``exact_flow`` is the exact monthly
 flow that the one-step schemes approximate, from A's eigendecomposition.
+``exact_averaged`` is the exact year-end solution of the averaged model and
+of a parameter's sensitivity, which ``sensitivity`` co-integrates.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from socchange.errors import ConfigError
+from socchange.pools import DPM_RPM_SHIFT
+from socchange.sensitivity import (build_averaged_model, drho_dr, drho_dtemp,
+                                   theta)
 from socchange.stepping import _monthly_forcing, _step_factors, phi1_scalar
 
 
@@ -65,6 +71,46 @@ def exact_flow(scenario, mode="delta"):
         c = vecs @ (np.exp(zs[j]) * np.linalg.solve(vecs, c) + inputs[j])
         out[j + 1] = c
     return out
+
+
+def exact_averaged(scenario, parameter):
+    """Year-end (s, c) of the averaged model's exact solution, year 0 first.
+
+    In delta year n the state solves c' = ρⁿA c + θⁿa_g and the sensitivity
+    to ``parameter`` s' = ρⁿA s + κ_n A c + ω_n v, both from zero at the
+    end of the baseline year, with κ_n, ω_n and v built as ``sensitivity``
+    builds them. The year maps [s; c; 1] by e^{T M_n}, M_n =
+    [[ρⁿA, κ_n A, ω_n v], [0, ρⁿA, θⁿa_g], [0, 0, 0]] (Van Loan, IEEE TAC
+    1978). temp1 and np1 cover the first delta year, r the horizon.
+    """
+    avg = build_averaged_model(scenario)
+    mats, r, ref = scenario.mats, scenario.r, avg.reference
+    years = np.arange(1, avg.horizon + 1)
+    v = mats.a_g
+    if parameter == "temp1":
+        kappa = np.array([drho_dtemp(avg.temps[0], ref.temp0, avg.accs[0],
+                                     ref.site, r, ref.n_bare)])
+        omega = -kappa / (avg.T * ref.rho0(r))
+    elif parameter == "np1":
+        kappa, omega = np.zeros(1), np.array([1.0 / avg.T])
+    else:
+        kappa = drho_dr(avg.temps, ref.temp0, avg.accs, ref.site, r,
+                        ref.n_bare)
+        omega = theta(years, avg) / (r + 1.0) ** 2
+        v = DPM_RPM_SHIFT
+    x = np.zeros(9)
+    x[8] = 1.0
+    out = [x[:8]]
+    for n, k, w in zip(years, kappa, omega):
+        m = np.zeros((9, 9))
+        m[:4, :4] = m[4:8, 4:8] = avg.rho_n(n, r) * mats.A
+        m[:4, 4:8] = k * mats.A
+        m[:4, 8] = w * v
+        m[4:8, 8] = theta(n, avg) * mats.a_g
+        x = sla.expm(avg.T * m) @ x
+        out.append(x[:8])
+    out = np.array(out)
+    return out[:, :4], out[:, 4:]
 
 
 def maintenance_rate(delta_c, rho, ghat, np_ratio, epsilon, T, rho0, delta, k):

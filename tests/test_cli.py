@@ -379,10 +379,10 @@ class TestConfigValues:
                                     "-1e-3", "1e-7"])
     def test_sensitivity_step_outside_one_month_exits_one(self, tmp_path,
                                                           capsys, dt):
-        # the command records every step, so a step below the 1e-6 floor
-        # meets the sample cap first
-        message = ("sensitivity step 1e-07 would record" if dt == "1e-7"
-                   else "sensitivity step must be in (0, 1]")
+        # the 1e-6 floor is checked before the sample cap, so a step below
+        # it is reported as such, although the command records every step
+        message = ("sensitivity step 1e-07 is below 1e-06 months"
+                   if dt == "1e-7" else "sensitivity step must be in (0, 1]")
         out = tmp_path / "out"
         for option in ([f"--dt={dt}"], ["--dt", dt]):
             assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
@@ -393,11 +393,12 @@ class TestConfigValues:
 
     def test_sensitivity_step_recording_too_many_samples_exits_one(
             self, tmp_path, capsys):
+        # above the floor: 10 000 steps a month over the demo's 14 years
         out = tmp_path / "out"
         assert main(["sensitivity", str(DEMO / "scenario.cfg"), "--param",
-                     "r", "--dt", "1e-300", "--out", str(out)]) == 1
+                     "r", "--dt", "1e-4", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: sensitivity step 1e-300 "
+        assert err.startswith("configuration error: sensitivity step 0.0001 "
                               "would record"), err
         assert not out.exists()
 
@@ -485,7 +486,7 @@ class TestControlCommand:
         assert main(["control", str(config), "--epsilon", "1",
                      "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "no manure" in captured.err
+        assert "no manure" in captured.out and captured.err == ""
         assert (out / "trajectory_eps1.csv").exists()
         assert not (out / "control_eps1.csv").exists()
 
@@ -625,6 +626,14 @@ class TestOutputsLandTogether:
         assert [path.name for path in out.iterdir()] == [
             "trajectory_eps0p5.csv"]
 
+    def test_a_sweep_through_epsilon_one_prints_one_line(self, tmp_path,
+                                                         capsys):
+        # the epsilon=1 note is a report line, printed only once files land
+        out = tmp_path / "out"
+        self._fails_on_a_directory(
+            capsys, ["control", str(DEMO / "scenario.cfg"), "--epsilon",
+                     "0,1"], out, "trajectory_eps1.csv")
+
     def test_a_controlled_simulate_with_a_directory_at_its_trajectory(
             self, tmp_path, capsys):
         # the run writes control.csv beside trajectory.csv
@@ -661,7 +670,10 @@ class TestOutputsLandTogether:
         assert main(["simulate", str(DEMO / "scenario.cfg"), "--out",
                      str(out)]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "non-finite value" in captured.err
+        # the message names the output, not the staging directory
+        assert captured.out == "" and captured.err == (
+            "numerical error: non-finite value in the output for "
+            f"{out / 'trajectory.csv'}; nothing written\n")
         assert not out.exists()
 
     def test_a_successful_run_leaves_only_its_files(self, tmp_path):

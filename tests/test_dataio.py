@@ -724,11 +724,13 @@ class TestWriters:
         with pytest.raises(DataError, match="cannot write"):
             sc.write_trajectory(tmp_path, traj)
 
-    def test_metadata_line_carries_scheme_and_hash(self, tmp_path,
-                                                   arable_scenario):
+    def test_metadata_line_carries_scheme_and_no_digest(self, tmp_path,
+                                                        arable_scenario):
+        # line 1 lists the run's metadata and nothing derived from it
         traj = sc.simulate(arable_scenario)
         sc.write_trajectory(tmp_path / "t.csv", traj)
         header = (tmp_path / "t.csv").read_text().splitlines()[0]
+        assert header.startswith(f"# socchange={sc.__version__} "
+                                 "kind=trajectory ")
         assert "scheme=nonstandard" in header
-        assert "scenario=" in header
-        assert "socchange=" in header
+        assert "scenario=" not in header

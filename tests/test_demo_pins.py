@@ -3,8 +3,9 @@
 ``tests/data/demo_pins.json`` holds, for each command below, its stdout and
 for each CSV it writes: the metadata and header lines, the row count, every
 k-th data row and the last one, as written. A refactor that moves a number
-in these outputs by more than 1e-12 of its column's scale fails here. The
-tolerance, rather than a hash, lets numpy versions differ by an ulp.
+in these outputs by more than 1e-12 of its column's scale fails here, and
+so does any change to a metadata or header line, which are compared whole.
+The tolerance, rather than a hash, lets numpy versions differ by an ulp.
 
 The state columns of ``control``'s trajectory files share one scale, the
 largest state magnitude across those files: at ε = 0 the manure replaces
@@ -51,7 +52,6 @@ REL_TOL = 1e-12
 STATE_COLUMNS = ("dpm", "rpm", "bio", "hum", "total")
 ZERO_CONTROL_TOL = 1e-15   # ε = 0 controlled states, relative to the scale
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_DIGEST = re.compile(r"scenario=\w+")
 
 
 def run_command(args: list, out: Path) -> dict:
@@ -84,14 +84,9 @@ def _all_outputs() -> dict:
     return pins
 
 
-def _numbers(text: str) -> list[str]:
-    return _NUMBER.findall(_DIGEST.sub("", text))
-
-
 def assert_text_close(expected: str, actual: str, scale: float) -> None:
     """Same words; each number within one unit of its last printed digit
     or REL_TOL * scale."""
-    expected, actual = _DIGEST.sub("", expected), _DIGEST.sub("", actual)
     assert _NUMBER.sub("#", expected) == _NUMBER.sub("#", actual)
     for want, got in zip(_NUMBER.findall(expected), _NUMBER.findall(actual)):
         unit = 10.0 ** Decimal(want).as_tuple().exponent
@@ -119,7 +114,7 @@ def assert_csv_close(pin: dict, path: Path, state_scale=None) -> None:
     meta, header, *rows = path.read_text().splitlines()
     assert header == pin["header"]
     assert len(rows) == pin["rows"]
-    assert_text_close(pin["meta"], meta, 0.0)
+    assert meta == pin["meta"]
     kept = {int(i): row.split(",") for i, row in pin["kept"].items()}
     scales = [state_scale if state_scale is not None and name in STATE_COLUMNS
               else max(abs(float(row[j])) for row in kept.values())
@@ -146,8 +141,8 @@ def test_demo_command_matches_pin(pins, tmp_path, args):
     pin = pins[" ".join(args)]
     result = run_command(args, tmp_path)
     assert result["exit"] == pin["exit"] == 0
-    stdout_scale = max((abs(float(x)) for x in _numbers(pin["stdout"])),
-                       default=0.0)
+    stdout_scale = max((abs(float(x))
+                        for x in _NUMBER.findall(pin["stdout"])), default=0.0)
     assert_text_close(pin["stdout"], result["stdout"], stdout_scale)
     assert sorted(result["files"]) == sorted(pin["files"])
     state_scale = None
