@@ -7,9 +7,10 @@ build every month's map first. ``affine_recurrence`` and ``rk4_piecewise``
 chain them in blocks of about √(n/3) months, summing in another order than
 a step-by-step loop; ``controlled_recurrence``, whose clamp reads each
 month's state, takes one ``.dot`` per month (the ndarray method skips
-``np.dot``'s Python-level dispatch). It carries the manure share ε and its
-input factor as the sixth and seventh state entries, clamping the factor at
-0 before each month's step; row 6 of each month's map predicts the next one.
+``np.dot``'s Python-level dispatch) on month-map views that every run of a
+site shares. It carries the manure share ε and its input factor as the
+sixth and seventh state entries, clamping the factor at 0 before each
+month's step; row 6 of each month's map predicts the next one.
 No kernel takes a φ matrix: callers apply φ(τÃ) to a kernel's inputs.
 """
 
@@ -131,10 +132,12 @@ def rk4_piecewise(amats, bvecs, dts, nsub, c0):
 def controlled_recurrence(maps, x0):
     """Clamped affine loop on x = [c; 1; ε; f̂′], one map per month.
 
-    maps: (n, 7, 7) month maps, ``Site.control_maps``; x0: (7,), not
-    written. Month j sets the factor x_j[6] to +0.0 unless it is positive,
-    then steps x_j by ``maps[j]``, whose c rows take the manure input f̂′ v̂
-    and whose row 6 predicts the next f̂′. Returns all states x (n+1, 7).
+    maps: ``Site.control_maps``' object array of n (7, 7) views (an
+    (n, 7, 7) array steps the same, making a view per month: 6–9 % of
+    the loop); x0: (7,), not written. Month j sets the factor x_j[6] to +0.0
+    unless it is positive, then steps x_j by ``maps[j]``, whose c rows take
+    the manure input f̂′ v̂ and whose row 6 predicts the next f̂′. Returns
+    all states x (n+1, 7). perfbench's tracer reads n as ``maps.shape[0]``.
     """
     x = np.empty((maps.shape[0] + 1, x0.shape[0]))
     x[0] = x0

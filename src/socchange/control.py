@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import Scenario, Site
 from .errors import ConfigError, NumericsError
-from .stepping import Trajectory
+from .stepping import Trajectory, _pool_sum
 
 Array = np.ndarray
 
@@ -61,7 +61,7 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     x0 = np.array((0, 0, 0, 0, 1, epsilon, first[4] + epsilon * first[5]))
     x = _kernels.controlled_recurrence(maps, x0)
     states = x[:, :4]
-    totals = states.sum(axis=1)
+    totals = _pool_sum(states)
     if totals.min() < DSOC_FLOOR:
         raise NumericsError(f"epsilon={epsilon:g}: dsoc {totals.min():.3e} at "
                             f"month {totals.argmin()} is below the floor "
@@ -87,7 +87,8 @@ def _control_maps(site: Site):
     """(maps, first): the controlled run's month maps, for every ε.
 
     Read through ``Site.control_maps``, built once per site from its month
-    record; the arrays are read-only.
+    record; all read-only. ``maps`` is a 1-D object array of the (7, 7)
+    views of one (n, 7, 7) block, stepped by the runs of every ε.
 
     Month j steps c <- F c + g + f v, g the manure-free forcing, and f
     zeroes the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc. As 1ᵀ(I - F) =
@@ -108,13 +109,15 @@ def _control_maps(site: Site):
     g0 = -record.q[:, None] * record.dir_f
     dg = (record.supply - record.q)[:, None] * record.dir_g - g0
     w = np.column_stack((site.mats.delta * (1.0 - record.eks),
-                         -g0.sum(axis=1), -dg.sum(axis=1)))
-    w /= record.dir_f.sum(axis=1)[:, None]
+                         -_pool_sum(g0), -_pool_sum(dg)))
+    w /= _pool_sum(record.dir_f)[:, None]
     maps = np.zeros((len(record.dt), 7, 7))
     maps[:, :4, :4] = record.fmats
     maps[:, :4, 4:] = np.stack((g0, dg, record.dir_f), axis=2)
     maps[:, 4, 4] = maps[:, 5, 5] = 1.0
     maps[:-1, 6] = (w[1:, None] @ maps[:-1, :6])[:, 0]
     first = w[0].copy()
-    maps.flags.writeable = first.flags.writeable = False
-    return maps, first
+    maps.flags.writeable = False
+    views = np.fromiter(maps, dtype=object, count=len(maps))
+    views.flags.writeable = first.flags.writeable = False
+    return views, first

@@ -22,7 +22,8 @@ from .climate import (KA_EXPONENT, KA_OFFSET, KA_SCALE, ReferenceState,
 from .dynamics import Scenario
 from .errors import ConfigError, NumericsError
 from .pools import DPM_RPM_SHIFT, CompartmentMatrices
-from .stepping import _phi_times, _phi_times_a, _step_factors, phi1_scalar
+from .stepping import (_phi_times, _phi_times_a, _pool_sum, _step_factors,
+                       phi1_scalar)
 
 Array = np.ndarray
 
@@ -291,4 +292,4 @@ def sensitivity(parameter: str, scenario: Scenario,
             "dt": _grids(avg.T, dt, record_all, omega.shape[0])[1],
             "years": omega.shape[0], "dpm_rpm_ratio": r}
     return SensitivitySeries(parameter=parameter, t=t, s=s_arr,
-                             s_dsoc=s_arr.sum(axis=1), delta=c_arr, meta=meta)
+                             s_dsoc=_pool_sum(s_arr), delta=c_arr, meta=meta)

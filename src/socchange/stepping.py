@@ -36,6 +36,12 @@ def phi1_scalar(z):
     return float(out) if out.ndim == 0 else out
 
 
+def _pool_sum(a):
+    """``a.sum(axis=1)`` of an (n, 4) array, bit for bit (its adds run left
+    to right from 0.0), without numpy's reduction cost of ~19 ns a row."""
+    return 0.0 + a[:, 0] + a[:, 1] + a[:, 2] + a[:, 3]
+
+
 def _step_factors(taus, mats: CompartmentMatrices):
     """e^{-τk}, F(τ) and φ(-τk) for τ = Δt ρ of any shape, ahead of their
     vector or matrix axes: the one place the step's matrix functions are
@@ -205,7 +211,7 @@ def simulate(scenario: Scenario, scheme: str = "nonstandard",
     meta = {"scheme": scheme, "mode": mode, "fym_mode": scenario.fym.mode,
             "epsilon": scenario.baseline.epsilon, **scenario.site.meta}
     return Trajectory(t=t, year=year, month=month, states=states,
-                      totals=states.sum(axis=1), scheme=scheme, mode=mode,
+                      totals=_pool_sum(states), scheme=scheme, mode=mode,
                       meta=meta)
 
 
@@ -223,5 +229,5 @@ def rk4_reference(scenario: Scenario, mode: str = "delta",
     states = _kernels.rk4_piecewise(amats, bvecs, record.dt, refine, c0)
     t, year, month = record.sample_axis(scenario.site.baseline_year)
     return Trajectory(t=t, year=year, month=month, states=states,
-                      totals=states.sum(axis=1), scheme=f"rk4x{refine}",
+                      totals=_pool_sum(states), scheme=f"rk4x{refine}",
                       mode=mode, meta={"scheme": f"rk4x{refine}", "mode": mode})

@@ -53,14 +53,24 @@ def nonstandard_step_incremental(state, dt, rho, b, mats):
     return state + dt * (phi_matrix(dt, rho, mats) @ (rho * (mats.A @ state) + b))
 
 
-def exact_flow(scenario, mode="delta"):
+def exact_flow(scenario, mode="delta", schedule=None):
     """Month-end states of the exact flow of c' = ρ_j A c + b_j, on the
     forcing b_j that ``simulate`` and ``rk4_reference`` step, from where they
     start. With A = V diag(λ) V^{-1} (λ real and distinct) and τ = Δt ρ_j,
-    each month maps c <- V(e^{τλ} ⊙ V^{-1} c + Δt φ(τλ) ⊙ V^{-1} b_j)."""
+    each month maps c <- V(e^{τλ} ⊙ V^{-1} c + Δt φ(τλ) ⊙ V^{-1} b_j).
+
+    Given a ``ControlSchedule``, the delta forcing takes its share ε and its
+    per-month manure density f in place of the scenario's policy:
+    b_j = ε(N_P ĝ - q)_j a_g + (1 - ε)(f_j/F0 - q_j) a_f."""
     lam, vecs = np.linalg.eig(scenario.mats.A)
-    bvecs = _monthly_forcing(scenario, mode)
     record = scenario.site.month_operators
+    if schedule is None:
+        bvecs = _monthly_forcing(scenario, mode)
+    else:
+        eps, mats = schedule.epsilon, scenario.mats
+        g = eps * (record.supply - record.q)
+        f = (1.0 - eps) * (schedule.f / schedule.meta["F0"] - record.q)
+        bvecs = g[:, None] * mats.a_g + f[:, None] * mats.a_f
     zs = (record.dt * record.rhos)[:, None] * lam
     inputs = (record.dt[:, None] * phi1_scalar(zs)
               * np.linalg.solve(vecs, bvecs.T).T)

@@ -17,7 +17,16 @@ random sites (r, clay, climate seed, 1-30 years, ε) the tests check that:
 - at ε = 0 the control holds Δc at 0 within 1e-15 of ``simulate``'s state
   scale, with f0 = q = ρ/(T ρ0) within 1e-15 relative (the scheme keeps
   the baseline equilibrium, Anguelov & Lubuma 2001);
-- the annual means do not decrease as ε grows.
+- the annual means do not decrease as ε grows;
+- stepping the site's shared month-map views gives the states of stepping
+  one (n, 7, 7) block bit for bit, and every view is a read-only view of
+  that block.
+
+``stepping._pool_sum`` adds the four pool columns left to right from 0.0;
+it must equal numpy's ``sum(axis=1)`` bit for bit, including the sign of
+a row of -0.0, so that every total written stays as it was. How the
+reduction orders its adds and treats -0.0 is numpy's choice, so the test
+runs at both ends of the supported numpy range.
 
 The example count comes from the Hypothesis profile (``--hypothesis-profile
 =ci`` runs 1 000 per test).
@@ -25,9 +34,11 @@ The example count comes from the Hypothesis profile (``--hypothesis-profile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import socchange as sc
 from socchange import _kernels
+from socchange.stepping import _pool_sum
 
 import kernel_oracles as oracle
 from conftest import make_scenario
@@ -123,3 +134,43 @@ def test_annual_means_do_not_decrease_with_the_share(scenario, shares):
              for eps in sorted(shares)]
     for lo, hi in zip(means, means[1:]):
         assert np.all(hi >= lo - 1e-12), float((lo - hi).max())
+
+
+@_SETTINGS
+@given(scenario=_controlled_site(), eps=_EPSILON)
+def test_shared_views_step_like_one_block(scenario, eps):
+    views, first = scenario.site.control_maps
+    block = views[0].base
+    assert views.ndim == 1 and views.shape[0] == block.shape[0]
+    assert block.shape == (12 * scenario.site.horizon, 7, 7)
+    assert not views.flags.writeable and not block.flags.writeable
+    for j, view in enumerate(views):
+        assert view.shape == (7, 7) and not view.flags.writeable
+        assert np.shares_memory(view, block[j])
+    x0 = np.array((0, 0, 0, 0, 1, eps, first[4] + eps * first[5]))
+    got = _kernels.controlled_recurrence(views, x0)
+    want = _kernels.controlled_recurrence(np.stack(views), x0)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ±0.0, the subnormal range and magnitudes up to 1e308, whose sums may
+# overflow to ±inf and, from inf - inf, to nan
+_POOL = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                   2.2250738585072014e-308, 1e308, -1e308]),
+                  st.floats(-1e-300, 1e-300),
+                  st.floats(-1e308, 1e308))
+
+
+@_SETTINGS
+@given(pools=hnp.arrays(np.float64, st.tuples(st.integers(1, 40),
+                                              st.sampled_from([4, 7])),
+                        elements=_POOL),
+       zero_row=st.integers(0, 39))
+def test_pool_sum_is_the_row_reduction_bit_for_bit(pools, zero_row):
+    zero_row %= pools.shape[0]
+    pools[zero_row, :4] = -0.0
+    a = pools[:, :4]   # four pool columns, strided when drawn 7 wide
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _pool_sum(a), a.sum(axis=1)
+    assert not np.signbit(got[zero_row])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

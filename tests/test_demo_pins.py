@@ -15,6 +15,10 @@ scale would compare round-off bit for bit.
 Regenerate the pins (only for a deliberate, explained change of output)::
 
     PYTHONPATH=src python tests/test_demo_pins.py
+
+The regeneration keeps the pinned text of every value, and the pinned
+stdout, that the comparison still accepts, so its diff shows only what the
+change moved, and the metadata, header and row-count lines it changed.
 """
 
 from __future__ import annotations
@@ -84,6 +88,11 @@ def _all_outputs() -> dict:
     return pins
 
 
+def text_scale(text: str) -> float:
+    """The largest number magnitude in a stdout text."""
+    return max((abs(float(x)) for x in _NUMBER.findall(text)), default=0.0)
+
+
 def assert_text_close(expected: str, actual: str, scale: float) -> None:
     """Same words; each number within one unit of its last printed digit
     or REL_TOL * scale."""
@@ -108,22 +117,31 @@ def control_state_scale(files: dict) -> float:
                if name.startswith("trajectory_"))
 
 
+def column_scales(pin: dict, state_scale=None) -> list[float]:
+    """Each column's scale: the largest kept magnitude in the column, or
+    ``state_scale`` for the state columns."""
+    kept = [row.split(",") for row in pin["kept"].values()]
+    return [state_scale if state_scale is not None and name in STATE_COLUMNS
+            else max(abs(float(row[j])) for row in kept)
+            for j, name in enumerate(pin["header"].split(","))]
+
+
+def cell_close(want: str, got: str, scale: float) -> bool:
+    return abs(float(got) - float(want)) <= REL_TOL * scale
+
+
 def assert_csv_close(pin: dict, path: Path, state_scale=None) -> None:
-    """Rows within REL_TOL of their column's scale: the largest kept
-    magnitude in the column, or ``state_scale`` for the state columns."""
+    """Rows within REL_TOL of their column's scale (``column_scales``)."""
     meta, header, *rows = path.read_text().splitlines()
     assert header == pin["header"]
     assert len(rows) == pin["rows"]
     assert meta == pin["meta"]
-    kept = {int(i): row.split(",") for i, row in pin["kept"].items()}
-    scales = [state_scale if state_scale is not None and name in STATE_COLUMNS
-              else max(abs(float(row[j])) for row in kept.values())
-              for j, name in enumerate(header.split(","))]
-    for i, want in kept.items():
-        got = rows[i].split(",")
+    scales = column_scales(pin, state_scale)
+    for i, want in pin["kept"].items():
+        want, got = want.split(","), rows[int(i)].split(",")
         assert len(got) == len(want), i
         for j, (w, g) in enumerate(zip(want, got)):
-            assert abs(float(g) - float(w)) <= REL_TOL * scales[j], \
+            assert cell_close(w, g, scales[j]), \
                 (path.name, i, header.split(",")[j], w, g)
 
 
@@ -141,9 +159,8 @@ def test_demo_command_matches_pin(pins, tmp_path, args):
     pin = pins[" ".join(args)]
     result = run_command(args, tmp_path)
     assert result["exit"] == pin["exit"] == 0
-    stdout_scale = max((abs(float(x))
-                        for x in _NUMBER.findall(pin["stdout"])), default=0.0)
-    assert_text_close(pin["stdout"], result["stdout"], stdout_scale)
+    assert_text_close(pin["stdout"], result["stdout"],
+                      text_scale(pin["stdout"]))
     assert sorted(result["files"]) == sorted(pin["files"])
     state_scale = None
     if args[0] == "control":
@@ -170,6 +187,69 @@ def test_pin_comparison_catches_a_small_shift(pins, tmp_path):
         assert_csv_close(pin, path)
 
 
+def test_regeneration_with_unchanged_code_rewrites_nothing(pins, tmp_path):
+    path = tmp_path / "demo_pins.json"
+    write_pins(path, pins)
+    assert path.read_bytes() == PINS.read_bytes()
+
+
+def test_regeneration_rewrites_a_value_the_comparison_rejects(pins):
+    moved = json.loads(json.dumps(pins))
+    kept = moved["simulate"]["files"]["trajectory.csv"]["kept"]
+    last = max(kept, key=int)
+    cells = kept[last].split(",")
+    cells[-1] = repr(float(cells[-1]) * (1 + 1e-9))
+    kept[last] = ",".join(cells)
+    regenerated = regenerate(moved)
+    rows = regenerated["simulate"]["files"]["trajectory.csv"]["kept"]
+    assert rows[last].split(",")[-1] != cells[-1]
+    rows[last] = pins["simulate"]["files"]["trajectory.csv"]["kept"][last]
+    assert regenerated == pins
+
+
+def _keep_close_cells(old: dict, new: dict, state_scale) -> dict:
+    """``new``'s pin of one file, with the text of each ``old`` kept cell
+    that the comparison accepts; ``new`` whole if the header or the row
+    count changed."""
+    if (old["header"], old["rows"]) != (new["header"], new["rows"]):
+        return new
+    scales = column_scales(old, state_scale)
+    kept = {}
+    for i, row in new["kept"].items():
+        want, got = old["kept"][i].split(","), row.split(",")
+        kept[i] = row if len(want) != len(got) else ",".join(
+            w if cell_close(w, g, scale) else g
+            for w, g, scale in zip(want, got, scales))
+    return {**new, "kept": kept}
+
+
+def regenerate(old_pins: dict) -> dict:
+    """The demo commands' pins from this code, keeping every old pinned
+    value and stdout that ``test_demo_command_matches_pin`` accepts."""
+    pins = _all_outputs()
+    for command, result in pins.items():
+        old = old_pins.get(command)
+        if old is None:
+            continue
+        try:
+            assert_text_close(old["stdout"], result["stdout"],
+                              text_scale(old["stdout"]))
+            result["stdout"] = old["stdout"]
+        except AssertionError:
+            pass
+        state_scale = (control_state_scale(old["files"])
+                       if command.startswith("control") else None)
+        for name, pin in result["files"].items():
+            if name in old["files"]:
+                result["files"][name] = _keep_close_cells(
+                    old["files"][name], pin, state_scale)
+    return pins
+
+
+def write_pins(path: Path, old_pins: dict) -> None:
+    path.write_text(json.dumps(regenerate(old_pins), indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    PINS.write_text(json.dumps(_all_outputs(), indent=1) + "\n")
+    write_pins(PINS, json.loads(PINS.read_text()))
     print(f"wrote {PINS}")

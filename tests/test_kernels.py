@@ -200,7 +200,8 @@ class TestMonthOperators:
     def test_prediction_row_is_the_next_weights_times_the_map(self, r):
         site = _century_site(r)
         eks, dir_f = site.month_operators.eks, site.month_operators.dir_f
-        maps, first = site.control_maps
+        views, first = site.control_maps
+        maps = np.stack(views)
         assert maps.shape == (len(eks), 7, 7)
         # the manure input is v̂ = d_f times the state's factor
         np.testing.assert_array_equal(maps[:, :4, 6], dir_f)
@@ -300,11 +301,12 @@ class TestControlledEdges:
     @pytest.mark.parametrize("factor", [-0.3, -0.0, np.nan])
     def test_a_factor_that_is_not_positive_is_clamped_in_the_output(
             self, factor):
-        maps = _century_site(0.67).control_maps[0]
+        views = _century_site(0.67).control_maps[0]
+        maps = np.stack(views)
         x0 = np.zeros(7)
         x0[4:] = 1.0, 0.5, factor
         given = x0.copy()
-        x = _kernels.controlled_recurrence(maps, x0)
+        x = _kernels.controlled_recurrence(views, x0)
         np.testing.assert_array_equal(x0, given)
         assert x[0, 6] == 0.0 and not np.signbit(x[0, 6])
         np.testing.assert_array_equal(x[0, :6], x0[:6])
