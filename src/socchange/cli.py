@@ -136,7 +136,9 @@ def cmd_sensitivity(args, scenario: Scenario):
 
 def cmd_control(args, scenario: Scenario):
     try:
-        eps_values = [float(v) for v in args.epsilon.split(",") if v.strip()]
+        # + 0.0 turns -0 into 0, whose files and metadata it would share
+        eps_values = [float(v) + 0.0 for v in args.epsilon.split(",")
+                      if v.strip()]
     except ValueError:
         raise ConfigError(f"bad --epsilon list {args.epsilon!r}") from None
     if not eps_values:

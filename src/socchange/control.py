@@ -49,7 +49,9 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     evaluated once per month from the state at the month's start and held
     constant over the month (zero-order hold), choosing the value that makes
     the non-standard step's Δsoc increment exactly zero when feasible. A
-    Δsoc below ``DSOC_FLOOR`` is a NumericsError.
+    Δsoc below ``DSOC_FLOOR`` is a NumericsError. At ε = 0 that value is
+    the rate ratio q in every month and Δsoc stays exactly 0, so the run
+    is returned in closed form, without the month loop or its maps.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon} (1 means "
@@ -57,18 +59,24 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
     site = scenario.site
-    maps, first = site.control_maps
-    x0 = np.array((0, 0, 0, 0, 1, epsilon, first[4] + epsilon * first[5]))
-    x = _kernels.controlled_recurrence(maps, x0)
-    states = x[:, :4]
+    record = site.month_operators
+    if epsilon == 0.0:
+        # from c = 0 every month's factor is f̂′ = q > 0, never clamped, and
+        # steps c′ = g₀ + q d_f = 0: the loop would step round-off only
+        states = np.zeros((len(record.dt) + 1, 4))
+        f0 = record.q
+    else:
+        maps, first = site.control_maps
+        x0 = np.array((0, 0, 0, 0, 1, epsilon, first[4] + epsilon * first[5]))
+        x = _kernels.controlled_recurrence(maps, x0)
+        states = x[:, :4]
+        f0 = x[:-1, 6] / (1.0 - epsilon)
     totals = _pool_sum(states)
     if totals.min() < DSOC_FLOOR:
         raise NumericsError(f"epsilon={epsilon:g}: dsoc {totals.min():.3e} at "
                             f"month {totals.argmin()} is below the floor "
                             f"{DSOC_FLOOR:g}")
-    f0 = x[:-1, 6] / (1.0 - epsilon)
 
-    record = site.month_operators
     t, year, month = record.sample_axis(site.baseline_year)
     meta = {"scheme": "nonstandard", "mode": "delta", "fym_mode": "controlled",
             "control_hold": "monthly", "epsilon": epsilon, **site.meta}
@@ -84,11 +92,12 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
 
 
 def _control_maps(site: Site):
-    """(maps, first): the controlled run's month maps, for every ε.
+    """(maps, first): the controlled run's month maps, for every ε > 0.
 
     Read through ``Site.control_maps``, built once per site from its month
     record; all read-only. ``maps`` is a 1-D object array of the (7, 7)
-    views of one (n, 7, 7) block, stepped by the runs of every ε.
+    views of one (n, 7, 7) block, stepped by the runs of every ε > 0 (an
+    ε = 0 run is solved in closed form and builds none).
 
     Month j steps c <- F c + g + f v, g the manure-free forcing, and f
     zeroes the Δsoc increment, 1ᵀ(F c + g + f v) = 1ᵀc. As 1ᵀ(I - F) =

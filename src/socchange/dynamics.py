@@ -166,7 +166,8 @@ class Site:
     @cached_property
     def control_maps(self):
         """(maps, first) of ``control._control_maps``, built on first use
-        and shared, read-only, by every controlled run on this site."""
+        and shared, read-only, by every controlled run with ε > 0 on this
+        site (ε = 0 is solved in closed form and reads none)."""
         from . import control   # control imports this module
         return control._control_maps(self)
 

@@ -14,9 +14,11 @@ than a century's block (20) to 1 500, and check that:
 random sites (r, clay, climate seed, 1-30 years, ε) the tests check that:
 - states and f0 stay within 1e-12 × max(1, max|oracle|) of the feedback
   law's loop, with the same clamped months;
-- at ε = 0 the control holds Δc at 0 within 1e-15 of ``simulate``'s state
-  scale, with f0 = q = ρ/(T ρ0) within 1e-15 relative (the scheme keeps
-  the baseline equilibrium, Anguelov & Lubuma 2001);
+- at ε = 0 ``simulate_controlled`` returns Δc = 0 and f0 = q = ρ/(T ρ0)
+  exactly, and the month loop it skips there holds Δc at 0 within 1e-15
+  of ``simulate``'s state scale, with its factor within 1e-15 relative of
+  q and never clamped (the scheme keeps the baseline equilibrium, Anguelov
+  & Lubuma 2001);
 - the annual means do not decrease as ε grows;
 - stepping the site's shared month-map views gives the states of stepping
   one (n, 7, 7) block bit for bit, and every view is a read-only view of
@@ -116,12 +118,21 @@ def test_controlled_loop_matches_the_feedback_law(scenario, eps):
 @_SETTINGS
 @given(scenario=_controlled_site())
 def test_zero_share_holds_the_index_at_its_floor(scenario):
-    scale = float(np.abs(sc.simulate(sc.Scenario(scenario.site)).states).max())
-    traj, schedule = sc.simulate_controlled(scenario, 0.0)
-    assert np.abs(traj.states).max() <= 1e-15 * scale
     site = scenario.site
     q = site.month_operators.rhos / (site.params.T * site.baseline.rho0)
-    gap = np.abs(schedule.f0 - q)
+    traj, schedule = sc.simulate_controlled(scenario, 0.0)
+    np.testing.assert_array_equal(traj.states, 0.0)
+    np.testing.assert_array_equal(traj.totals, 0.0)
+    np.testing.assert_array_equal(schedule.f0, q)
+    # the closed form is the loop's exact solution: stepped, it holds the
+    # state at round-off, and its factor, never clamped, at q
+    scale = float(np.abs(sc.simulate(sc.Scenario(site)).states).max())
+    maps, first = site.control_maps
+    x = _kernels.controlled_recurrence(maps, np.array((0, 0, 0, 0, 1, 0.0,
+                                                       first[4])))
+    assert np.abs(x[:, :4]).max() <= 1e-15 * scale
+    assert np.all(x[:-1, 6] > 0.0)
+    gap = np.abs(x[:-1, 6] - q)
     assert np.all(gap <= 1e-15 * q), float((gap / q).max())
 
 

@@ -530,12 +530,22 @@ class TestControlCommand:
         assert len(err.splitlines()) == 1 and "below the floor" in err, err
         assert not out.exists()
 
+    def test_negative_zero_is_written_as_zero(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["control", str(DEMO / "scenario.cfg"), "--epsilon", "-0",
+                     "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "control_eps0.csv", "trajectory_eps0.csv"]
+        for name in ("control_eps0.csv", "trajectory_eps0.csv"):
+            first = (out / name).read_text().splitlines()[0].split()
+            assert "epsilon=0.0" in first, first
+
     def test_bad_epsilon_list(self, tmp_path, capsys):
         config = write_scenario_inputs(tmp_path, fym_baseline_tc_ha_yr=0.5)
         assert main(["control", str(config), "--epsilon", "0.2;0.5"]) == 1
 
     @pytest.mark.parametrize("values", ["0.2,0.20", "0,0.3,1e-0,1",
-                                        "0.5,0.5000001"])
+                                        "0.5,0.5000001", "0,-0"])
     def test_epsilon_values_sharing_a_file_tag_exit_one(self, tmp_path,
                                                         capsys, values):
         out = tmp_path / "out"

@@ -340,6 +340,13 @@ class TestSharedMonthOperators:
             sc.simulate_controlled(shared, eps)
         assert len(calls) == 1 and calls[0] is shared.site
 
+    def test_zero_epsilon_builds_no_control_maps(self, monkeypatch):
+        def refuse(site):
+            raise AssertionError("an ε = 0 run built the control maps")
+        monkeypatch.setattr(control, "_control_maps", refuse)
+        traj, schedule = sc.simulate_controlled(_sharing_scenario(), 0.0)
+        assert not traj.states.any() and np.all(schedule.f0 > 0.0)
+
     def test_control_maps_are_read_only(self):
         for array in _sharing_scenario().site.control_maps:
             assert not array.flags.writeable

@@ -8,9 +8,11 @@ so does any change to a metadata or header line, which are compared whole.
 The tolerance, rather than a hash, lets numpy versions differ by an ulp.
 
 The state columns of ``control``'s trajectory files share one scale, the
-largest state magnitude across those files: at ε = 0 the manure replaces
-the loss, so that file's states are round-off (under 1e-16), and their own
-scale would compare round-off bit for bit.
+largest state magnitude across those files. At ε = 0 the manure replaces
+the loss and ``simulate_controlled`` returns exact zeros, which the test
+checks as such; the pinned ε = 0 rows may keep the round-off (under 1e-16)
+of the month loop that the closed form replaced, and a scale of their own
+would compare that round-off bit for bit.
 
 Regenerate the pins (only for a deliberate, explained change of output)::
 
@@ -54,7 +56,6 @@ COMMANDS = (
 ROWS_KEPT = 25          # about this many sampled rows per file, plus the last
 REL_TOL = 1e-12
 STATE_COLUMNS = ("dpm", "rpm", "bio", "hum", "total")
-ZERO_CONTROL_TOL = 1e-15   # ε = 0 controlled states, relative to the scale
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -167,7 +168,7 @@ def test_demo_command_matches_pin(pins, tmp_path, args):
         state_scale = control_state_scale(pin["files"])
         _, header, *rows = (tmp_path / "trajectory_eps0.csv").read_text() \
             .splitlines()
-        assert max(_state_cells(header, rows)) <= ZERO_CONTROL_TOL * state_scale
+        assert max(_state_cells(header, rows)) == 0.0
     for name, file_pin in pin["files"].items():
         assert_csv_close(file_pin, tmp_path / name, state_scale)
 
