@@ -9,11 +9,10 @@ the index non-negative.
 __version__ = "0.1.0"
 
 from .climate import (ClimateSeries, ReferenceState, SiteMoisture,
-                      accumulated_deficit, annual_averages,
-                      max_deficit, rate_modifier_cover_smooth,
-                      rate_modifier_cover_timed, rate_modifier_moisture,
+                      accumulated_deficit, annual_averages, max_deficit,
+                      rate_modifier_cover_smooth, rate_modifier_moisture,
                       rate_modifier_temperature, reference_from_climate,
-                      rho_monthly, thornthwaite_pet)
+                      thornthwaite_pet)
 from .control import ControlSchedule, simulate_controlled
 from .dataio import (ScenarioConfig, build_scenario, load_climate,
                      load_config, load_density_table, load_npp,

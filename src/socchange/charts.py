@@ -16,10 +16,9 @@ _MARGIN = 54
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
-    span = hi - lo
-    if span == 0:
-        span = 1.0
-    return out_lo + (np.asarray(values) - lo) * (out_hi - out_lo) / span
+    """Map [lo, hi] onto [out_lo, out_hi]; lo < hi, as the chart widens a
+    flat y range and every x is a time axis of two or more samples."""
+    return out_lo + (np.asarray(values) - lo) * (out_hi - out_lo) / (hi - lo)
 
 
 def write_line_chart(path, series, title: str, x_label: str, y_label: str) -> None:

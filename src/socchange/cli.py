@@ -136,7 +136,8 @@ def cmd_sensitivity(args, scenario: Scenario):
 
 def cmd_control(args, scenario: Scenario):
     try:
-        # + 0.0 turns -0 into 0, whose files and metadata it would share
+        # + 0.0 turns -0 into 0 before the file tags below are compared
+        # (simulate_controlled also normalizes it, but only as each run starts)
         eps_values = [float(v) + 0.0 for v in args.epsilon.split(",")
                       if v.strip()]
     except ValueError:

@@ -3,8 +3,8 @@
 The decomposition rate modifier rho(t) is the product of a temperature factor
 k_a (anchored to 1 at the baseline-year mean temperature), a moisture factor
 k_b driven by the accumulated soil moisture deficit, and a soil-cover factor
-k_c (a timed monthly schedule for simulation, or a smooth function of the
-DPM/RPM ratio for sensitivity analysis).
+k_c, a smooth function of the DPM/RPM ratio here; ``dynamics.Site`` decides
+each calendar month's k_c, from a timed schedule or from that function.
 """
 
 from __future__ import annotations
@@ -165,24 +165,6 @@ def rate_modifier_moisture(acc, site: SiteMoisture):
     return np.where(acc >= site.Mb, 1.0, slowed)[()]
 
 
-def rate_modifier_cover_timed(month, r: float, cover_schedule=None):
-    """Soil-cover rate modifier from the monthly schedule (periodic in the year).
-
-    Below the arable threshold (r < 1) the soil is always vegetated (0.6);
-    at or above it the monthly schedule alternates between 0.6 and 1.
-    Elementwise over ``month``.
-    """
-    month = np.asarray(month)
-    outside = (month < 1) | (month > 12)
-    if np.any(outside):
-        raise ConfigError(f"month must be in 1..12, got {month[outside][0]}")
-    if r < 1.0:
-        return np.full(month.shape, KC_VEGETATED)[()]
-    if cover_schedule is None:
-        raise ConfigError("arable class (r >= 1) requires a cover schedule")
-    return np.asarray(cover_schedule, dtype=float)[month - 1]
-
-
 def rate_modifier_cover_smooth(r: float, n_bare: float = DEFAULT_BARE_MONTHS) -> float:
     """Smooth annual-mean soil-cover modifier as a function of the DPM/RPM
     ratio; at r = 0 its r -> 0+ limit, the vegetated factor."""
@@ -213,20 +195,6 @@ class ReferenceState:
     def rho0(self, r: float) -> float:
         """Reference modifier rho0(r) = k_b(acc0) * k_c(r); k_a(temp0) = 1."""
         return self.kb0 * rate_modifier_cover_smooth(r, self.n_bare)
-
-
-def rho_monthly(temp, acc, month, r: float, reference: ReferenceState,
-                cover_mode: str = "timed", cover_schedule=None):
-    """Product rate modifier, elementwise over month records (temp, acc, month)."""
-    ka = rate_modifier_temperature(temp, reference.temp0)
-    kb = rate_modifier_moisture(acc, reference.site)
-    if cover_mode == "timed":
-        kc = rate_modifier_cover_timed(month, r, cover_schedule)
-    elif cover_mode == "smooth":
-        kc = rate_modifier_cover_smooth(r, reference.n_bare)
-    else:
-        raise ConfigError(f"unknown cover mode {cover_mode!r}")
-    return ka * kb * kc
 
 
 @dataclass(frozen=True)

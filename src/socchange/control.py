@@ -56,6 +56,7 @@ def simulate_controlled(scenario: Scenario, epsilon: float):
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0, 1), got {epsilon} (1 means "
                           "no manure input: use simulate())")
+    epsilon += 0.0   # -0.0 would reach the metadata and the files
     if scenario.baseline.F0 <= 0.0:
         raise ConfigError("controlled runs need a baseline manure total F0 > 0")
     site = scenario.site

@@ -23,8 +23,8 @@ from ._floatfmt import EXACT_INT, format_rows
 from .climate import (DEFAULT_BARE_MONTHS, ClimateSeries, SiteMoisture,
                       max_deficit, reference_from_climate)
 from .control import ControlSchedule
-from .dynamics import (ARABLE_COVER_SCHEDULE, LAND_CLASSES, FymPolicy,
-                       PlantInputDensity, Scenario, Site, class_for_ratio)
+from .dynamics import (LAND_CLASSES, FymPolicy, PlantInputDensity, Scenario,
+                       Site, class_for_ratio)
 from .equilibrium import BaselineState
 from .errors import ConfigError, DataError, NumericsError, writing
 from .pools import DEFAULT_ETA, SoilParams, build_matrices
@@ -398,14 +398,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     np_ratios = load_npp(config.resolve(config.npp_csv), config.baseline_year)
 
     land_class = config.land_class or class_for_ratio(r)
-    cover_schedule = ARABLE_COVER_SCHEDULE.copy()
+    cover_schedule = None
     if config.density_csv is not None:
         densities, covers = load_density_table(config.resolve(config.density_csv))
         if land_class not in densities:
             raise ConfigError(f"density table lacks class {land_class!r}")
         density = densities[land_class]
-        if land_class in covers:
-            cover_schedule = covers[land_class]
+        cover_schedule = covers.get(land_class)
     else:
         density = PlantInputDensity.standard(land_class)
 

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .climate import ClimateSeries, ReferenceState
+from .climate import (KC_VEGETATED, ClimateSeries, ReferenceState,
+                      rate_modifier_cover_smooth)
 from .equilibrium import BaselineState
 from .errors import ConfigError, DataError
 from .pools import CompartmentMatrices, SoilParams
@@ -38,8 +39,8 @@ PLANT_INPUT_DISTRIBUTION = {
                         0.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
 }
 
-# monthly soil-cover modifier for the arable class (bare August-November);
-# sub-arable classes are always vegetated at 0.6
+# the timed soil-cover factors of the arable class (bare August-November),
+# the default from r = 1; below it the default is vegetated in every month
 ARABLE_COVER_SCHEDULE = np.array([0.6, 0.6, 0.6, 0.6, 0.6, 0.6,
                                   0.6, 1.0, 1.0, 1.0, 1.0, 0.6])
 
@@ -122,21 +123,36 @@ class Site:
     reference: ReferenceState
     baseline: BaselineState
     np_ratios: dict[int, float]        # year -> N_P^(n); baseline year -> 1
-    cover_mode: str = "timed"
-    cover_schedule: Array = field(default_factory=lambda: ARABLE_COVER_SCHEDULE.copy())
+    cover_mode: str = "timed"          # timed | smooth
+    cover_schedule: Optional[Array] = None   # timed only; None: by class
     # N_P^(n) by delta year n = 0..horizon, from np_ratios
     np_by_year: Array = field(init=False, repr=False, compare=False)
     # the climate rows of delta years 1..horizon: the run's months, in order
     climate_rows: slice = field(init=False, repr=False, compare=False)
+    # the soil-cover factor k_c of calendar months 1..12, read-only
+    cover: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.cover_mode not in ("timed", "smooth"):
+        if self.cover_mode == "smooth":
+            if self.cover_schedule is not None:
+                raise ConfigError("a cover schedule needs cover_mode = timed, "
+                                  "not 'smooth'")
+            cover = np.full(12, rate_modifier_cover_smooth(
+                self.r, self.reference.n_bare))
+        elif self.cover_mode != "timed":
             raise ConfigError(f"unknown cover mode {self.cover_mode!r}")
-        cover = np.asarray(self.cover_schedule, dtype=float)
+        elif self.cover_schedule is not None:
+            cover = np.array(self.cover_schedule, dtype=float)
+        elif self.r < 1.0:
+            cover = np.full(12, KC_VEGETATED)
+        else:
+            cover = ARABLE_COVER_SCHEDULE.copy()
         if cover.shape != (12,) or not np.all((cover > 0.0) & (cover <= 1.0)):
             raise DataError("cover schedule needs 12 monthly factors in (0, 1]")
+        cover.flags.writeable = False
+        object.__setattr__(self, "cover", cover)
         for n in range(1, self.horizon + 1):
             year = self.baseline_year + n
             if year not in self.np_ratios:

@@ -124,8 +124,8 @@ def _co_integrate(avg: AveragedModel, r: float, mats: CompartmentMatrices,
 
     Year n (1..len(omega)) steps s <- F s + Δt φ(τÃ)(κ_n A c + ω_n v) beside
     c <- F c + Δt φ(τÃ) θ^n a_g, both from zero at t0+T, τ = Δt ρ^n. The c
-    half never reads s. Returns (times, c, s), the zero initial sample
-    included.
+    half never reads s. Returns (times, c, s, dt_eff): the samples, the
+    zero initial one included, and the step that divides a month.
     """
     years = np.arange(1, omega.shape[0] + 1)
     nsub, dt_eff, record_every = _grids(avg.T, dt, record_all, years.shape[0])
@@ -143,7 +143,7 @@ def _co_integrate(avg: AveragedModel, r: float, mats: CompartmentMatrices,
         ss.append(s)
     times = (avg.T * years[:, None]
              + dt_eff * record_every * np.arange(1, nsub // record_every + 1))
-    return np.append(avg.T, times), np.vstack(cs), np.vstack(ss)
+    return np.append(avg.T, times), np.vstack(cs), np.vstack(ss), dt_eff
 
 
 def averaged_delta_solve(averaged: AveragedModel, r: float,
@@ -157,8 +157,8 @@ def averaged_delta_solve(averaged: AveragedModel, r: float,
     """
     n_years = averaged.horizon if n_years is None else n_years
     zeros = np.zeros(n_years)
-    times, states, _ = _co_integrate(averaged, r, mats, dt, record_all,
-                                     zeros, zeros, mats.a_g)
+    times, states, _, _ = _co_integrate(averaged, r, mats, dt, record_all,
+                                        zeros, zeros, mats.a_g)
     return times, states
 
 
@@ -286,10 +286,9 @@ def sensitivity(parameter: str, scenario: Scenario,
             raise NumericsError(f"(r + 1)^2 overflows for r={r}") from None
         omega = theta(np.arange(1, avg.horizon + 1), avg) / scale
         v = DPM_RPM_SHIFT
-    t, c_arr, s_arr = _co_integrate(avg, r, mats, dt, record_all, kappa,
-                                    omega, v)
-    meta = {"parameter": parameter,
-            "dt": _grids(avg.T, dt, record_all, omega.shape[0])[1],
-            "years": omega.shape[0], "dpm_rpm_ratio": r}
+    t, c_arr, s_arr, dt_eff = _co_integrate(avg, r, mats, dt, record_all,
+                                            kappa, omega, v)
+    meta = {"parameter": parameter, "dt": dt_eff, "years": omega.shape[0],
+            "dpm_rpm_ratio": r}
     return SensitivitySeries(parameter=parameter, t=t, s=s_arr,
                              s_dsoc=_pool_sum(s_arr), delta=c_arr, meta=meta)

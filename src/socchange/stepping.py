@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .climate import rho_monthly
+from .climate import rate_modifier_moisture, rate_modifier_temperature
 from .dynamics import Scenario, Site
 from .errors import ConfigError
 from .pools import CompartmentMatrices
@@ -138,10 +138,11 @@ def _month_operators(site: Site) -> MonthRecord:
     are read-only, so no run or caller can change what a later run reads.
     """
     year_index, month, dt, t_end = build_time_grid(site)  # tracers patch it
-    climate, rows = site.climate, site.climate_rows
-    rhos = rho_monthly(climate.temp[rows].ravel(), climate.acc[rows].ravel(),
-                       month, site.r, site.reference, site.cover_mode,
-                       site.cover_schedule)
+    climate, rows, reference = site.climate, site.climate_rows, site.reference
+    rhos = (rate_modifier_temperature(climate.temp[rows].ravel(),
+                                      reference.temp0)
+            * rate_modifier_moisture(climate.acc[rows].ravel(), reference.site)
+            * site.cover[month - 1])
     mats = site.mats
     eks, fmats, phivs = _step_factors(dt * rhos, mats)
     dt_phivs = dt[:, None] * phivs

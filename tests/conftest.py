@@ -75,12 +75,25 @@ class HandMonths(NamedTuple):
     q: np.ndarray        # ρ/(T ρ0)
 
 
+def hand_cover(site, m: int) -> float:
+    """The soil-cover factor of calendar month m, restated from the site's
+    ratio, cover mode and schedule: under ``smooth`` the smooth factor of r;
+    under ``timed`` the given schedule, else bare (1) from August to November
+    at r >= 1 and vegetated (0.6) in every other month and class."""
+    if site.cover_mode == "smooth":
+        return sc.rate_modifier_cover_smooth(site.r, site.reference.n_bare)
+    if site.cover_schedule is not None:
+        return float(site.cover_schedule[m - 1])
+    return 1.0 if site.r >= 1.0 and 8 <= m <= 11 else 0.6
+
+
 def hand_months(site) -> HandMonths:
     """The site's months one at a time from its raw inputs: the NPP ratio
     of calendar year baseline+n, that year's climate-table row, the density's
-    proportions and scalar ``rho_monthly``. An oracle for the month record
-    that shares none of its code."""
-    T, climate = site.params.T, site.climate
+    proportions, the scalar temperature and moisture factors and
+    ``hand_cover``. An oracle for the month record that shares none of its
+    code."""
+    T, climate, ref = site.params.T, site.climate, site.reference
     months = []
     for n in range(1, site.horizon + 1):
         year = site.baseline_year + n
@@ -88,9 +101,10 @@ def hand_months(site) -> HandMonths:
         days = climate.month_days[i]
         for m in range(1, 13):
             dt = T * days[m - 1] / days.sum()
-            rho = sc.rho_monthly(climate.temp[i, m - 1], climate.acc[i, m - 1],
-                                 m, site.r, site.reference, site.cover_mode,
-                                 site.cover_schedule)
+            rho = (sc.rate_modifier_temperature(climate.temp[i, m - 1],
+                                                ref.temp0)
+                   * sc.rate_modifier_moisture(climate.acc[i, m - 1], ref.site)
+                   * hand_cover(site, m))
             supply = site.np_ratios[year] * (site.density.proportions[m - 1]
                                              / dt)
             months.append((n, m, dt, rho, supply))

@@ -67,20 +67,29 @@ def _demo_climate_with(column):
     return "\n".join([f"{lines[0]},{column}"] + rows) + "\n"
 
 
+def _demo_copy(tmp_path, drop=(), add=(), files=None):
+    """Copy the demo site with the config keys ``drop`` removed and the
+    lines ``add`` appended; ``files`` maps names to text written beside
+    it. Returns the config path."""
+    for path in DEMO.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    for name, text in (files or {}).items():
+        (tmp_path / name).write_text(text)
+    config = tmp_path / "scenario.cfg"
+    lines = [line for line in config.read_text().splitlines()
+             if line.partition("=")[0].strip() not in drop]
+    config.write_text("\n".join(lines + list(add)) + "\n")
+    return config
+
+
 def _demo_with_key(tmp_path, key, value):
     """Copy the demo site with one config key set to value (added if absent).
 
     soc_active_tc_ha replaces plant_input_tc_ha_yr, as the two exclude each
     other. Returns the config path."""
-    for path in DEMO.iterdir():
-        shutil.copy(path, tmp_path / path.name)
-    config = tmp_path / "scenario.cfg"
     drop = {key} | ({"plant_input_tc_ha_yr"} if key == "soc_active_tc_ha"
                     else set())
-    lines = [line for line in config.read_text().splitlines()
-             if line.partition("=")[0].strip() not in drop]
-    config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
-    return config
+    return _demo_copy(tmp_path, drop, [f"{key} = {value}"])
 
 
 class TestSimulateCommand:
@@ -289,6 +298,103 @@ class TestZeroRatio:
                      "--out", str(out)]) == 1
         assert "DPM/RPM ratio must be positive, got 0.0" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+
+def _density_table(**columns):
+    """A density table CSV: month, then each named column's 12 values."""
+    rows = [",".join(["month", *columns])]
+    rows += [",".join([str(m), *(repr(float(v[m - 1]))
+                                 for v in columns.values())])
+             for m in range(1, 13)]
+    return "\n".join(rows) + "\n"
+
+
+class TestCoverColumns:
+    """A density table's cover_<class> column is that class's timed cover
+    schedule at any DPM/RPM ratio, and an error under cover_mode = smooth."""
+
+    FOREST = sc.PlantInputDensity.standard("forest").proportions
+
+    def _forest(self, tmp_path, add=(), **covers):
+        return _demo_copy(
+            tmp_path, drop=("dpm_rpm_ratio", "land_class"),
+            add=("dpm_rpm_ratio = 0.3", "land_class = forest",
+                 "density_csv = density.csv", *add),
+            files={"density.csv": _density_table(forest=self.FOREST,
+                                                 **covers)})
+
+    def test_a_forest_cover_column_applies_below_unit_ratio(self, tmp_path):
+        out = {}
+        for name, covers in (("without", {}),
+                             ("with", {"cover_forest": np.ones(12)})):
+            site = tmp_path / name
+            site.mkdir()
+            config = self._forest(site, **covers)
+            assert main(["simulate", str(config), "--out",
+                         str(site / "out")]) == 0
+            out[name] = sc.read_trajectory(site / "out" / "trajectory.csv")
+        # bare soil all year decomposes faster than the vegetated default
+        assert out["with"].totals[-1] < out["without"].totals[-1]
+
+    def test_a_cover_column_under_smooth_exits_one(self, tmp_path, capsys):
+        config = self._forest(tmp_path, add=["cover_mode = smooth"],
+                              cover_forest=np.ones(12))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "cover_mode" in err, err
+        assert not out.exists()
+
+
+class TestLiveChecks:
+    """Input checks that only a malformed copy of the demo reaches: each
+    prints one error line, exits with its code and writes nothing."""
+
+    @pytest.mark.parametrize("drop, add, files, code, message", [
+        (["latitude_deg"], ["latitude_deg = 100"], None, 1,
+         "latitude must be in [-90, 90] deg, got 100.0"),
+        (["latitude_deg"], [], None, 1, "PET missing"),
+        ([], ["cover_mode = bogus"], None, 1, "unknown cover mode 'bogus'"),
+        (["bare_months"], ["bare_months = 13"], None, 1,
+         "bare months must be in [0, 12], got 13.0"),
+        (["horizon_years"], ["horizon_years = 0"], None, 1,
+         "horizon must be >= 1, got 0"),
+        (["depth_cm"], ["depth_cm = 0"], None, 1,
+         "soil depth must be positive, got 0.0"),
+        ([], ["density_csv = d.csv"],
+         {"d.csv": _density_table(cover_arable=np.full(12, 0.6))}, 2,
+         "d.csv: no land-class columns found"),
+        ([], ["density_csv = d.csv"],
+         {"d.csv": _density_table(forest=np.full(12, 1 / 12))}, 1,
+         "density table lacks class 'arable'"),
+        ([], [], {"climate.csv": "year,month,temp_c,rain_mm\n"}, 2,
+         "climate.csv: no data rows"),
+    ], ids=["latitude", "no_pet", "cover_mode", "bare_months", "horizon",
+            "depth", "no_class_column", "class_missing", "header_only"])
+    def test_simulate(self, tmp_path, capsys, drop, add, files, code,
+                      message):
+        config = _demo_copy(tmp_path, drop, add, files)
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["control", "--epsilon", " , "], "--epsilon needs at least one value"),
+        (["equilibrium", "--soc", "-1"],
+         "active SOC must be non-negative, got -1.0"),
+        (["equilibrium", "--inputs", "-1", "0"],
+         "inputs must be non-negative, got P0=-1.0, F0=0.0"),
+    ], ids=["empty_epsilon", "negative_soc", "negative_inputs"])
+    def test_command_options(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        writes = ["--out", str(out)] if argv[0] == "control" else []
+        assert main([argv[0], str(DEMO / "scenario.cfg"), *argv[1:],
+                     *writes]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
         assert not out.exists()
 
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import socchange as sc
-from socchange.climate import KA_OFFSET
+from socchange.climate import KA_OFFSET, KC_VEGETATED
 from socchange.errors import ConfigError, DataError
 
-from conftest import constant_climate, synthetic_climate
+from conftest import constant_climate, make_scenario, synthetic_climate
 
 N_2006 = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
@@ -107,6 +107,10 @@ class TestAccumulatedDeficit:
         acc = sc.accumulated_deficit(np.full(12, 80.0), np.full(12, 50.0), -60.0)
         np.testing.assert_array_equal(acc, np.zeros(12))
 
+    def test_positive_capacity_rejected(self):
+        with pytest.raises(ConfigError, match="M must be <= 0, got 1.0"):
+            sc.accumulated_deficit(np.zeros(12), np.zeros(12), 1.0)
+
     def test_zero_capacity_collapses(self):
         acc = sc.accumulated_deficit(np.zeros(12), np.full(12, 10.0), 0.0)
         np.testing.assert_array_equal(acc, np.zeros(12))
@@ -198,23 +202,15 @@ class TestMoistureModifier:
             sc.rate_modifier_moisture(site50.M - 1.0, site50)
 
 
-ARABLE_COVER = sc.dynamics.ARABLE_COVER_SCHEDULE
-
-
 class TestCoverModifiers:
+    """The soil-cover factors: the timed monthly ones are ``Site.cover``'s,
+    the smooth one a function of the ratio."""
+
     def test_timed_arable_august_bare(self):
-        assert sc.rate_modifier_cover_timed(8, 1.44, ARABLE_COVER) == 1.0
+        assert make_scenario(r=1.44).site.cover[7] == 1.0
 
     def test_timed_arable_july_vegetated(self):
-        assert sc.rate_modifier_cover_timed(7, 1.44, ARABLE_COVER) == 0.6
-
-    def test_timed_grassland_always_vegetated(self):
-        for month in range(1, 13):
-            assert sc.rate_modifier_cover_timed(month, 0.67, None) == 0.6
-
-    def test_arable_without_schedule_rejected(self):
-        with pytest.raises(ConfigError):
-            sc.rate_modifier_cover_timed(3, 1.44, None)
+        assert make_scenario(r=1.44).site.cover[6] == 0.6
 
     def test_smooth_small_ratio_limit(self):
         assert sc.rate_modifier_cover_smooth(1e-9, 4.0) == pytest.approx(
@@ -251,18 +247,10 @@ class TestCoverModifiers:
 
 
 class TestRhoComposition:
-    def test_product_recomposition(self, site50):
-        ref = sc.ReferenceState(temp0=14.0, acc0=-20.0, site=site50)
-        rho = sc.rho_monthly(16.5, -35.0, 9, 1.44, ref, "timed", ARABLE_COVER)
-        expected = (sc.rate_modifier_temperature(16.5, 14.0)
-                    * sc.rate_modifier_moisture(-35.0, site50)
-                    * sc.rate_modifier_cover_timed(9, 1.44, ARABLE_COVER))
-        assert rho == pytest.approx(expected, rel=1e-12)
-
     def test_reference_product_is_060(self, site50):
         # wet soil, reference temperature, vegetated cover
-        ref = sc.ReferenceState(temp0=14.0, acc0=0.0, site=site50)
-        rho = sc.rho_monthly(14.0, 0.0, 5, 0.25, ref, "timed", None)
+        rho = (sc.rate_modifier_temperature(14.0, 14.0)
+               * sc.rate_modifier_moisture(0.0, site50) * KC_VEGETATED)
         assert rho == pytest.approx(0.6, abs=1e-12)
 
     def test_rho0_strips_cover_dependence(self, site50):
@@ -367,29 +355,22 @@ class TestElementwise:
         temps = rng.uniform(-5.0, 35.0, 60)
         accs = rng.uniform(site50.M, 0.0, 60)
         accs[:5] = [0.0, site50.M, site50.Mb, site50.Mb - 1e-9, -1e-12]
-        months = rng.integers(1, 13, 60)
-        ref = sc.ReferenceState(temp0=14.0, acc0=-20.0, site=site50)
         np.testing.assert_array_equal(
             sc.rate_modifier_temperature(temps, 14.0),
             [sc.rate_modifier_temperature(t, 14.0) for t in temps])
         np.testing.assert_array_equal(
             sc.rate_modifier_moisture(accs, site50),
             [sc.rate_modifier_moisture(a, site50) for a in accs])
-        for r, schedule in ((1.44, ARABLE_COVER), (0.67, None)):
-            np.testing.assert_array_equal(
-                sc.rate_modifier_cover_timed(months, r, schedule),
-                [sc.rate_modifier_cover_timed(int(m), r, schedule)
-                 for m in months])
-            for mode in ("timed", "smooth"):
-                np.testing.assert_array_equal(
-                    sc.rho_monthly(temps, accs, months, r, ref, mode, schedule),
-                    [sc.rho_monthly(t, a, int(m), r, ref, mode, schedule)
-                     for t, a, m in zip(temps, accs, months)])
+        np.testing.assert_array_equal(
+            sc.rate_modifier_temperature(temps, 14.0)
+            * sc.rate_modifier_moisture(accs, site50),
+            [sc.rate_modifier_temperature(t, 14.0)
+             * sc.rate_modifier_moisture(a, site50)
+             for t, a in zip(temps, accs)])
 
     def test_scalar_calls_return_scalars(self, site50):
+        assert np.ndim(sc.rate_modifier_temperature(16.5, 14.0)) == 0
         assert np.ndim(sc.rate_modifier_moisture(-10.0, site50)) == 0
-        assert np.ndim(sc.rate_modifier_cover_timed(3, 0.5)) == 0
-        assert np.ndim(sc.rate_modifier_cover_timed(3, 1.5, ARABLE_COVER)) == 0
 
     def test_array_domain_errors_name_the_culprit(self, site50):
         temp0 = 14.0
@@ -398,8 +379,6 @@ class TestElementwise:
             sc.rate_modifier_temperature(np.array([20.0, pole + 0.005]), temp0)
         with pytest.raises(ConfigError, match="0.5"):
             sc.rate_modifier_moisture(np.array([-1.0, 0.5]), site50)
-        with pytest.raises(ConfigError, match="13"):
-            sc.rate_modifier_cover_timed(np.array([1, 13]), 0.5)
 
     def test_series_index(self, site50):
         climate = constant_climate(2005, 3, site50)
@@ -424,6 +403,17 @@ class TestClimateSeries:
         series = sc.ClimateSeries.build(2005, temps, rains, site50,
                                         pet=given_pet)
         np.testing.assert_array_equal(series.pet, given_pet)
+
+    @pytest.mark.parametrize("rain, pet, message", [
+        (np.full((1, 11), 30.0), None, r"rainfall must be \(nyears, 12\)"),
+        (np.full((2, 12), 30.0), None, r"rainfall must be \(nyears, 12\)"),
+        (np.full((1, 12), 30.0), np.full((2, 12), 45.0),
+         "pet must match temperature shape")],
+        ids=["short_year", "rain_years", "pet_years"])
+    def test_shapes_that_differ_rejected(self, site50, rain, pet, message):
+        with pytest.raises(DataError, match=message):
+            sc.ClimateSeries.build(2005, np.full((1, 12), 15.0), rain, site50,
+                                   pet=pet, latitude_deg=41.0)
 
     @pytest.mark.parametrize("name, value", [("rain", -1e300), ("rain", -13.6),
                                              ("rain", math.nan), ("pet", -1.0)])

@@ -99,6 +99,22 @@ class TestSimulateControlled:
         assert np.max(np.abs(traj.totals)) <= 1e-9
         assert np.all(schedule.f0 >= 0.0)
 
+    def test_negative_zero_epsilon_runs_as_zero(self, tmp_path):
+        scenario = build_scenario(load_config(DEMO_CONFIG))
+        traj, schedule = sc.simulate_controlled(scenario, -0.0)
+        zero_traj, zero_schedule = sc.simulate_controlled(scenario, 0.0)
+        for eps in (traj.meta["epsilon"], schedule.epsilon):
+            assert eps == 0.0 and np.copysign(1.0, eps) == 1.0
+        for path, write, got, want in (
+                (tmp_path / "t.csv", sc.write_trajectory, traj, zero_traj),
+                (tmp_path / "c.csv", sc.write_control, schedule,
+                 zero_schedule)):
+            write(path, got)
+            first = path.read_text().splitlines()[0]
+            assert "epsilon=0.0" in first.split(), first
+            write(tmp_path / "zero.csv", want)
+            assert path.read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
     def test_annual_means_non_decreasing_in_epsilon(self, controlled_runs):
         means = {eps: traj.annual_means()
                  for eps, (traj, _) in controlled_runs.items()}

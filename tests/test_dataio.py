@@ -600,6 +600,14 @@ class TestWriters:
         with pytest.raises(DataError, match=f"bad.csv: line 5: {message}$"):
             sc.read_trajectory(tmp_path / "bad.csv")
 
+    def test_trajectory_without_its_metadata_line_rejected(
+            self, tmp_path, arable_scenario):
+        sc.write_trajectory(tmp_path / "traj.csv", sc.simulate(arable_scenario))
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
+        (tmp_path / "bad.csv").write_text("\n".join(lines[1:]) + "\n")
+        with pytest.raises(DataError, match="bad.csv: not a trajectory file"):
+            sc.read_trajectory(tmp_path / "bad.csv")
+
     def test_trajectory_header_names_checked(self, tmp_path, arable_scenario):
         sc.write_trajectory(tmp_path / "traj.csv", sc.simulate(arable_scenario))
         text = (tmp_path / "traj.csv").read_text()

@@ -39,6 +39,18 @@ class TestPlantDensity:
         with pytest.raises(DataError):
             sc.PlantInputDensity(props, "grassland")
 
+    @pytest.mark.parametrize("props, land_class, error, message", [
+        (np.full(11, 1 / 11), "forest", DataError, "needs 12 monthly"),
+        (np.r_[-0.1, 1.1, np.zeros(10)], "forest", DataError,
+         "negative proportion in forest"),
+        (np.full(12, 1 / 12), "wetland", ConfigError,
+         "unknown land class 'wetland'"),
+    ], ids=["short", "negative", "class"])
+    def test_malformed_density_rejected(self, props, land_class, error,
+                                        message):
+        with pytest.raises(error, match=message):
+            sc.PlantInputDensity(props, land_class)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_proportions_rejected(self, bad):
         # NaN passed both the sign and the sum tests
@@ -205,6 +217,76 @@ class TestMonthRecord:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+class TestSiteCover:
+    """``Site.cover``, the soil-cover factor of each calendar month, decided
+    once from the cover mode, the ratio and a given schedule."""
+
+    BARE_AUGUST_TO_NOVEMBER = [0.6] * 7 + [1.0] * 4 + [0.6]
+
+    @pytest.mark.parametrize("r", [0.0, 0.25, 0.67, 0.999])
+    def test_default_below_unit_ratio_is_vegetated(self, r):
+        np.testing.assert_array_equal(make_scenario(r=r).site.cover,
+                                      np.full(12, 0.6))
+
+    @pytest.mark.parametrize("r", [1.0, 1.44])
+    def test_arable_default_is_bare_august_to_november(self, r):
+        np.testing.assert_array_equal(make_scenario(r=r).site.cover,
+                                      self.BARE_AUGUST_TO_NOVEMBER)
+
+    @pytest.mark.parametrize("r", [0.25, 0.67, 1.44])
+    def test_given_schedule_applies_at_any_ratio(self, r):
+        schedule = np.linspace(0.55, 1.0, 12)
+        site = dataclasses.replace(make_scenario(r=r).site,
+                                   cover_schedule=schedule)
+        np.testing.assert_array_equal(site.cover, schedule)
+        TestMonthRecord._assert_hand_months(site)
+
+    @pytest.mark.parametrize("r", [0.0, 0.25, 0.67, 1.44])
+    def test_smooth_takes_the_smooth_factor_in_every_month(self, r):
+        site = make_scenario(r=r, cover_mode="smooth").site
+        np.testing.assert_array_equal(site.cover, np.full(
+            12, sc.rate_modifier_cover_smooth(r, site.reference.n_bare)))
+
+    def test_smooth_with_a_schedule_rejected(self):
+        site = make_scenario(r=0.25, cover_mode="smooth").site
+        with pytest.raises(ConfigError, match="cover_mode = timed, not "
+                           "'smooth'"):
+            dataclasses.replace(site, cover_schedule=np.full(12, 0.6))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown cover mode 'bogus'"):
+            make_scenario(cover_mode="bogus")
+
+    def test_month_record_rho_is_the_factor_product(self):
+        site = make_scenario(r=1.44).site
+        record, climate, ref = site.month_operators, site.climate, site.reference
+        for j in (6, 7, 10, 11):   # July, August, November, December
+            i, m = site.climate_rows.start, record.month[j]
+            expected = (sc.rate_modifier_temperature(climate.temp[i, m - 1],
+                                                     ref.temp0)
+                        * sc.rate_modifier_moisture(climate.acc[i, m - 1],
+                                                    ref.site)
+                        * self.BARE_AUGUST_TO_NOVEMBER[m - 1])
+            assert record.rhos[j] == pytest.approx(expected, rel=1e-12)
+
+    def test_cover_is_read_only_and_rebuilt_by_replace(self):
+        schedule = np.full(12, 0.8)
+        site = dataclasses.replace(make_scenario(r=1.44).site,
+                                   cover_schedule=schedule)
+        schedule[0] = 0.3
+        assert site.cover[0] == 0.8
+        with pytest.raises(ValueError, match="read-only"):
+            site.cover[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            site.cover = np.ones(12)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(site, cover=np.ones(12))
+        smooth = dataclasses.replace(site, cover_mode="smooth",
+                                     cover_schedule=None)
+        np.testing.assert_array_equal(smooth.cover, np.full(
+            12, sc.rate_modifier_cover_smooth(1.44, site.reference.n_bare)))
 
 
 class TestClimateRows:

@@ -59,6 +59,10 @@ class TestSocTotalFromActive:
     def test_trivial_root(self):
         assert sc.soc_total_from_active(0.0) == 0.0
 
+    def test_negative_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative, got -1.0"):
+            sc.soc_total_from_active(-1.0)
+
     @pytest.mark.parametrize("soc_total", [10.0, 40.0, 80.0])
     def test_round_trip_with_falloon(self, soc_total):
         active = soc_total - sc.iom_from_soc(soc_total)
@@ -101,6 +105,14 @@ class TestSocTotalFromActive:
                          (14.9, equilibrium._PEAK_TOTAL_SOC),
                          (equilibrium.MAX_ACTIVE_SOC,
                           equilibrium._PEAK_TOTAL_SOC)]
+
+    def test_a_root_missing_the_residual_check_is_a_numerics_error(
+            self, monkeypatch):
+        solve = equilibrium.brentq
+        monkeypatch.setattr(equilibrium, "brentq",
+                            lambda f, a, b, **tol: solve(f, a, b, **tol) * 1.01)
+        with pytest.raises(NumericsError, match="SOC root residual"):
+            sc.soc_total_from_active(14.9)
 
     def test_strictly_increasing(self):
         grid = np.linspace(0.5, 200.0, 400)
@@ -318,6 +330,15 @@ class TestInferInitialPlantInput:
         total = T * 0.6 * params.delta * float(params.k @ c0)
         alt = -T * 0.6 * float(np.ones(4) @ mats.A @ c0)
         assert total == pytest.approx(alt, rel=1e-12)
+
+    def test_manure_only_round_off_clamps_to_zero(self, setup50):
+        # at F0 = 0.3, rho0 = 0.9 the manure-only pools give an inferred
+        # plant input of -3.9e-17, inside the clamp's tolerance
+        params, mats = setup50
+        c0 = sc.equilibrium_pools(0.0, 0.3, 0.9, mats, T)
+        back = sc.BaselineState.from_active_soc(c0.sum(), 0.3, 0.9, mats,
+                                                params)
+        assert back.P0 == 0.0 and np.copysign(1.0, back.P0) == 1.0
 
     def test_infeasible_baseline(self, setup50):
         params, mats = setup50

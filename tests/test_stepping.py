@@ -359,6 +359,10 @@ class TestSimulate:
         assert np.max(np.abs(traj.totals)) < 1e-12
         assert np.max(np.abs(traj.states)) < 1e-12
 
+    def test_unknown_mode_rejected(self, arable_scenario):
+        with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
+            sc.simulate(arable_scenario, mode="bogus")
+
     def test_initial_sample_is_zero_and_times_increase(self, arable_scenario):
         traj = sc.simulate(arable_scenario)
         assert traj.totals[0] == 0.0
